@@ -697,15 +697,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run():
         server = DeltaServer(store, config)
         await server.start()
-        print("serving %d package(s) on %s:%d"
-              % (len(store.packages()), server.host, server.port),
-              flush=True)
+        # Handlers first: a supervisor may signal the moment it reads
+        # the ready line, and that signal must drain, not kill.
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             try:
                 loop.add_signal_handler(sig, server.request_drain)
             except NotImplementedError:  # pragma: no cover - non-POSIX
                 pass
+        print("serving %d package(s) on %s:%d"
+              % (len(store.packages()), server.host, server.port),
+              flush=True)
         await server.wait_drained()
         return dict(server.counters)
 

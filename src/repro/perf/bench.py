@@ -537,11 +537,14 @@ def _store_op() -> BenchOp:
 
     A temp-dir :class:`~repro.store.PackStore` holds 12 mutate-derived
     256 KiB releases of one package as stored delta chains; the op is
-    ``store.chain(first, latest)`` — decode the stored hops, fold them
-    with ``compose_chain``, convert for in-place application, encode
-    one ``IPD2`` payload.  Throughput is the chain's image volume per
-    second.  The oracle applies the payload in place over the first
-    release and demands the latest, byte-exact.
+    ``store.chain(first, latest)`` — fetch the 11 hop scripts, fold
+    them with ``compose_chain``, convert for in-place application,
+    encode one ``IPD2`` payload.  The untimed warm-up run fills the
+    store's hop-script cache, so the timed repeats measure a warm
+    store: no stored-hop decode and no re-diff, only cache hits,
+    compose, convert and encode.  Throughput is the chain's image
+    volume per second.  The oracle applies the payload in place over
+    the first release and demands the latest, byte-exact.
     """
     import shutil
     import tempfile

@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .. import perf
 from ..core.apply import apply_delta, verify_reference
+from ..core.commands import DeltaScript
 from ..core.compose import compose_chain
 from ..core.convert import make_in_place
 from ..delta import ALGORITHMS
@@ -80,6 +81,11 @@ from .pack import (
 )
 
 _PACK_RE = re.compile(r"^pack-(\d{6})\.pack$")
+
+#: What one cached hop-script command is charged against
+#: ``StoreConfig.cache_bytes`` beyond its literal bytes: about the size
+#: of a command object with its fields and its list slot in CPython.
+_HOP_COMMAND_BYTES = 192
 
 
 def _pack_name(generation: int) -> str:
@@ -116,7 +122,8 @@ class StoreConfig:
     #: ``similarity_probe_len`` bytes, evenly spaced over the image.
     similarity_probes: int = 32
     similarity_probe_len: int = 24
-    #: Byte budget of the reconstructed-object LRU (0 disables).
+    #: Byte budget of the store's LRU, shared by reconstructed objects
+    #: and :meth:`PackStore.chain`'s hop scripts (0 disables both).
     cache_bytes: int = 32 << 20
     #: fsync pack appends and index renames (tests may disable for
     #: speed; real deployments should not).
@@ -257,7 +264,9 @@ class PackStore:
     :class:`~repro.serve.DeltaServer` (or the campaign driver) serves
     from it directly.  All public methods are thread-safe under one
     re-entrant lock — the serve daemon calls :meth:`get` and
-    :meth:`chain` from its encode thread pool.
+    :meth:`chain` from its encode thread pool.  :meth:`chain` holds the
+    lock only for index, cache and pack access, so its decode, diff,
+    compose, convert and encode run while other callers proceed.
 
     Opening requires an initialized directory (:meth:`init`, or
     ``ipdelta store init``); a damaged store still *opens* — reads work
@@ -271,8 +280,14 @@ class PackStore:
         self.config.validate()
         self.root = Path(root)
         self._lock = threading.RLock()
-        self._cache: "OrderedDict[str, bytes]" = OrderedDict()
+        #: One LRU under ``config.cache_bytes``: reconstructed objects
+        #: keyed by digest, hop scripts keyed by ``(cur, nxt)`` digests;
+        #: each entry is ``(value, charged bytes)``.
+        self._cache: "OrderedDict[object, Tuple[object, int]]" = \
+            OrderedDict()
         self._cache_bytes = 0
+        #: Per-hop build locks of :meth:`_hop_script` misses in flight.
+        self._hop_builds: Dict[Tuple[str, str], threading.Lock] = {}
         #: Structured damage found while opening; non-empty blocks
         #: mutation (``publish``/plain ``gc``) until ``gc(repair=True)``.
         self.damage: List[StoreError] = []
@@ -300,7 +315,8 @@ class PackStore:
         return cls(root, cfg)
 
     def close(self) -> None:
-        """Drop the reconstruction cache (no file handles stay open)."""
+        """Drop the reconstruction and hop-script cache (no file handles
+        stay open)."""
         with self._lock:
             self._cache.clear()
             self._cache_bytes = 0
@@ -582,7 +598,7 @@ class PackStore:
                 log.remove(digest)
             log.append(digest)
             self._write_index()
-            self._cache_put(digest, data)
+            self._cache_put(digest, data, len(data))
             perf.add("store.publish")
             return digest
 
@@ -598,12 +614,21 @@ class PackStore:
         client K versions behind costs one composition, not K
         round-trips and not a full re-diff.
 
+        Each hop's script is computed once per store lifetime (see
+        :meth:`_hop_script`).  The store lock covers only the log read,
+        cache access, pack reads and reconstructions; decode, diff,
+        compose, convert and encode run unlocked on in-memory bytes.  A
+        version a concurrent ``gc(keep_last=...)`` drops mid-chain
+        raises :class:`~repro.exceptions.StoreError` (``kind="chain"``).
+
         Returns ``None`` when the store cannot do better than a fresh
         encode (unknown digests, ``want`` not newer than ``have``), so
         callers fall back to their pipeline.  Perf counters:
         ``store.chain.collapsed`` (payloads built), ``store.chain.hops``
         (hops folded), ``store.chain.stored_hops`` vs
-        ``store.chain.hop_diffs`` (scripts reused vs re-diffed).
+        ``store.chain.hop_diffs`` (storage-aligned vs other hops),
+        ``store.chain.hop_cache.hits``/``.misses`` (hops served from
+        the cache vs computed).
         """
         with self._lock:
             log = self._index.logs.get(package)
@@ -612,31 +637,73 @@ class PackStore:
             start, stop = log.index(have), log.index(want)
             if stop <= start:
                 return None
-            hops = []
-            for k in range(start, stop):
-                cur, nxt = log[k], log[k + 1]
-                info = self._index.objects[nxt]
-                if info.stored == STORED_DELTA and info.base == cur:
-                    _header, payload = self._read_object_record(info)
-                    script, _delta_header = decode_delta(payload)
-                    perf.add("store.chain.stored_hops")
-                else:
-                    script = ALGORITHMS[self.config.algorithm](
-                        self._materialize(cur), self._materialize(nxt))
-                    perf.add("store.chain.hop_diffs")
-                hops.append(script)
-            composed = compose_chain(hops) if len(hops) > 1 else hops[0]
+            path = log[start:stop + 1]
+        hops = [self._hop_script(cur, nxt)
+                for cur, nxt in zip(path, path[1:])]
+        composed = compose_chain(hops) if len(hops) > 1 else hops[0]
+        with self._lock:
             reference = self._materialize(have)
             target = self._materialize(want)
-            converted = make_in_place(composed, reference,
-                                      policy=self.config.policy)
-            payload = encode_delta(
-                converted.script, FORMAT_INPLACE,
-                version_crc32=version_checksum(target),
-                reference=reference)
-            perf.add("store.chain.collapsed")
-            perf.add("store.chain.hops", stop - start)
-            return payload
+        converted = make_in_place(composed, reference,
+                                  policy=self.config.policy)
+        payload = encode_delta(
+            converted.script, FORMAT_INPLACE,
+            version_crc32=version_checksum(target),
+            reference=reference)
+        perf.add("store.chain.collapsed")
+        perf.add("store.chain.hops", len(hops))
+        return payload
+
+    def _hop_script(self, cur: str, nxt: str) -> DeltaScript:
+        """The plain script of one publish-log hop ``cur -> nxt``.
+
+        Cached under the content-addressed key ``(cur, nxt)``: a script
+        rebuilds ``nxt`` from ``cur`` however it was obtained, so no
+        ``publish`` or ``gc`` ever invalidates it.  (A stored delta is
+        this store's differ run on the same two versions, so either
+        source leads to the same payload bytes.)  A miss reads the
+        stored record (storage-aligned hop) or reconstructs both
+        versions (any other hop) under the store lock, then decodes or
+        re-diffs outside it.  Concurrent misses of one hop serialize on
+        a per-hop build lock, so all but the first find the script
+        cached (unless the budget could not keep it).
+        """
+        key = (cur, nxt)
+        with self._lock:
+            info = self._object_info(nxt)
+            perf.add("store.chain.stored_hops"
+                     if info.stored == STORED_DELTA and info.base == cur
+                     else "store.chain.hop_diffs")
+            script = self._cache_get(key)
+            if script is not None:
+                perf.add("store.chain.hop_cache.hits")
+                return script
+            build = self._hop_builds.setdefault(key, threading.Lock())
+        with build:
+            try:
+                with self._lock:
+                    script = self._cache_get(key)
+                    if script is not None:
+                        perf.add("store.chain.hop_cache.hits")
+                        return script
+                    perf.add("store.chain.hop_cache.misses")
+                    info = self._object_info(nxt)
+                    stored = info.stored == STORED_DELTA and info.base == cur
+                    if stored:
+                        _header, payload = self._read_object_record(info)
+                    else:
+                        inputs = self._materialize(cur), self._materialize(nxt)
+                if stored:
+                    script, _delta_header = decode_delta(payload)
+                else:
+                    script = ALGORITHMS[self.config.algorithm](*inputs)
+                size = script.added_bytes + _HOP_COMMAND_BYTES * len(script)
+                with self._lock:
+                    return self._cache_put(key, script, size)
+            finally:
+                with self._lock:
+                    if self._hop_builds.get(key) is build:
+                        del self._hop_builds[key]
 
     # -- introspection --------------------------------------------------
 
@@ -936,6 +1003,13 @@ class PackStore:
         write_atomic(str(self.root / INDEX_NAME), self._index.to_bytes(),
                      fsync=self.config.fsync)
 
+    def _object_info(self, digest: str) -> ObjectInfo:
+        info = self._index.objects.get(digest)
+        if info is None:
+            raise StoreError("no object %s in the store" % digest[:12],
+                             kind="chain")
+        return info
+
     def _read_object_record(self, info: ObjectInfo
                             ) -> Tuple[Dict[str, object], bytes]:
         """Re-verify and decode one object record from the pack."""
@@ -956,10 +1030,7 @@ class PackStore:
         if cached is not None:
             perf.add("store.cache.hits")
             return cached
-        info = self._index.objects.get(digest)
-        if info is None:
-            raise StoreError("no object %s in the store" % digest[:12],
-                             kind="chain")
+        info = self._object_info(digest)
         header, payload = self._read_object_record(info)
         if str(header.get("digest")) != digest:
             raise StoreError(
@@ -978,31 +1049,36 @@ class PackStore:
             raise StoreError(
                 "object %s reconstructs to the wrong bytes"
                 % digest[:12], kind="object", offset=info.offset)
-        self._cache_put(digest, data)
+        self._cache_put(digest, data, len(data))
         perf.add("store.cache.misses")
         return data
 
-    # -- reconstruction cache -------------------------------------------
+    # -- cache ----------------------------------------------------------
 
-    def _cache_get(self, digest: str) -> Optional[bytes]:
-        entry = self._cache.get(digest)
+    def _cache_get(self, key: object) -> Optional[object]:
+        entry = self._cache.get(key)
+        if entry is None:
+            return None
+        self._cache.move_to_end(key)
+        return entry[0]
+
+    def _cache_put(self, key: object, value: object, size: int) -> object:
+        """Insert ``value`` charged ``size`` bytes; returns the cached
+        value (an existing entry wins, its bytes being identical)."""
+        entry = self._cache.get(key)
         if entry is not None:
-            self._cache.move_to_end(digest)
-        return entry
-
-    def _cache_put(self, digest: str, data: bytes) -> None:
+            self._cache.move_to_end(key)
+            return entry[0]
         budget = self.config.cache_bytes
-        if budget <= 0 or len(data) > budget:
-            return
-        old = self._cache.pop(digest, None)
-        if old is not None:
-            self._cache_bytes -= len(old)
-        self._cache[digest] = data
-        self._cache_bytes += len(data)
+        if budget <= 0 or size > budget:
+            return value
+        self._cache[key] = (value, size)
+        self._cache_bytes += size
         while self._cache_bytes > budget:
-            _k, evicted = self._cache.popitem(last=False)
-            self._cache_bytes -= len(evicted)
+            _k, (_value, evicted) = self._cache.popitem(last=False)
+            self._cache_bytes -= evicted
             perf.add("store.cache.evictions")
+        return value
 
 
 __all__ = [

@@ -1,10 +1,17 @@
 """Tests for the ipdelta command-line interface (repro.cli)."""
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.workloads import make_source_file, mutate
 
@@ -383,3 +390,45 @@ class TestCampaignCLI:
                 "--releases", "2", "--fault-plan", "nonsense.site:p=1"]
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestServeSignals:
+    def test_sigterm_right_after_ready_line_drains(self, tmp_path):
+        """A supervisor may SIGTERM the daemon the moment it reads the
+        ``serving`` line; the daemon must drain and exit 0, not die."""
+        rng = random.Random(5)
+        old = make_source_file(rng, 2_000)
+        paths = []
+        for i, data in enumerate((old, mutate(old, rng))):
+            path = tmp_path / ("v%d" % i)
+            path.write_bytes(data)
+            paths.append(str(path))
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--publish", "pkg=" + ",".join(paths)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        # The ready-line read below blocks; a daemon that never prints
+        # one is killed instead of hanging the suite.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            lines = []
+            for line in proc.stdout:
+                lines.append(line)
+                if line.startswith(b"serving "):
+                    proc.send_signal(signal.SIGTERM)
+                    break
+            out, err = proc.communicate(timeout=60)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        lines += out.splitlines(keepends=True)
+        assert any(l.startswith(b"serving ") for l in lines), err
+        assert proc.returncode == 0, err
+        assert any(l.startswith(b"drained:") for l in lines), lines

@@ -10,6 +10,7 @@ from repro.core.apply import apply_delta, apply_in_place
 from repro.core.commands import AddCommand, CopyCommand, DeltaScript
 from repro.core.compose import compose_chain, compose_scripts
 from repro.core.convert import make_in_place
+from repro.core.intervals import IntervalIndex
 from repro.exceptions import DeltaRangeError, ReproError
 from repro.workloads import mutate
 
@@ -176,3 +177,141 @@ class TestComposeWithPipeline:
         # Composition should land within 2x of a direct recompute.
         assert encoded_size(folded, FORMAT_SEQUENTIAL) <= \
             2 * encoded_size(direct, FORMAT_SEQUENTIAL) + 64
+
+
+class _ReferenceMapper:
+    """Composition over interval objects: one
+    :class:`~repro.core.intervals.IntervalIndex` over ``first``'s writes
+    and one ``Interval`` per fragment.  Slow and obviously right; the
+    oracle the lean ``compose_scripts`` is held to."""
+
+    def __init__(self, first):
+        self._commands = first.commands
+        for cmd in self._commands:
+            if not isinstance(cmd, (CopyCommand, AddCommand)):
+                raise ReproError("cannot compose through %r" % (cmd,))
+        self._index = IntervalIndex(
+            [c.write_interval for c in self._commands])
+
+    def map_read(self, read, dst):
+        out = []
+        cursor = read.start
+        for j in self._index.overlapping(read):
+            cmd = self._commands[j]
+            part = cmd.write_interval.intersection(read)
+            if part.start != cursor:
+                raise DeltaRangeError("hole at %d" % cursor)
+            offset_in_cmd = part.start - cmd.write_interval.start
+            out_dst = dst + (part.start - read.start)
+            if isinstance(cmd, CopyCommand):
+                out.append(
+                    CopyCommand(cmd.src + offset_in_cmd, out_dst, part.length))
+            else:
+                out.append(AddCommand(
+                    out_dst,
+                    cmd.data[offset_in_cmd:offset_in_cmd + part.length]))
+            cursor = part.stop + 1
+        if cursor != read.stop + 1:
+            raise DeltaRangeError("read past the first version")
+        return out
+
+
+def _reference_compose(first, second):
+    mapper = _ReferenceMapper(first)
+    commands = []
+    for cmd in second.commands:
+        if isinstance(cmd, CopyCommand):
+            commands.extend(mapper.map_read(cmd.read_interval, cmd.dst))
+        elif isinstance(cmd, AddCommand):
+            commands.append(cmd)
+        else:
+            raise ReproError("cannot compose %r" % (cmd,))
+    return DeltaScript(commands, second.version_length).coalesced()
+
+
+def _random_plain(rng, length, ref_length, hole_rate):
+    """A random plain script writing ``length`` bytes from a reference of
+    ``ref_length``: adds, copies continuing the previous copy (so
+    coalescing has work), self-overlapping copies (read interval meets
+    write interval), far copies, and — at ``hole_rate`` — unwritten
+    holes.  Commands come back shuffled, as a converted delta's would."""
+    commands = []
+    pos = 0
+    prev = None
+    while pos < length:
+        n = min(length - pos, rng.choice(
+            (1, 2, 3, rng.randint(1, 24), rng.randint(1, 200))))
+        roll = rng.random()
+        if roll < hole_rate:
+            prev = None
+        elif roll < 0.35 or n > ref_length:
+            prev = AddCommand(pos, rng.randbytes(n))
+        elif (roll < 0.5 and isinstance(prev, CopyCommand)
+                and prev.src + prev.length + n <= ref_length):
+            prev = CopyCommand(prev.src + prev.length, pos, n)
+        elif roll < 0.7:
+            near = pos + rng.randint(-n + 1, n - 1)
+            prev = CopyCommand(max(0, min(ref_length - n, near)), pos, n)
+        else:
+            prev = CopyCommand(rng.randint(0, ref_length - n), pos, n)
+        if prev is not None:
+            commands.append(prev)
+        pos += n
+    rng.shuffle(commands)
+    return DeltaScript(commands, length)
+
+
+def _outcome(compose, first, second):
+    try:
+        result = compose(first, second)
+    except Exception as exc:
+        return type(exc), None, None
+    return None, result.commands, result.version_length
+
+
+class TestComposeOracle:
+    """The lean ``compose_scripts`` against the interval-object oracle:
+    identical commands and version length, or the same exception type."""
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_seeded_fuzz_matches_reference(self, block):
+        from repro.core.commands import FillCommand, SpillCommand
+
+        outcomes = {"ok": 0, "error": 0}
+        for case in range(60):
+            rng = random.Random(block * 1000 + case)
+            ref_length = rng.randint(1, 600)
+            mid_length = rng.randint(1, 900)
+            hole_rate = rng.choice((0.0, 0.0, 0.03, 0.1))
+            first = _random_plain(rng, mid_length, ref_length, hole_rate)
+            # Reads may run up to 16 bytes past the first's version.
+            second = _random_plain(
+                rng, rng.randint(1, 900),
+                mid_length + rng.choice((0, 0, 0, 16)), 0.0)
+            if rng.random() < 0.05:
+                first.commands.insert(rng.randint(0, len(first)),
+                                      SpillCommand(0, 0, 1))
+            if rng.random() < 0.05:
+                second.commands.insert(rng.randint(0, len(second)),
+                                       FillCommand(0, 0, 1))
+            expected = _outcome(_reference_compose, first, second)
+            assert _outcome(compose_scripts, first, second) == expected, (
+                block, case)
+            outcomes["error" if expected[0] else "ok"] += 1
+        # The fuzz exercises both the mapping and the error paths.
+        assert outcomes["ok"] >= 10 and outcomes["error"] >= 5, outcomes
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chains_of_real_deltas_match_reference(self, seed):
+        rng = random.Random(seed)
+        versions = [rng.randbytes(rng.randint(500, 3_000))]
+        for _ in range(5):
+            versions.append(mutate(versions[-1], rng))
+        deltas = [repro.diff(a, b) for a, b in zip(versions, versions[1:])]
+        lean, slow = deltas[0], deltas[0]
+        for nxt in deltas[1:]:
+            lean = compose_scripts(lean, nxt)
+            slow = _reference_compose(slow, nxt)
+            assert lean == slow
+        assert compose_chain(deltas) == slow
+        assert apply_delta(slow, versions[0]) == versions[-1]

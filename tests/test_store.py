@@ -308,6 +308,207 @@ class TestChainCollapse:
         assert store.chain("pkg", d1, d2) is None
 
 
+def _all_payloads(store, digests):
+    """``{(i, j): chain payload}`` for every pair ``i < j`` of ``digests``."""
+    return {(i, j): store.chain("pkg", digests[i], digests[j])
+            for i in range(len(digests))
+            for j in range(i + 1, len(digests))}
+
+
+def _hop_counts(recorder):
+    c = recorder.counters
+    return (c.get("store.chain.hop_cache.hits", 0),
+            c.get("store.chain.hop_cache.misses", 0),
+            c.get("store.chain.hops", 0))
+
+
+class TestHopCache:
+    """``chain()`` computes each hop's script once per store lifetime,
+    and a warm store serves exactly the bytes a cold one does."""
+
+    RELEASES = 13
+
+    @pytest.fixture
+    def warm(self, tmp_path):
+        # 13 releases under the default max_chain_depth of 8: the tail
+        # re-anchors, so some hops are storage-aligned and some are not.
+        store = PackStore.init(tmp_path / "s", FAST)
+        rng = random.Random(SEED)
+        chain = _publish_chain(store, "pkg", rng, self.RELEASES)
+        with perf.recording() as recorder:
+            _all_payloads(store, [d for d, _ in chain])
+        assert recorder.counters["store.chain.hop_diffs"] > 0
+        assert recorder.counters["store.chain.stored_hops"] > 0
+        return store, chain, rng
+
+    def _fresh(self, store, **config):
+        return PackStore(store.root, StoreConfig(fsync=False, **config))
+
+    def test_warm_payloads_match_fresh_store_and_apply(self, warm):
+        from repro.delta import decode_delta
+
+        store, chain, _rng = warm
+        digests = [d for d, _ in chain]
+        with perf.recording() as recorder:
+            hot = _all_payloads(store, digests)
+        hits, misses, hops = _hop_counts(recorder)
+        assert (hits, misses) == (hops, 0)
+        assert recorder.counters.get("diff.correcting.calls", 0) == 0
+        cold = _all_payloads(self._fresh(store), digests)
+        assert hot == cold
+        for (i, j), payload in hot.items():
+            script, _header = decode_delta(payload)
+            repro.check_in_place_safe(script)
+            buf = bytearray(chain[i][1])
+            repro.patch_in_place(buf, payload)
+            assert bytes(buf) == chain[j][1]
+
+    def test_payloads_identical_after_publish_and_gc(self, warm):
+        store, chain, rng = warm
+        digests = [d for d, _ in chain]
+        digests.append(store.publish("pkg", mutate(chain[-1][1], rng)))
+        hot = _all_payloads(store, digests)
+        assert hot == _all_payloads(self._fresh(store), digests)
+        # Trimming the log resets every chain, so gc re-deltifies and
+        # some hops change kind (re-diffed <-> stored); the cache keys
+        # on content, so its entries stay valid.
+        kept = digests[-10:]
+
+        def aligned():
+            base = {e["digest"]: e["base"] for e in store.log("pkg")}
+            return {(cur, nxt) for cur, nxt in zip(kept, kept[1:])
+                    if base[nxt] == cur}
+
+        before = aligned()
+        report = store.gc(keep_last=10)
+        assert report.redeltified > 0 and aligned() != before
+        with perf.recording() as recorder:
+            hot = _all_payloads(store, kept)
+        assert _hop_counts(recorder)[1] == 0
+        assert hot == _all_payloads(self._fresh(store), kept)
+
+    def test_tiny_budget_evicts_and_zero_budget_computes(self, warm):
+        store, chain, _rng = warm
+        # The re-anchored tail: stored and re-diffed hops both occur.
+        digests = [d for d, _ in chain[6:]]
+        expected = _all_payloads(store, digests)
+        # One hop script fits at a time; reconstructions never do.
+        with perf.recording() as recorder:
+            tiny = _all_payloads(self._fresh(store, cache_bytes=6000),
+                                 digests)
+        assert tiny == expected
+        assert recorder.counters["store.cache.evictions"] > 0
+        hits, misses, hops = _hop_counts(recorder)
+        assert hits > 0 and hits + misses == hops
+        with perf.recording() as recorder:
+            off = _all_payloads(self._fresh(store, cache_bytes=0), digests)
+        assert off == expected
+        hits, misses, hops = _hop_counts(recorder)
+        assert (hits, misses) == (0, hops)
+        assert recorder.counters["store.chain.hop_diffs"] \
+            == recorder.counters["diff.correcting.calls"]
+
+    def test_counters_add_up_and_close_clears(self, warm):
+        store, chain, _rng = warm
+        have, want = chain[2][0], chain[-1][0]
+        with perf.recording() as recorder:
+            store.chain("pkg", have, want)
+            store.close()
+            store.chain("pkg", have, want)
+        hits, misses, hops = _hop_counts(recorder)
+        assert hops == 2 * (self.RELEASES - 3)
+        assert (hits, misses) == (hops // 2, hops // 2)
+        assert recorder.counters["store.chain.stored_hops"] \
+            + recorder.counters["store.chain.hop_diffs"] == hops
+
+    def test_concurrent_pulls_compute_each_hop_once(self, warm):
+        """More pulling threads than cores, switching often: every
+        payload is exact and each distinct hop is computed once."""
+        import sys
+        import threading
+
+        store, chain, _rng = warm
+        store.close()
+        digests = [d for d, _ in chain[4:]]
+        expected = _all_payloads(self._fresh(store), digests)
+        errors = []
+
+        def puller(seed):
+            order = list(expected)
+            random.Random(seed).shuffle(order)
+            try:
+                for i, j in order:
+                    if store.chain("pkg", digests[i], digests[j]) \
+                            != expected[i, j]:
+                        errors.append((i, j))
+            except Exception as exc:  # reported through ``errors``
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with perf.recording() as recorder:
+                threads = [threading.Thread(target=puller, args=(k,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        hits, misses, hops = _hop_counts(recorder)
+        assert hops == 4 * sum(j - i for i, j in expected)
+        assert (hits, misses) == (hops - (len(digests) - 1),
+                                  len(digests) - 1)
+
+    def test_readers_proceed_while_chain_composes(self, tmp_path,
+                                                  monkeypatch):
+        """``get`` and ``versions`` must not wait for another thread's
+        ``chain()`` to finish its unlocked work (here: compose)."""
+        import threading
+
+        from repro.store import packstore
+
+        store = PackStore.init(tmp_path / "s", FAST)
+        chain = _publish_chain(store, "pkg", random.Random(SEED), 4,
+                               size=4096)
+        entered, release = threading.Event(), threading.Event()
+        compose_chain = packstore.compose_chain
+
+        def parked(hops):
+            entered.set()
+            release.wait(30)
+            return compose_chain(hops)
+
+        monkeypatch.setattr(packstore, "compose_chain", parked)
+        served = {}
+        chainer = threading.Thread(target=lambda: served.setdefault(
+            "payload", store.chain("pkg", chain[0][0], chain[-1][0])))
+        chainer.start()
+        try:
+            assert entered.wait(30)
+            reads = {}
+
+            def read():
+                reads["get"] = store.get("pkg", chain[1][0])
+                reads["versions"] = store.versions("pkg")
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive(), "reader blocked behind chain()"
+        finally:
+            release.set()
+            chainer.join(30)
+        assert reads == {"get": chain[1][1],
+                         "versions": [d for d, _ in chain]}
+        buf = bytearray(chain[0][1])
+        repro.patch_in_place(buf, served["payload"])
+        assert bytes(buf) == chain[-1][1]
+
+
 class TestGc:
     def test_keep_last_trims_and_drops_unreachable(self, tmp_path):
         store = PackStore.init(tmp_path / "s", FAST)
