@@ -21,10 +21,12 @@ products are reduced with the Mersenne identities ``2^61 ≡ 1`` and
 All-seed fingerprinting uses the prefix trick: with
 ``Q[i] = sum_{j<i} data[j] * B^-(j+1) (mod M)`` (a cumulative sum, the
 only sequential dependency, handled by ``np.cumsum`` on the split
-representation), the seed hash at offset ``i`` is
-``(Q[i+L] - Q[i]) * B^(i+L)``.  Power tables for ``B`` and ``B^-1`` are
-grown on demand and cached module-wide, so repeated fingerprinting of
-same-scale buffers (every batch pipeline) pays for them once.
+representation one cache-sized block at a time; a window needs only a
+difference of two prefix sums, so every block sums from zero), the seed
+hash at offset ``i`` is ``(Q[i+L] - Q[i]) * B^(i+L)``.  Power tables
+for ``B`` and ``B^-1`` are grown on demand and cached module-wide, so
+repeated fingerprinting of same-scale buffers (every batch pipeline)
+pays for them once.
 
 When numpy is unavailable ``HAVE_NUMPY`` is False and
 :mod:`repro.delta.rolling` keeps every caller on the scalar reference
@@ -55,36 +57,60 @@ if HAVE_NUMPY:
     _U31 = _np.uint64(31)
     _U61 = _np.uint64(61)
 
-    #: Largest cumsum block: terms are < 2^39, so 2^24 of them stay
-    #: below 2^63 and the running sums cannot wrap uint64.
-    _CUMSUM_BLOCK = 1 << 24
+    #: Output positions per block of :func:`seed_fingerprints`.  Small
+    #: enough that a block's buffers stay in cache, and far below the
+    #: 2^24 terms (each < 2^39) whose running sum could wrap uint64.
+    _CUMSUM_BLOCK = 1 << 15
 
 
-def _reduce(x):
-    """Map ``x < 2^63`` to its canonical residue in ``[0, 2^61 - 1)``.
+def _reduce(x, scratch):
+    """Map ``x`` to its canonical residue in ``[0, 2^61 - 1)``, in place.
 
-    One fold suffices: the folded value is at most ``(2^61 - 1) + 3``,
-    which a single conditional subtract maps into ``[0, 2^61 - 1)``.
+    Any uint64 ``x`` works.  One fold suffices: the folded value is at
+    most ``(2^61 - 1) + 7``, which a single conditional subtract maps
+    into ``[0, 2^61 - 1)``.  ``scratch`` is a same-shape uint64 buffer
+    the call may clobber.
     """
-    x = (x >> _U61) + (x & _MASK)
-    return _np.where(x >= _MASK, x - _MASK, x)
+    _np.right_shift(x, _U61, out=scratch)
+    x &= _MASK
+    x += scratch
+    _np.subtract(x, _MASK, out=x, where=x >= _MASK)
+    return x
 
 
-def _rotl31(x):
-    """``x * 2^31 (mod 2^61 - 1)`` for ``x <= 2^61 - 1`` via 61-bit rotate."""
-    return ((x << _U31) & _MASK) | (x >> _U30)
+def _rotl31(x, scratch):
+    """``x * 2^31 (mod 2^61 - 1)`` for ``x <= 2^61 - 1`` via 61-bit rotate,
+    in place; ``scratch`` as for :func:`_reduce`."""
+    _np.right_shift(x, _U30, out=scratch)
+    x <<= _U31
+    x &= _MASK
+    x |= scratch
+    return x
 
 
-def _mulmod(a, b):
-    """Elementwise ``a * b (mod 2^61 - 1)`` for residues ``a, b < 2^61``."""
-    a1 = a >> _U31
-    a0 = a & _LO31
-    b1 = b >> _U31
-    b0 = b & _LO31
-    high = (a1 * b1) << _U1  # t * 2^62 ≡ t * 2
-    cross = _rotl31(_reduce(a1 * b0 + a0 * b1))
-    low = _reduce(a0 * b0)
-    return _reduce(high + cross + low)
+def _mulmod(a, b, out, work):
+    """Elementwise ``out = a * b (mod 2^61 - 1)`` for residues ``a, b < 2^61``.
+
+    ``b`` may be a scalar and ``out`` may alias ``a`` (both limbs of
+    ``a`` are split off before ``out`` is written).  ``work`` is four
+    same-shape uint64 buffers the call clobbers.
+    """
+    b1, b0, a1, cross = work
+    _np.right_shift(b, _U31, out=b1)
+    _np.bitwise_and(b, _LO31, out=b0)
+    _np.right_shift(a, _U31, out=a1)
+    a0 = _np.bitwise_and(a, _LO31, out=out)
+    _np.multiply(a1, b0, out=cross)
+    low = _np.multiply(b0, a0, out=b0)
+    a0 *= b1
+    cross += a0
+    high = _np.multiply(b1, a1, out=b1)
+    high <<= _U1  # t * 2^62 ≡ t * 2
+    _rotl31(_reduce(cross, a1), a1)
+    _reduce(low, a1)
+    total = _np.add(low, high, out=out)
+    total += cross
+    return _reduce(total, a1)
 
 
 # -- power tables ------------------------------------------------------
@@ -105,7 +131,12 @@ def _powers(base: int, count: int):
             table = _np.ones(1, dtype=_np.uint64)
         while len(table) < count:
             factor = _np.uint64(pow(base, len(table), _MODULUS))
-            table = _np.concatenate([table, _mulmod(table, factor)])
+            work = [_np.empty(len(table), dtype=_np.uint64)
+                    for _ in range(4)]
+            grown = _np.empty(2 * len(table), dtype=_np.uint64)
+            grown[:len(table)] = table
+            _mulmod(table, factor, grown[len(table):], work)
+            table = grown
         table.setflags(write=False)
         _pow_tables[base] = table
     return table[:count]
@@ -120,40 +151,65 @@ def seed_fingerprints(data, seed_length: int):
     ``result[i]`` equals ``hash_seed(data, i, seed_length)`` from the
     scalar reference implementation, for every ``i`` in
     ``[0, len(data) - seed_length]``.
+
+    Output positions are produced in blocks of at most
+    ``_CUMSUM_BLOCK``.  Each block runs every pass in place (ufuncs with
+    ``out=``) over five block-sized buffers allocated once per call, so
+    the working set stays cache-sized however long ``data`` is.  A
+    window is a difference of two prefix sums, so each block sums from
+    zero and no state passes between blocks.
     """
     n = len(data)
     count = n - seed_length + 1
     if count <= 0:
         return _np.empty(0, dtype=_np.uint64)
-    d = _np.frombuffer(bytes(data), dtype=_np.uint8).astype(_np.uint64)
-    # w[j] = B^-(j+1); split at bit 31 so byte*weight products stay small.
-    w = _powers(_BASE_INV, n + 1)[1:]
-    t_hi = d * (w >> _U31)  # < 2^8 * 2^30 = 2^38 per term
-    t_lo = d * (w & _LO31)  # < 2^39 per term
-    if n <= _CUMSUM_BLOCK:
-        c_hi = _reduce(_np.cumsum(t_hi))
-        c_lo = _reduce(_np.cumsum(t_lo))
-    else:
-        c_hi = _np.empty(n, dtype=_np.uint64)
-        c_lo = _np.empty(n, dtype=_np.uint64)
-        carry_hi = _np.uint64(0)
-        carry_lo = _np.uint64(0)
-        for start in range(0, n, _CUMSUM_BLOCK):
-            stop = min(n, start + _CUMSUM_BLOCK)
-            block_hi = _reduce(_np.cumsum(t_hi[start:stop]) + carry_hi)
-            block_lo = _reduce(_np.cumsum(t_lo[start:stop]) + carry_lo)
-            c_hi[start:stop] = block_hi
-            c_lo[start:stop] = block_lo
-            carry_hi = block_hi[-1]
-            carry_lo = block_lo[-1]
-    # Windowed sums: Q[i+L] - Q[i] with Q[i] = c[i-1] (Q[0] = 0).
-    zero = _np.zeros(1, dtype=_np.uint64)
-    d_hi = _reduce(c_hi[seed_length - 1:] + _MASK
-                   - _np.concatenate([zero, c_hi[:count - 1]]))
-    d_lo = _reduce(c_lo[seed_length - 1:] + _MASK
-                   - _np.concatenate([zero, c_lo[:count - 1]]))
-    window = _reduce(_rotl31(d_hi) + d_lo)
-    return _mulmod(window, _powers(_BASE, n + 1)[seed_length:seed_length + count])
+    d = _np.frombuffer(bytes(data), dtype=_np.uint8)
+    inv = _powers(_BASE_INV, n + 1)
+    pows = _powers(_BASE, n + 1)
+    result = _np.empty(count, dtype=_np.uint64)
+    block = min(count, _CUMSUM_BLOCK)
+    q_hi, q_lo, scratch = (_np.empty(block + seed_length, dtype=_np.uint64)
+                           for _ in range(3))
+    work = [_np.empty(block, dtype=_np.uint64) for _ in range(2)]
+    for start in range(0, count, block):
+        c = min(block, count - start)
+        m = c + seed_length
+        # Block prefix sums P[k] = sum_{start<=j<start+k} data[j] *
+        # B^-(j+1) for k in [0, m), one buffer per limb of the weight
+        # split at bit 31 (byte*weight terms stay below 2^39, so a
+        # block's cumsum cannot wrap uint64).
+        hi, lo, free = q_hi[:m], q_lo[:m], scratch[:m]
+        weights = inv[start + 1:start + m]
+        block_bytes = d[start:start + m - 1]
+        hi[0] = lo[0] = 0
+        _np.right_shift(weights, _U31, out=hi[1:])
+        hi[1:] *= block_bytes
+        _np.bitwise_and(weights, _LO31, out=lo[1:])
+        lo[1:] *= block_bytes
+        _reduce(_np.cumsum(hi, out=hi), free)
+        _reduce(_np.cumsum(lo, out=lo), free)
+        # Windowed sums P[k+L] - P[k] (+ M so the wrapped difference
+        # comes back non-negative), each into a buffer the step before
+        # freed: scratch, then hi once its window is taken.
+        win_hi = _np.subtract(hi[seed_length:], hi[:c], out=free[:c])
+        win_hi += _MASK
+        _reduce(win_hi, hi[:c])
+        win_lo = _np.subtract(lo[seed_length:], lo[:c], out=hi[:c])
+        win_lo += _MASK
+        _reduce(win_lo, lo[:c])
+        window = _rotl31(win_hi, lo[:c])
+        window += win_lo
+        _reduce(window, lo[:c])
+        _mulmod(window, pows[start + seed_length:start + m],
+                result[start:start + c],
+                (hi[:c], lo[:c], work[0][:c], work[1][:c]))
+    return result
+
+
+def _slot_index(fps, table_size: int):
+    """``fps % table_size`` as int64 slot indices (fingerprints are
+    < 2^61, so the uint64 remainders reinterpret exactly)."""
+    return (fps % _np.uint64(table_size)).view(_np.int64)
 
 
 def fcfs_slots(fingerprints, table_size: int):
@@ -162,48 +218,47 @@ def fcfs_slots(fingerprints, table_size: int):
     Equivalent to inserting ``fingerprints[i] -> offset i`` in order into
     an empty :class:`~repro.delta.rolling.SeedTable` of ``table_size``
     slots: each slot keeps the offset of the *first* fingerprint that
-    hashed to it.  Returns ``(slots, occupied, slots_array, slot_fps)``
-    where ``slots`` is a dense list with ``-1`` for empty slots,
-    ``slots_array`` the same data as an int64 array, and ``slot_fps``
-    the full 61-bit fingerprint stored in each occupied slot (zero for
-    empty ones) — the two arrays back :func:`probe_table`, the batch
-    probe the vectorized correcting scan uses.
+    hashed to it.  Returns ``(slots_array, slot_fps, occupied)``:
+    ``slots_array`` holds each slot's offset as int64 (``-1`` when
+    empty) and ``slot_fps`` the full 61-bit fingerprint stored there
+    (zero when empty) — together they back :func:`probe_table`, the
+    batch probe the vectorized correcting scan uses.
 
-    ``np.unique(..., return_index=True)`` sorts stably, so the reported
-    index per unique slot is exactly the first-come winner.
+    The first-come winner of a slot is the smallest offset hashing to
+    it, so one O(n) scatter-min (``np.minimum.at``, which reduces
+    repeated indices in full, unlike a fancy-index assignment whose
+    write order numpy leaves open) computes every slot at once.
     """
     fps = _np.asarray(fingerprints, dtype=_np.uint64)
-    slots = _np.full(table_size, -1, dtype=_np.int64)
+    n = len(fps)
+    slots = _np.full(table_size, n, dtype=_np.int64)
+    _np.minimum.at(slots, _slot_index(fps, table_size),
+                   _np.arange(n, dtype=_np.int64))
+    taken = slots < n
+    slots[~taken] = -1
     slot_fps = _np.zeros(table_size, dtype=_np.uint64)
-    if len(fps):
-        taken, first = _np.unique(fps % _np.uint64(table_size),
-                                  return_index=True)
-        taken = taken.astype(_np.int64)
-        slots[taken] = first
-        slot_fps[taken] = fps[first]
-        occupied = int(len(taken))
-    else:
-        occupied = 0
-    return slots.tolist(), occupied, slots, slot_fps
+    slot_fps[taken] = fps[slots[taken]]
+    return slots, slot_fps, int(_np.count_nonzero(taken))
 
 
 def probe_table(slots_array, slot_fps, fingerprints):
     """Batch-probe an FCFS table with every query fingerprint at once.
 
-    Returns ``(positions, candidates)``: the ascending query positions
-    whose slot is occupied by a fingerprint *equal* to the query, and
-    the stored offset for each.  Byte equality implies fingerprint
-    equality, so every position the scalar scan would byte-verify
-    successfully is in ``positions`` — the scan loop only has to visit
-    these (and re-verify the bytes, since equal 61-bit fingerprints can
-    still collide across distinct seeds).
+    Returns ``(positions, candidates)`` as int64 arrays: the ascending
+    query positions whose slot is occupied by a fingerprint *equal* to
+    the query, and the stored offset for each.  Byte equality implies
+    fingerprint equality, so every position the scalar scan would
+    byte-verify successfully is in ``positions`` — the scan loop only
+    has to visit these (and re-verify the bytes, since equal 61-bit
+    fingerprints can still collide across distinct seeds).
     """
     fps = _np.asarray(fingerprints, dtype=_np.uint64)
-    idx = (fps % _np.uint64(len(slots_array))).astype(_np.int64)
-    cand = slots_array[idx]
-    hit = (cand >= 0) & (slot_fps[idx] == fps)
+    idx = _slot_index(fps, len(slots_array))
+    cand = slots_array.take(idx)
+    hit = slot_fps.take(idx) == fps
+    hit &= cand >= 0
     positions = _np.flatnonzero(hit)
-    return positions.tolist(), cand[positions].tolist()
+    return positions, cand.take(positions)
 
 
 def scan_arrays(fingerprints, table_size: int):

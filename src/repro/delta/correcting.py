@@ -30,7 +30,7 @@ scalar rolling scan (``REPRO_NO_FAST=1``).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Union
+from typing import Tuple, Union
 
 from .. import perf
 from ..core.commands import DeltaScript
@@ -57,7 +57,8 @@ def correcting_delta(
     table_size: int = 1 << 16,
     table=None,
     cache=None,
-) -> DeltaScript:
+    return_version_table: bool = False,
+) -> Union[DeltaScript, Tuple[DeltaScript, SeedTable]]:
     """Compute a delta script for ``version`` against ``reference``.
 
     Constant space: one fixed-size seed table over the reference.  Time
@@ -71,6 +72,13 @@ def correcting_delta(
     content digest).  The full pass only reads the table, so the shared
     copy is never mutated and the output script is byte-identical to
     the uncached call.
+
+    In a release train each version is the next diff's reference.  With
+    ``return_version_table=True`` the call returns ``(script,
+    version_table)``: the half-pass table of ``version`` itself, built
+    from the version fingerprints the full pass computes anyway and
+    equal to the table a later call with ``reference=version`` would
+    build, so that call can take it as ``table``.
     """
     if seed_length <= 0:
         raise ValueError("seed_length must be positive, got %d" % seed_length)
@@ -89,6 +97,9 @@ def correcting_delta(
         script = builder.finish()
         if recorder is not None:
             _report(recorder, started, reference, version, 0, 0, 0)
+        if return_version_table:
+            return script, SeedTable.from_fingerprints(
+                _seed_fingerprint_array(version, seed_length), table_size)
         return script
 
     if table is not None:
@@ -98,10 +109,8 @@ def correcting_delta(
                                  table_size=table_size)
     else:
         # Half pass: fingerprint every reference seed into the FCFS table.
-        with perf.timer("table.seed.build"):
-            table = SeedTable.from_fingerprints(
-                seed_fingerprints(reference, seed_length), table_size
-            )
+        table = SeedTable.from_fingerprints(
+            _seed_fingerprint_array(reference, seed_length), table_size)
 
     # Full pass: scan the version, correcting backwards on each match.
     # The table is read-only here (it may be a cache-shared instance);
@@ -124,9 +133,17 @@ def correcting_delta(
         # fingerprints can still collide) emits the identical script.
         fps_v = _seed_fingerprint_array(version, seed_length)
         hits, cands = _k.probe_table(probe[0], probe[1], fps_v)
-        for p, cand in zip(hits, cands):
+        # Each visited hit is almost always a verified match that emits
+        # a copy, and hits inside an emitted copy are skipped with one
+        # bisection, so the loop reads only a few array elements.
+        i, n_hits = 0, len(hits)
+        while i < n_hits:
+            p = int(hits[i])
             if p < pos:
-                continue  # inside an already-emitted copy
+                i = int(hits.searchsorted(pos))
+                continue
+            cand = int(cands[i])
+            i += 1
             if reference[cand:cand + seed_length] == \
                     version[p:p + seed_length]:
                 forward = seed_length + match_length(
@@ -171,6 +188,8 @@ def correcting_delta(
     if recorder is not None:
         _report(recorder, started, reference, version,
                 copies, copy_bytes, corrected_bytes)
+    if return_version_table:
+        return script, SeedTable.from_fingerprints(fps_v, table_size)
     return script
 
 

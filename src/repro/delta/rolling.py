@@ -188,22 +188,26 @@ class SeedTable:
     are dropped.  Lookups must verify candidate matches against the
     actual bytes, since distinct seeds can share a slot.
 
-    Storage is one flat list of slot offsets (``-1`` = empty) — the scan
-    loops in the differs bind it locally and index it directly, which is
-    the fastest scalar access CPython offers.  Tables built whole-buffer
-    under the fast paths additionally carry *probe arrays* (the slot
-    offsets as an int64 array plus the full fingerprint stored in each
-    slot), which let the correcting scan batch-probe every version
-    position in one vectorized pass; incremental mutation drops them.
+    Scalar storage is one flat list of slot offsets (``-1`` = empty),
+    ``_slots`` — the scan loops in the differs bind it locally and index
+    it directly, which is the fastest scalar access CPython offers.
+    Tables built whole-buffer under the fast paths hold *probe arrays*
+    instead (the slot offsets as an int64 array plus the full
+    fingerprint stored in each slot), which let the correcting scan
+    batch-probe every version position in one vectorized pass; their
+    slot list is built from the arrays on the first scalar access
+    (``insert``, ``lookup``, a one-pass or scalar correcting scan), and
+    incremental mutation drops the arrays.
     """
 
-    __slots__ = ("size", "_slots", "occupied", "_slots_array", "_slot_fps")
+    __slots__ = ("size", "occupied", "_list", "_slots_array", "_slot_fps")
 
     def __init__(self, size: int = 1 << 16):
         if size <= 0:
             raise ValueError("table size must be positive, got %d" % size)
         self.size = size
-        self._slots: List[int] = [-1] * size
+        #: The slot list, or ``None`` until a scalar access builds it.
+        self._list: Optional[List[int]] = None
         #: Number of filled slots, exposed for load-factor diagnostics.
         self.occupied = 0
         self._slots_array = None
@@ -216,19 +220,44 @@ class SeedTable:
         The whole-buffer form of the half-pass the correcting algorithm
         runs over its reference: offset ``i`` is stored for fingerprint
         ``fingerprints[i]`` unless an earlier fingerprint claimed the
-        slot.  Vectorized under the fast paths (a stable first-occurrence
-        reduction), bit-identical to the insertion loop.
+        slot.  Vectorized under the fast paths (an O(n) scatter-min over
+        the fingerprint array, no slot list built), bit-identical to the
+        insertion loop.  Timed as ``table.seed.build``; fingerprinting
+        the buffer is the caller's.
         """
         table = cls(size)
-        if _FAST and _k.HAVE_NUMPY:
-            (table._slots, table.occupied,
-             table._slots_array, table._slot_fps) = _k.fcfs_slots(
-                fingerprints, size)
-            return table
-        insert = table.insert
-        for offset, fingerprint in enumerate(fingerprints):
-            insert(fingerprint, offset)
+        with perf.timer("table.seed.build"):
+            if _FAST and _k.HAVE_NUMPY:
+                (table._slots_array, table._slot_fps,
+                 table.occupied) = _k.fcfs_slots(fingerprints, size)
+            else:
+                insert = table.insert
+                for offset, fingerprint in enumerate(fingerprints):
+                    insert(fingerprint, offset)
         return table
+
+    @property
+    def _slots(self) -> List[int]:
+        """The dense slot list, built on first access (from the probe
+        arrays when the table has them)."""
+        if self._list is None:
+            self._list = [-1] * self.size if self._slots_array is None \
+                else self._slots_array.tolist()
+        return self._list
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate resident bytes of what the table holds now.
+
+        Probe arrays count their buffers; a slot list counts one
+        pointer per slot plus one int object per stored offset.
+        """
+        total = 0
+        if self._slots_array is not None:
+            total += self._slots_array.nbytes + self._slot_fps.nbytes
+        if self._list is not None:
+            total += 8 * self.size + 28 * self.occupied
+        return total
 
     def probe_arrays(self):
         """``(slots_array, slot_fps)`` for batch probing, or ``None``.
@@ -245,11 +274,14 @@ class SeedTable:
 
         Returns True when the offset was stored.
         """
+        slots = self._list
+        if slots is None:
+            slots = self._slots
         self._slots_array = None
         self._slot_fps = None
         slot = fingerprint % self.size
-        if self._slots[slot] < 0:
-            self._slots[slot] = offset
+        if slots[slot] < 0:
+            slots[slot] = offset
             self.occupied += 1
             return True
         return False
@@ -261,7 +293,7 @@ class SeedTable:
 
     def clear(self) -> None:
         """Empty the table for reuse."""
-        self._slots = [-1] * self.size
+        self._list = None
         self.occupied = 0
         self._slots_array = None
         self._slot_fps = None

@@ -47,6 +47,7 @@ from ..delta.rolling import (
     DEFAULT_SEED_LENGTH,
     FullSeedIndex,
     SeedTable,
+    _seed_fingerprint_array,
     fast_paths_enabled,
     seed_fingerprints,
     use_fast_paths,
@@ -285,7 +286,7 @@ def build_suite(quick: bool) -> List[BenchOp]:
         name="seed_table_" + large,
         op="index.seed_table",
         run=lambda: SeedTable.from_fingerprints(
-            seed_fingerprints(reference, DEFAULT_SEED_LENGTH)),
+            _seed_fingerprint_array(reference, DEFAULT_SEED_LENGTH)),
         input_bytes={"reference": len(reference)},
         processed_bytes=len(reference),
         quick=False,
@@ -356,6 +357,8 @@ def build_suite(quick: bool) -> List[BenchOp]:
     # Pack-store chain collapse: a client 11 versions behind served one
     # composed in-place delta from stored chain hops.
     ops.append(_store_op())
+    # The pack store's write path: a release train published in order.
+    ops.append(_store_publish_op())
 
     if quick:
         return [op for op in ops if op.quick]
@@ -590,6 +593,60 @@ def _store_op() -> BenchOp:
         oracle=oracle,
         cleanup=cleanup,
         min_seconds=0.25,
+    )
+
+
+def _store_publish_op() -> BenchOp:
+    """A 12-release, 128 KiB train published into a fresh pack store.
+
+    Each run initializes a new temp-dir :class:`~repro.store.PackStore`
+    (fsync off, so the clock sees the program, not the disk) and
+    publishes 12 mutate-derived releases of one package in order:
+    similarity scoring, the correcting diff against the previous
+    version (whose seed table the previous publish kept), encode,
+    append and index rewrite.  Throughput is published image bytes per
+    second.  The oracle reads every version of the last run back
+    byte-exact and requires a clean ``fsck()``.
+    """
+    import shutil
+    import tempfile
+
+    from ..store import PackStore, StoreConfig
+
+    releases = 12
+    size = 128 * 1024
+    rng = random.Random(_SEED + 3)
+    images = [make_binary_blob(rng, size)]
+    for _ in range(releases - 1):
+        images.append(mutate(images[-1], rng,
+                             MutationProfile(edits_per_kb=0.55,
+                                             max_edit=768)))
+    root = tempfile.mkdtemp(prefix="ipdelta-bench-publish-")
+    runs = [0]
+
+    def run():
+        runs[0] += 1
+        store = PackStore.init("%s/run%d" % (root, runs[0]),
+                               StoreConfig(fsync=False))
+        return store, [store.publish("app", image) for image in images]
+
+    def oracle(result) -> bool:
+        store, digests = result
+        with store:
+            return (all(store.get("app", digest) == image
+                        for digest, image in zip(digests, images))
+                    and store.fsck().ok)
+
+    return BenchOp(
+        name="store_publish_train",
+        op="store.publish",
+        run=run,
+        input_bytes={"releases": releases, "image": size},
+        processed_bytes=sum(len(image) for image in images),
+        quick=True,
+        oracle=oracle,
+        cleanup=lambda: shutil.rmtree(root, ignore_errors=True),
+        min_seconds=1.0,
     )
 
 

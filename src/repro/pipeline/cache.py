@@ -34,6 +34,7 @@ from ..delta.rolling import (
     FullSeedIndex,
     SeedTable,
     SparseSeedIndex,
+    _seed_fingerprint_array,
     seed_fingerprints,
 )
 
@@ -63,8 +64,6 @@ ALGORITHM_KINDS: Dict[str, str] = {
 #: memory, not to account it exactly.
 _POSITION_BYTES = 120
 _FINGERPRINT_BYTES = 36
-_SLOT_BYTES = 8
-_STORED_OFFSET_BYTES = 28
 
 #: Fraction of the cache budget one greedy index may claim before the
 #: cache degrades it to the sparse tier.  Half the budget leaves room
@@ -317,20 +316,17 @@ class ReferenceIndexCache:
         """The correcting algorithm's half-pass FCFS seed table.
 
         The returned table is shared: callers must only :meth:`lookup`,
-        never insert or clear.
+        never insert or clear.  It is charged what it holds when built
+        (:attr:`SeedTable.nbytes`: probe arrays under the fast paths, a
+        slot list otherwise).
         """
         key = (KIND_SEED_TABLE, digest or self.digest(reference),
                seed_length, table_size)
-
-        def build() -> SeedTable:
-            return SeedTable.from_fingerprints(
-                seed_fingerprints(reference, seed_length), table_size
-            )
-
         value, _hit = self._fetch(
             key,
-            build,
-            lambda t: _SLOT_BYTES * t.size + _STORED_OFFSET_BYTES * t.occupied,
+            lambda: SeedTable.from_fingerprints(
+                _seed_fingerprint_array(reference, seed_length), table_size),
+            lambda t: t.nbytes,
         )
         return value
 

@@ -122,8 +122,9 @@ class StoreConfig:
     #: ``similarity_probe_len`` bytes, evenly spaced over the image.
     similarity_probes: int = 32
     similarity_probe_len: int = 24
-    #: Byte budget of the store's LRU, shared by reconstructed objects
-    #: and :meth:`PackStore.chain`'s hop scripts (0 disables both).
+    #: Byte budget of the store's LRU, shared by reconstructed objects,
+    #: :meth:`PackStore.chain`'s hop scripts and the per-package seed
+    #: tables publish carries forward (0 disables all three).
     cache_bytes: int = 32 << 20
     #: fsync pack appends and index renames (tests may disable for
     #: speed; real deployments should not).
@@ -281,8 +282,10 @@ class PackStore:
         self.root = Path(root)
         self._lock = threading.RLock()
         #: One LRU under ``config.cache_bytes``: reconstructed objects
-        #: keyed by digest, hop scripts keyed by ``(cur, nxt)`` digests;
-        #: each entry is ``(value, charged bytes)``.
+        #: keyed by digest, hop scripts keyed by ``(cur, nxt)`` digests,
+        #: each package's newest seed table keyed by ``("seed-table",
+        #: package)`` (see :meth:`_diff`); each entry is ``(value,
+        #: charged bytes)``.
         self._cache: "OrderedDict[object, Tuple[object, int]]" = \
             OrderedDict()
         self._cache_bytes = 0
@@ -315,8 +318,8 @@ class PackStore:
         return cls(root, cfg)
 
     def close(self) -> None:
-        """Drop the reconstruction and hop-script cache (no file handles
-        stay open)."""
+        """Drop the cached reconstructions, hop scripts and seed tables
+        (no file handles stay open)."""
         with self._lock:
             self._cache.clear()
             self._cache_bytes = 0
@@ -572,7 +575,7 @@ class PackStore:
             new_info: Optional[ObjectInfo] = None
             if digest not in self._index.objects:
                 stored, base, payload = self._encode_stored(
-                    data, log,
+                    package, digest, data, log,
                     lambda d: self._materialize(d),
                     self._index.objects)
                 depth = (self._index.objects[base].depth + 1 if base
@@ -879,7 +882,7 @@ class PackStore:
                     if digest not in new_index.objects:
                         data = self._materialize(digest)
                         stored, base, payload = self._encode_stored(
-                            data, new_log,
+                            package, digest, data, new_log,
                             lambda d: self._materialize(d),
                             new_index.objects)
                         record = encode_record(
@@ -923,6 +926,8 @@ class PackStore:
 
     def _encode_stored(
         self,
+        package: str,
+        digest: str,
         data: bytes,
         log: List[str],
         get_bytes: Callable[[str], bytes],
@@ -930,9 +935,10 @@ class PackStore:
     ) -> Tuple[str, str, bytes]:
         """Pick full-vs-delta storage for ``data``: ``(kind, base, payload)``.
 
-        ``log``/``objects`` describe the state the object lands in (the
-        live index during publish, the under-construction one during
-        gc), so both paths share one policy.
+        ``package``'s version ``digest`` lands in the state ``log`` /
+        ``objects`` describe (the live index during publish, the
+        under-construction one during gc), so both paths share one
+        policy.
         """
         cfg = self.config
         if len(data) < cfg.min_delta_size or not log:
@@ -940,10 +946,10 @@ class PackStore:
             return STORED_FULL, "", data
         candidates: List[ObjectInfo] = []
         seen = set()
-        for digest in reversed(log[-cfg.similarity_window:]):
-            info = objects.get(digest)
-            if info is not None and digest not in seen:
-                seen.add(digest)
+        for recent in reversed(log[-cfg.similarity_window:]):
+            info = objects.get(recent)
+            if info is not None and recent not in seen:
+                seen.add(recent)
                 candidates.append(info)
         # The newest chain's anchor: the re-anchor target that keeps a
         # long-lived package from alternating full/delta at the depth
@@ -969,7 +975,7 @@ class PackStore:
         if best is None:
             perf.add("store.publish.full")
             return STORED_FULL, "", data
-        script = ALGORITHMS[cfg.algorithm](best_bytes, data)
+        script = self._diff(package, digest, data, best.digest, best_bytes)
         payload = encode_delta(script, FORMAT_SEQUENTIAL,
                                version_crc32=version_checksum(data),
                                reference=best_bytes)
@@ -980,6 +986,40 @@ class PackStore:
             return STORED_FULL, "", data
         perf.add("store.publish.delta")
         return STORED_DELTA, best.digest, payload
+
+    def _diff(self, package: str, digest: str, data: bytes,
+              base: str, base_bytes: bytes) -> DeltaScript:
+        """Diff version ``digest`` of ``package`` against ``base``.
+
+        Under the correcting differ a package's publishes form a train:
+        each version is usually the next one's base.  The store keeps
+        the half-pass seed table of the package's newest diffed version
+        in its LRU (key ``("seed-table", package)``, at most one per
+        package, charged :attr:`~repro.delta.SeedTable.nbytes`), built
+        by the differ from the version fingerprints its full pass
+        computes anyway.  When the next diff's base is that version,
+        the table is passed in as ``table=`` and the base is not
+        fingerprinted again (``store.publish.table_reused``).  A table
+        is a pure function of its version's bytes, so scripts are
+        identical either way.
+        """
+        differ = ALGORITHMS[self.config.algorithm]
+        if self.config.algorithm != "correcting" or \
+                self.config.cache_bytes <= 0:
+            return differ(base_bytes, data)
+        key = ("seed-table", package)
+        kept = self._cache.pop(key, None)
+        table = None
+        if kept is not None:
+            self._cache_bytes -= kept[1]
+            kept_digest, kept_table = kept[0]
+            if kept_digest == base:
+                table = kept_table
+                perf.add("store.publish.table_reused")
+        script, version_table = differ(base_bytes, data, table=table,
+                                       return_version_table=True)
+        self._cache_put(key, (digest, version_table), version_table.nbytes)
+        return script
 
     def _append(self, chunks: List[bytes]) -> List[int]:
         """Append framed records to the pack; returns their offsets."""

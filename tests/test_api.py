@@ -1,5 +1,6 @@
 """Tests for the top-level public API (repro/__init__.py)."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -131,3 +132,13 @@ class TestDocsMatchSurface:
     def test_store_exports_resolve(self):
         for name in repro.store.__all__:
             assert hasattr(repro.store, name), name
+
+    def test_correcting_keywords_documented(self):
+        text = DOCS_API.read_text()
+        start = text.index("`correcting_delta` keywords:")
+        paragraph = text[start:text.index("\n\n", start)]
+        documented = set(re.findall(r"`([a-z_]+)=", paragraph))
+        params = inspect.signature(repro.correcting_delta).parameters
+        assert "return_version_table" in documented
+        for keyword in documented:
+            assert params[keyword].kind is inspect.Parameter.KEYWORD_ONLY

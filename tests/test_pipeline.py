@@ -139,6 +139,22 @@ class TestReferenceIndexCache:
         cache.clear()
         assert len(cache._build_locks) == 0
 
+    def test_seed_table_build_is_timed_on_miss_only(self, rng):
+        reference = rng.randbytes(3_000)
+        cache = ReferenceIndexCache()
+        with repro.perf.recording() as miss:
+            table = cache.seed_table(reference)
+        assert miss.counters["table.seed.build.calls"] == 1
+        assert miss.counters["table.seed.build.seconds"] >= 0
+        with repro.perf.recording() as hit:
+            assert cache.seed_table(reference) is table
+        assert "table.seed.build.calls" not in hit.counters
+
+    def test_seed_table_charged_what_it_holds(self, rng):
+        cache = ReferenceIndexCache()
+        table = cache.seed_table(rng.randbytes(3_000), table_size=1 << 10)
+        assert cache.stats.current_bytes == table.nbytes > 0
+
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             ReferenceIndexCache(max_bytes=0)

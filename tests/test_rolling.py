@@ -12,6 +12,7 @@ from repro.delta.rolling import (
     iter_seed_hashes,
     match_length,
     match_length_backward,
+    use_fast_paths,
 )
 
 
@@ -74,6 +75,15 @@ class TestSeedTable:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             SeedTable(0)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_bad_size_from_fingerprints(self, fast):
+        previous = use_fast_paths(fast)
+        try:
+            with pytest.raises(ValueError):
+                SeedTable.from_fingerprints([1, 2, 3], 0)
+        finally:
+            use_fast_paths(previous)
 
 
 class TestFullSeedIndex:

@@ -245,6 +245,136 @@ class TestBaseSelection:
         assert store.get("alpha", d1) == store.get("beta", d2) == blob
 
 
+class TestPublishTableReuse:
+    """Each publish keeps its package's newest seed table for the next
+    diff of that package; pack bytes never depend on it."""
+
+    PACKAGES = ("app", "lib", "fw")
+    RELEASES = 14
+    #: Depth 3 makes a 14-release train re-base past the depth limit
+    #: (a base older than the previous version) and re-anchor full.
+    CONFIG = dict(fsync=False, max_chain_depth=3)
+
+    @classmethod
+    def _images(cls):
+        rng = random.Random(SEED)
+        images = {p: [make_binary_blob(rng, 8192)] for p in cls.PACKAGES}
+        for package in cls.PACKAGES:
+            for _ in range(cls.RELEASES - 1):
+                images[package].append(mutate(images[package][-1], rng))
+        return images, rng
+
+    @staticmethod
+    def _tables(store):
+        return {key[1]: value for key, (value, _size) in store._cache.items()
+                if isinstance(key, tuple) and key[0] == "seed-table"}
+
+    def _run(self, root, fast, **config):
+        """Publish the interleaved trains, then a cross-package dedupe
+        and one more release, then gc; returns everything observable."""
+        images, rng = self._images()
+        previous = repro.delta.use_fast_paths(fast)
+        try:
+            store = PackStore.init(root, StoreConfig(**self.CONFIG, **config))
+            newest = {}
+            with perf.recording() as recorder:
+                for r in range(self.RELEASES):
+                    for package in self.PACKAGES:
+                        newest[package] = store.publish(
+                            package, images[package][r])
+                        tables = self._tables(store)
+                        assert set(tables) <= set(self.PACKAGES)
+                        if package in tables and \
+                                store.log(package)[-1]["stored"] \
+                                == STORED_DELTA:
+                            assert tables[package][0] == newest[package]
+            counters = dict(recorder.counters)
+            logs = {p: store.log(p) for p in self.PACKAGES}
+            shared = store.publish("lib", images["app"][5])
+            extra = mutate(images["lib"][-1], rng)
+            store.publish("lib", extra)
+            assert store.get("lib", shared) == store.get(
+                "app", shared) == images["app"][5]
+            assert store.latest("lib")[1] == extra
+            pack = store.pack_path.read_bytes()
+            tail = store.log("lib")[-2:]
+            gc = store.gc(keep_last=6).to_json()
+            after = (store.pack_path.read_bytes(),
+                     {p: store.log(p) for p in self.PACKAGES})
+            assert store.fsck().ok
+            store.close()
+            assert not self._tables(store)
+        finally:
+            repro.delta.use_fast_paths(previous)
+        return counters, logs, pack, tail, gc, after
+
+    @staticmethod
+    def _expected_reuses(logs):
+        """Delta publishes whose base is the package's previous version,
+        itself stored as a delta (so its own publish ran the diff)."""
+        count = 0
+        for log in logs.values():
+            for prev, entry in zip(log, log[1:]):
+                if entry["stored"] == STORED_DELTA \
+                        and entry["base"] == prev["digest"] \
+                        and prev["stored"] == STORED_DELTA:
+                    count += 1
+        return count
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
+    def test_bytes_identical_with_tables_off(self, tmp_path, fast):
+        kept = self._run(tmp_path / "kept", fast)
+        off = self._run(tmp_path / "off", fast, cache_bytes=0)
+        assert kept[1:] == off[1:]
+        counters, logs = kept[0], kept[1]
+        # The train exercised both depth-limit outcomes.
+        kinds = [(e["stored"], e["base"] == p["digest"])
+                 for log in logs.values() for p, e in zip(log, log[1:])]
+        assert (STORED_FULL, False) in kinds
+        assert (STORED_DELTA, False) in kinds
+        assert counters.get("store.publish.fallback", 0) == 0
+        assert counters["store.publish.table_reused"] \
+            == self._expected_reuses(logs) > 0
+        assert "store.publish.table_reused" not in off[0]
+
+    def test_bytes_identical_fast_vs_scalar(self, tmp_path):
+        fast = self._run(tmp_path / "fast", True)
+        scalar = self._run(tmp_path / "scalar", False)
+        assert fast[1:] == scalar[1:]
+        assert fast[0]["store.publish.table_reused"] \
+            == scalar[0]["store.publish.table_reused"]
+
+    def test_close_drops_tables_and_next_publish_diffs_cold(self, tmp_path):
+        store = PackStore.init(tmp_path / "s", StoreConfig(**self.CONFIG))
+        images, _rng = self._images()
+        previous = repro.delta.use_fast_paths(True)
+        try:
+            for r in range(3):
+                store.publish("app", images["app"][r])
+        finally:
+            repro.delta.use_fast_paths(previous)
+        assert set(self._tables(store)) == {"app"}
+        # Charged its probe arrays: 2^16 slots x two 8-byte entries.
+        charged = [size for key, (_v, size) in store._cache.items()
+                   if isinstance(key, tuple) and key[0] == "seed-table"]
+        assert charged == [1 << 20]
+        store.close()
+        assert not self._tables(store) and store._cache_bytes == 0
+        with perf.recording() as recorder:
+            store.publish("app", images["app"][3])
+        assert "store.publish.table_reused" not in recorder.counters
+        assert recorder.counters["store.publish.delta"] == 1
+        assert set(self._tables(store)) == {"app"}
+
+    def test_other_algorithms_keep_no_tables(self, tmp_path):
+        store = PackStore.init(tmp_path / "s", StoreConfig(
+            algorithm="greedy", **self.CONFIG))
+        images, _rng = self._images()
+        for r in range(4):
+            store.publish("app", images["app"][r])
+        assert not self._tables(store)
+
+
 class TestChainCollapse:
     """A client K versions behind costs ONE composed in-place delta."""
 

@@ -208,6 +208,110 @@ def test_fcfs_table_matches_insert_loop(label, data, size, fast_on):
         assert fast.lookup(fingerprint) == oracle.lookup(fingerprint)
 
 
+def _insert_loop_table(fingerprints, size):
+    oracle = SeedTable(size)
+    for offset, fingerprint in enumerate(fingerprints):
+        oracle.insert(fingerprint, offset)
+    return oracle
+
+
+def _fcfs_fingerprints(case, size):
+    rng = random.Random(size)
+    if case == "empty":
+        return []
+    if case == "one_slot":
+        # Every fingerprint lands in slot 3 % size: one winner, offset 0.
+        return [rng.randrange(1 << 40) * size + 3 % size
+                for _ in range(500)]
+    return [rng.randrange((1 << 61) - 1) for _ in range(3000)]
+
+
+@needs_numpy
+@pytest.mark.parametrize("case", ["empty", "one_slot", "random"])
+@pytest.mark.parametrize("size", [1, 7, 1 << 16, 6007],
+                         ids=["1", "7", "2^16", "larger_than_input"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+def test_fcfs_slots_kernel_matches_insert_loop(case, size, as_array):
+    """The O(n) scatter-min equals the FCFS insertion loop slot for slot,
+    from list or array input, for power-of-two and other table sizes."""
+    import numpy as np
+
+    fingerprints = _fcfs_fingerprints(case, size)
+    source = np.array(fingerprints, dtype=np.uint64) if as_array \
+        else fingerprints
+    slots, slot_fps, occupied = _kernels.fcfs_slots(source, size)
+    oracle = _insert_loop_table(fingerprints, size)
+    assert slots.dtype == np.int64 and slot_fps.dtype == np.uint64
+    assert slots.tolist() == oracle._slots
+    assert occupied == oracle.occupied
+    assert slot_fps.tolist() == [fingerprints[o] if o >= 0 else 0
+                                 for o in oracle._slots]
+
+
+@needs_numpy
+@pytest.mark.parametrize("seed_length", SEED_LENGTHS)
+@pytest.mark.parametrize("extra", range(-1, 4))
+@pytest.mark.parametrize("block", [None, 1, 3], ids=["default", "b1", "b3"])
+def test_kernel_fingerprints_at_length_boundaries(seed_length, extra, block,
+                                                  monkeypatch):
+    """Lengths seed_length-1 .. seed_length+3, whole and in tiny blocks."""
+    if block is not None:
+        monkeypatch.setattr(_kernels, "_CUMSUM_BLOCK", block)
+    data = random.Random(seed_length * 10 + extra).randbytes(
+        seed_length + extra)
+    got = _kernels.seed_fingerprints(data, seed_length).tolist()
+    assert got == seed_fingerprints_reference(data, seed_length)
+
+
+@needs_numpy
+@pytest.mark.parametrize("block", [2, 7, 64, 1000])
+@pytest.mark.parametrize("label,data", INPUTS, ids=[l for l, _ in INPUTS])
+def test_kernel_fingerprints_blocked_branch(label, data, block, monkeypatch):
+    """A small block forces many blocks, each with its own prefix sums;
+    all-0xff bytes push every term to its maximum."""
+    monkeypatch.setattr(_kernels, "_CUMSUM_BLOCK", block)
+    for buf in (data, b"\xff" * (len(data) + 40)):
+        got = _kernels.seed_fingerprints(buf, DEFAULT_SEED_LENGTH).tolist()
+        assert got == seed_fingerprints_reference(buf, DEFAULT_SEED_LENGTH)
+
+
+@needs_numpy
+def test_fast_built_table_matches_scalar_after_mutation():
+    """A fast-built table builds its slot list on first scalar access and
+    then behaves exactly like one built by the insertion loop."""
+    data = random.Random(23).randbytes(6000)
+    fingerprints = seed_fingerprints_reference(data, DEFAULT_SEED_LENGTH)
+    size = 1 << 10
+    previous = use_fast_paths(True)
+    try:
+        fast = SeedTable.from_fingerprints(
+            _kernels.seed_fingerprints(data, DEFAULT_SEED_LENGTH), size)
+        use_fast_paths(False)
+        scalar = SeedTable.from_fingerprints(fingerprints, size)
+    finally:
+        use_fast_paths(previous)
+    assert fast._list is None and fast.probe_arrays() is not None
+    assert scalar.probe_arrays() is None
+    assert fast.nbytes == 16 * size
+    rng = random.Random(5)
+    queries = fingerprints[::97] + [rng.randrange(1 << 61) for _ in range(50)]
+    for fingerprint in queries:
+        assert fast.lookup(fingerprint) == scalar.lookup(fingerprint)
+    assert fast._slots == scalar._slots
+    assert fast.nbytes == 16 * size + scalar.nbytes
+    for offset in range(400):
+        fingerprint = rng.randrange(1 << 61)
+        assert fast.insert(fingerprint, offset) == \
+            scalar.insert(fingerprint, offset)
+    assert fast.probe_arrays() is None
+    assert (fast._slots, fast.occupied) == (scalar._slots, scalar.occupied)
+    assert fast.nbytes == scalar.nbytes
+    fast.clear()
+    scalar.clear()
+    assert (fast._slots, fast.occupied) == (scalar._slots, scalar.occupied)
+    assert fast.occupied == 0 and set(fast._slots) == {-1}
+
+
 # ---------------------------------------------------------------------------
 # FullSeedIndex / FingerprintGroups
 # ---------------------------------------------------------------------------
@@ -405,6 +509,54 @@ def test_differ_output_identical_fast_vs_reference(differ, label, reference,
     finally:
         use_fast_paths(previous)
     assert encode_delta(fast) == encode_delta(slow)
+
+
+@needs_numpy
+@pytest.mark.parametrize("label,reference,version", _pairs(),
+                         ids=[p[0] for p in _pairs()])
+def test_fast_table_under_scalar_scan_identical(label, reference, version):
+    """A fast-built table handed to a scalar-path correcting scan (which
+    reads its lazily built slot list) yields the identical script."""
+    previous = use_fast_paths(True)
+    try:
+        expected = correcting_delta(reference, version)
+        table = SeedTable.from_fingerprints(
+            _kernels.seed_fingerprints(reference, DEFAULT_SEED_LENGTH))
+        use_fast_paths(False)
+        got = correcting_delta(reference, version, table=table)
+    finally:
+        use_fast_paths(previous)
+    assert encode_delta(got) == encode_delta(expected)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
+@pytest.mark.parametrize("label,reference,version",
+                         _pairs() + [("short_reference", b"abc", b"x" * 40),
+                                     ("short_version", b"x" * 40, b"abc"),
+                                     ("empty_version", b"x" * 40, b"")],
+                         ids=[p[0] for p in _pairs()]
+                         + ["short_reference", "short_version",
+                            "empty_version"])
+def test_returned_version_table_is_the_next_reference_table(
+        label, reference, version, fast):
+    """``return_version_table`` hands back exactly the table a diff with
+    ``reference=version`` builds, so a release train can pass it on."""
+    previous = use_fast_paths(fast)
+    try:
+        script, table = correcting_delta(reference, version,
+                                         return_version_table=True)
+        expected = SeedTable.from_fingerprints(
+            seed_fingerprints(version, DEFAULT_SEED_LENGTH))
+        follow = reference[::-1] + version[:500]
+        chained = correcting_delta(version, follow, table=table)
+        cold = correcting_delta(version, follow)
+    finally:
+        use_fast_paths(previous)
+    assert encode_delta(script) == \
+        encode_delta(correcting_delta(reference, version))
+    assert (table._slots, table.occupied) == \
+        (expected._slots, expected.occupied)
+    assert encode_delta(chained) == encode_delta(cold)
 
 
 def _mutated(rng, base, mutator):
