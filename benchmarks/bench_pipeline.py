@@ -65,9 +65,10 @@ def test_pipeline_speedup_over_cold_serial_loop(benchmark):
         cold_seconds, cold_payloads = elapsed(cold_loop)
 
         # Pipeline: warm the shared cache once, then fan the batch out.
-        with DeltaPipeline(algorithm="greedy", executor="thread",
-                           diff_workers=WORKERS, convert_workers=WORKERS,
-                           varint_pricing=False) as pipe:
+        with DeltaPipeline(PipelineConfig(
+                algorithm="greedy", executor="thread",
+                diff_workers=WORKERS, convert_workers=WORKERS,
+                varint_pricing=False)) as pipe:
             pipe.warm([reference])
             warm_seconds, batch = elapsed(lambda: pipe.run(jobs))
         return cold_seconds, warm_seconds, batch, cold_payloads

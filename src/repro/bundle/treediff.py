@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, MutableMapping, Union
 
-from ..core.apply import apply_in_place
+from ..core.apply import apply_in_place, preflight_in_place
 from ..core.convert import make_in_place
 from ..delta import ALGORITHMS
 from ..delta.encode import FORMAT_INPLACE, decode_delta, encode_delta, version_checksum
@@ -65,7 +65,8 @@ def build_bundle(
         converted = make_in_place(script, reference, policy=policy,
                                   scratch_budget=scratch_budget)
         return encode_delta(converted.script, FORMAT_INPLACE,
-                            version_crc32=version_checksum(version))
+                            version_crc32=version_checksum(version),
+                            reference=reference)
 
     for change in classify_changes(old_manifest, new_manifest):
         if change.kind == "unchanged":
@@ -101,29 +102,42 @@ def build_bundle(
     return bundle
 
 
+def _patch(path: str, data: Union[bytes, bytearray], payload: bytes,
+           chunk_size: int) -> bytes:
+    """One file's new version, built in place in a copy of ``data``.
+
+    The reference digest and every command's bounds are checked before
+    the first write (:func:`~repro.core.apply.preflight_in_place`; a
+    no-op digest check for ``IPD1`` payloads, which carry none).
+    """
+    buffer = bytearray(data)
+    script, header = decode_delta(payload)
+    preflight_in_place(script, header, buffer)
+    apply_in_place(script, buffer, strict=True, chunk_size=chunk_size)
+    if header.version_crc32 and \
+            version_checksum(buffer) != header.version_crc32:
+        raise VerificationError(
+            "%s: reconstructed content fails its checksum" % path)
+    return bytes(buffer)
+
+
 def apply_bundle(tree: Tree, bundle: Bundle, *, chunk_size: int = 4096) -> None:
     """Upgrade ``tree`` in place per the bundle's directives.
 
     Each file's new version is materialized in the buffer its old
-    version occupies (strict in-place engine); renames move buffers by
-    re-keying.  Raises on any missing file, conflict, or checksum
-    mismatch — after which the tree may be partially upgraded, exactly
-    like a half-applied single-file delta (use the journal layer for
-    crash safety).
+    version occupies (strict in-place engine), after its payload's
+    reference digest matched the old version; renames move buffers by
+    re-keying.  Raises on any missing file, conflict, reference or
+    checksum mismatch — after which the tree may be partially upgraded,
+    exactly like a half-applied single-file delta (use the journal
+    layer for crash safety).
     """
     for entry in bundle.entries:
         if entry.op == OP_DELTA:
             if entry.path not in tree:
                 raise ReproError("bundle patches missing file %r" % entry.path)
-            buffer = bytearray(tree[entry.path])
-            script, header = decode_delta(entry.payload)
-            apply_in_place(script, buffer, strict=True, chunk_size=chunk_size)
-            if header.version_crc32 and \
-                    version_checksum(buffer) != header.version_crc32:
-                raise VerificationError(
-                    "%s: reconstructed content fails its checksum" % entry.path
-                )
-            tree[entry.path] = bytes(buffer)
+            tree[entry.path] = _patch(entry.path, tree[entry.path],
+                                      entry.payload, chunk_size)
         elif entry.op == OP_ADD:
             tree[entry.path] = entry.content
         elif entry.op == OP_RENAME:
@@ -131,16 +145,11 @@ def apply_bundle(tree: Tree, bundle: Bundle, *, chunk_size: int = 4096) -> None:
                 raise ReproError(
                     "bundle renames missing file %r" % entry.from_path
                 )
-            buffer = bytearray(tree.pop(entry.from_path))
+            data = tree[entry.from_path]
             if entry.payload:
-                script, header = decode_delta(entry.payload)
-                apply_in_place(script, buffer, strict=True, chunk_size=chunk_size)
-                if header.version_crc32 and \
-                        version_checksum(buffer) != header.version_crc32:
-                    raise VerificationError(
-                        "%s: renamed content fails its checksum" % entry.path
-                    )
-            tree[entry.path] = bytes(buffer)
+                data = _patch(entry.path, data, entry.payload, chunk_size)
+            del tree[entry.from_path]
+            tree[entry.path] = bytes(data)
         elif entry.op == OP_REMOVE:
             if entry.path not in tree:
                 raise ReproError("bundle removes missing file %r" % entry.path)

@@ -43,6 +43,7 @@ from ..core.commands import (
 )
 from ..delta.varint import decode_varint, encode_varint
 from ..exceptions import DeltaFormatError, DeviceError, IntegrityError, ReproError
+from ..records import encode_record, scan_records
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -177,34 +178,25 @@ class Journal:
     def to_bytes(self) -> bytes:
         """Serialize for the journal sector: self-checking records.
 
-        Each record is ``type u8 | length varint | payload | crc32
-        u32le`` where the CRC covers the type, length and payload.
-        Records are written in write-ahead order — state, scratch
-        mirror, then the copy-overlap backup — so a torn final record
-        is always the one whose protected action had not begun.
+        Each record is a :func:`repro.records.encode_record` frame,
+        ``type u8 | length varint | payload | crc32 u32le``, the CRC
+        covering the type, length and payload.  Records are written in
+        write-ahead order — state, scratch mirror, then the copy-overlap
+        backup — so a torn final record is always the one whose
+        protected action had not begun.
         """
-        out = bytearray()
-
-        def record(rtype: int, payload: bytes) -> None:
-            rec = bytearray((rtype,))
-            rec += encode_varint(len(payload))
-            rec += payload
-            out.extend(rec)
-            out.extend((zlib.crc32(rec) & 0xFFFFFFFF).to_bytes(4, "little"))
-
         state = bytearray()
         state += encode_varint(self.next_index)
         state += (self.applied_crc & 0xFFFFFFFF).to_bytes(4, "little")
         state.append(1 if self.complete else 0)
-        record(_REC_STATE, bytes(state))
+        out = [encode_record(_REC_STATE, state)]
         if self.scratch:
-            record(_REC_SCRATCH, bytes(self.scratch))
+            out.append(encode_record(_REC_SCRATCH, self.scratch))
         if self.backup_offset >= 0:
-            backup = bytearray()
-            backup += encode_varint(self.backup_offset)
-            backup += self.backup_data
-            record(_REC_BACKUP, bytes(backup))
-        return bytes(out)
+            out.append(encode_record(
+                _REC_BACKUP,
+                encode_varint(self.backup_offset) + self.backup_data))
+        return b"".join(out)
 
     @classmethod
     def from_bytes(cls, data: Buffer) -> "Journal":
@@ -221,43 +213,10 @@ class Journal:
         """
         journal = cls()
         data = bytes(data)
-        pos = 0
-        while pos < len(data):
-            start = pos
-            rtype = data[pos]
-            try:
-                paylen, body = decode_varint(data, pos + 1)
-            except DeltaFormatError:
-                if len(data) - (pos + 1) >= 10:
-                    # Ten bytes were available and still no varint end:
-                    # that is corruption, not a torn (truncated) write.
-                    raise IntegrityError(
-                        "journal record length at byte %d is not a valid "
-                        "varint" % (pos + 1),
-                        kind="journal", offset=pos + 1,
-                    ) from None
-                journal.torn_tail = True  # length field itself is torn
-                break
-            end = body + paylen + 4
-            if end > len(data):
-                journal.torn_tail = True
-                break
-            stored = int.from_bytes(data[end - 4:end], "little")
-            computed = zlib.crc32(data[start:end - 4]) & 0xFFFFFFFF
-            if stored != computed:
-                if end == len(data):
-                    journal.torn_tail = True  # partially overwritten tail
-                    break
-                raise IntegrityError(
-                    "journal record at byte %d failed its CRC with %d "
-                    "bytes following — the journal sector is corrupt, "
-                    "not torn; resuming would damage the image"
-                    % (start, len(data) - end),
-                    kind="journal", offset=start,
-                    expected=stored, actual=computed,
-                )
-            payload = data[body:end - 4]
-            if rtype == _REC_STATE:
+        records, bad = scan_records(data)
+        for record in records:
+            payload = record.payload
+            if record.kind == _REC_STATE:
                 journal.next_index, p = decode_varint(payload, 0)
                 if p + 5 > len(payload):
                     raise DeltaFormatError(
@@ -267,19 +226,37 @@ class Journal:
                     payload[p:p + 4], "little"
                 )
                 journal.complete = bool(payload[p + 4])
-            elif rtype == _REC_SCRATCH:
+            elif record.kind == _REC_SCRATCH:
                 journal.scratch = bytearray(payload)
-            elif rtype == _REC_BACKUP:
+            elif record.kind == _REC_BACKUP:
                 offset, p = decode_varint(payload, 0)
                 journal.backup_offset = offset
                 journal.backup_data = payload[p:]
             else:
                 raise DeltaFormatError(
                     "unknown journal record type 0x%02x at byte %d"
-                    % (rtype, start)
+                    % (record.kind, record.offset)
                 )
-            pos = end
-        return journal
+        if bad is None:
+            return journal
+        if bad.torn:
+            journal.torn_tail = True
+            return journal
+        if bad.end is None:
+            # Ten bytes were available and still no varint end.
+            raise IntegrityError(
+                "journal record length at byte %d is not a valid "
+                "varint" % (bad.offset + 1),
+                kind="journal", offset=bad.offset + 1,
+            )
+        raise IntegrityError(
+            "journal record at byte %d failed its CRC with %d "
+            "bytes following — the journal sector is corrupt, "
+            "not torn; resuming would damage the image"
+            % (bad.offset, len(data) - bad.end),
+            kind="journal", offset=bad.offset,
+            expected=bad.expected, actual=bad.actual,
+        )
 
 
 class JournaledApplier:

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core.apply import preflight_in_place, storage_crc32
-from ..core.compose import compose_chain
 from ..core.convert import make_in_place
 from ..delta import ALGORITHMS
 from ..delta.encode import (
@@ -57,31 +56,12 @@ from ..exceptions import (
     TransmissionError,
     VerificationError,
 )
-from ..faults import FaultPlan, describe_failure, jitter_draw
+from ..faults import FaultPlan, backoff_delay, describe_failure
 from .channel import Channel, Delivery
 from .journal import CrashingStorage, Journal, JournaledApplier, PowerFailureError
 from .memory import ConstrainedDevice
 
 STRATEGIES = ("full", "delta", "in-place", "in-place-stream")
-
-
-def _sleep_backoff(attempt: int, base: float, factor: float,
-                   cap: float = 5.0, jitter: float = 0.0,
-                   seed: int = 0, scope: str = "") -> None:
-    """Exponential backoff before retry ``attempt + 1`` (no-op at base 0).
-
-    ``jitter`` adds up to that fraction of the delay again, drawn via
-    :func:`repro.faults.jitter_draw` from ``(seed, scope, attempt)`` —
-    never from process-global randomness — so a session's retry timing
-    is byte-reproducible from its fault seed no matter which executor
-    (or machine) replays it.
-    """
-    if base <= 0.0:
-        return
-    delay = min(cap, base * (factor ** (attempt - 1)))
-    if jitter > 0.0:
-        delay += delay * jitter * jitter_draw(seed, scope, attempt)
-    time.sleep(delay)
 
 
 @dataclass
@@ -163,38 +143,6 @@ class UpdateServer:
             "unknown strategy %r; choose from %s" % (strategy, ", ".join(STRATEGIES))
         )
 
-    def build_chain_payload(self, package: str, have: int, want: int) -> bytes:
-        """One coalesced in-place payload for a device ``want - have``
-        releases behind.
-
-        Instead of re-differencing release ``have`` against ``want``
-        directly, the per-hop deltas the server already computes for
-        up-to-date devices are collapsed with
-        :func:`repro.core.compose.compose_chain` and the *composed*
-        script is converted for in-place application.  This is the
-        "coalesced re-encode" rollout policy: one composition per stale
-        cohort, no O(versions²) diff matrix.
-        """
-        if want <= have:
-            raise ValueError(
-                "chain payload needs want > have, got %d -> %d" % (have, want)
-            )
-        hops = []
-        for step in range(have, want):
-            old = self.release(package, step)
-            new = self.release(package, step + 1)
-            hops.append(ALGORITHMS[self.algorithm](old, new))
-        composed = compose_chain(hops) if len(hops) > 1 else hops[0]
-        old = self.release(package, have)
-        new = self.release(package, want)
-        converted = make_in_place(composed, old, policy=self.policy,
-                                  scratch_budget=self.scratch_budget)
-        wrap = seal if self.transport_compress else (lambda p: p)
-        return wrap(encode_delta(
-            converted.script, FORMAT_INPLACE,
-            version_crc32=version_checksum(new), reference=old,
-        ))
-
 
 def run_update(
     server: UpdateServer,
@@ -256,7 +204,9 @@ def run_update(
             # back off and retransmit — the device saw nothing, so every
             # strategy survives this.
             outcome.faults.append(describe_failure(exc))
-            _sleep_backoff(attempt, backoff_base, backoff_factor)
+            if backoff_base > 0.0:
+                time.sleep(backoff_delay(attempt, backoff_base,
+                                         backoff_factor))
             continue
         outcome.transfer_seconds += delivery.seconds
         try:
@@ -272,7 +222,9 @@ def run_update(
                 # strategies verify it before mutating anything, so a
                 # retransmission is safe (and the only cure).
                 outcome.faults.append(describe_failure(exc))
-                _sleep_backoff(attempt, backoff_base, backoff_factor)
+                if backoff_base > 0.0:
+                    time.sleep(backoff_delay(attempt, backoff_base,
+                                             backoff_factor))
                 continue
             # A reference digest mismatch is deterministic — the device
             # holds the wrong (or already corrupted) base image and no
@@ -354,8 +306,8 @@ def run_journaled_session(
 
     This is the device-side half of :func:`run_journaled_update`,
     factored out so the fleet campaign can build a payload *once* per
-    stale cohort (possibly via
-    :meth:`UpdateServer.build_chain_payload`) and replay it against
+    stale cohort (a collapsed chain from
+    :meth:`~repro.store.VersionStore.chain`) and replay it against
     thousands of simulated devices, each with its own fault ``scope``.
     All fault decisions — transmit drops, delivery truncation/bit flips,
     per-boot power fuel, storage rot — are pure functions of
@@ -366,7 +318,7 @@ def run_journaled_session(
     holds); ``expected`` — when given — is the oracle the reconstructed
     image is compared against after the delta's own checksum passes.
     Backoff jitter is drawn from the fault seed (see
-    :func:`_sleep_backoff`), never from global randomness.
+    :func:`repro.faults.backoff_delay`), never from global randomness.
     """
     seed = fault_plan.seed if fault_plan is not None else 0
     outcome = JournaledUpdateOutcome(
@@ -386,8 +338,10 @@ def run_journaled_session(
             delivery = channel.transmit(payload, rng)
         except TransmissionError as exc:
             outcome.faults.append(describe_failure(exc))
-            _sleep_backoff(attempt, backoff_base, backoff_factor,
-                           jitter=backoff_jitter, seed=seed, scope=scope)
+            if backoff_base > 0.0:
+                time.sleep(backoff_delay(
+                    attempt, backoff_base, backoff_factor,
+                    jitter=backoff_jitter, seed=seed, scope=scope))
             continue
         outcome.transfer_seconds += delivery.seconds
         received = delivery.payload
@@ -428,8 +382,10 @@ def run_journaled_session(
             # CRC is checked before a single command is even parsed:
             # nothing applied yet, so a retransmission is always safe.
             outcome.faults.append(describe_failure(exc))
-            _sleep_backoff(attempt, backoff_base, backoff_factor,
-                           jitter=backoff_jitter, seed=seed, scope=scope)
+            if backoff_base > 0.0:
+                time.sleep(backoff_delay(
+                    attempt, backoff_base, backoff_factor,
+                    jitter=backoff_jitter, seed=seed, scope=scope))
             continue
         break
     if script is None:

@@ -8,7 +8,8 @@ See :mod:`repro.faults.plan` for the design.  The short version: a
 nth-call/count/probability triggers, and every
 decision is a pure function of ``(seed, site, scope, call index)`` so
 the same plan reproduces the same faults across runs, threads and
-worker processes.
+worker processes.  :func:`backoff_delay` is the one retry backoff every
+retry loop waits by, its jitter drawn the same pure way.
 """
 
 from .plan import (
@@ -18,6 +19,7 @@ from .plan import (
     FaultPlan,
     FaultRecord,
     FaultSpec,
+    backoff_delay,
     describe_failure,
     jitter_draw,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "FaultRecord",
     "FaultSpec",
     "KNOWN_SITES",
+    "backoff_delay",
     "describe_failure",
     "jitter_draw",
 ]

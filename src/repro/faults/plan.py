@@ -420,8 +420,8 @@ def jitter_draw(seed: int, scope: str, attempt: int) -> float:
     """Deterministic uniform ``[0, 1)`` draw for retry-backoff jitter.
 
     A pure function of ``(seed, scope, attempt)``, exactly like fault
-    decisions: the pipeline and the updater both derive their backoff
-    jitter through here (seeded from the job's fault plan), so retry
+    decisions: every retry loop derives its backoff jitter through
+    :func:`backoff_delay` (seeded from the job's fault plan), so retry
     timing — and with it every trace — is byte-reproducible across the
     serial, thread and process executors instead of drifting with
     whichever worker happened to consume a process-global RNG first.
@@ -429,6 +429,23 @@ def jitter_draw(seed: int, scope: str, attempt: int) -> float:
     return random.Random(
         "%d|backoff|%s|%d" % (seed, scope, attempt)
     ).random()
+
+
+def backoff_delay(attempt: int, base: float, factor: float = 2.0,
+                  cap: float = 5.0, jitter: float = 0.0, seed: int = 0,
+                  scope: str = "") -> float:
+    """Seconds to wait before retry ``attempt + 1``.
+
+    Exponential and capped, ``min(cap, base * factor ** (attempt - 1))``,
+    plus up to ``jitter`` of itself again, drawn by :func:`jitter_draw`
+    from ``(seed, scope, attempt)``.  The updater, the pipeline and the
+    pull client all wait this long; each keeps its own sleep and skips
+    it when ``base`` is 0.
+    """
+    delay = min(cap, base * (factor ** (attempt - 1)))
+    if jitter > 0.0:
+        delay += delay * jitter * jitter_draw(seed, scope, attempt)
+    return delay
 
 
 def describe_failure(exc: BaseException) -> str:
@@ -448,6 +465,7 @@ __all__ = [
     "FaultRecord",
     "FaultSpec",
     "KNOWN_SITES",
+    "backoff_delay",
     "describe_failure",
     "jitter_draw",
 ]

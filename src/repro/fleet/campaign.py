@@ -13,10 +13,14 @@ Design for scale and determinism:
 
 * **Cohorts, not devices, pay for encoding.**  Devices are grouped by
   ``(package, have)``; each cohort's payload is built once and replayed
-  against every member.  The ``"compose"`` encode policy collapses the
-  per-hop release deltas with :func:`repro.core.compose.compose_chain`
-  (one composition per stale cohort, no O(versions²) diff matrix); the
-  ``"direct"`` policy re-diffs ``have`` against ``want`` through a
+  against every member.  The ``"compose"`` encode policy publishes the
+  train into a :class:`~repro.store.VersionStore` (a throwaway
+  :class:`~repro.store.PackStore` unless the caller passes one) and
+  takes each payload from its :meth:`~repro.store.VersionStore.chain`,
+  which collapses the stored per-hop deltas with
+  :func:`repro.core.compose.compose_chain` (one composition per stale
+  cohort, no O(versions²) diff matrix); the ``"direct"`` policy
+  re-diffs ``have`` against ``want`` through a
   :class:`~repro.pipeline.DeltaPipeline`, whose
   :meth:`~repro.pipeline.BatchReport.summary` lands in the report —
   the same ``repro.pipeline.batch/1`` schema ``ipdelta pipeline
@@ -45,6 +49,7 @@ Design for scale and determinism:
 from __future__ import annotations
 
 import random
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -53,11 +58,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import perf
 from ..delta import ALGORITHMS
 from ..device.channel import get_channel
-from ..device.updater import UpdateServer, run_journaled_session
+from ..device.updater import run_journaled_session
 from ..exceptions import ReproError
 from ..faults import FaultPlan, describe_failure
 from ..pipeline import DeltaPipeline, PipelineConfig, PipelineJob
-from ..store import VersionStore
+from ..store import PackStore, StoreConfig, VersionStore
 from .devices import DeviceSpec
 from .report import CampaignReport, DeviceOutcome, StageReport
 
@@ -202,6 +207,48 @@ def _run_chunk(
             for dev in devices]
 
 
+def _is_current(releases: Dict[str, List[bytes]], device: DeviceSpec) -> bool:
+    """The device already holds its package's latest bytes: it is at
+    the latest release, or at an older one the train repeats."""
+    train = releases[device.package]
+    return device.have >= len(train) - 1 or train[device.have] == train[-1]
+
+
+def _chain_cohorts(
+    releases: Dict[str, List[bytes]],
+    needed: List[Tuple[str, int]],
+    store: VersionStore,
+    report: CampaignReport,
+) -> Tuple[Dict[Tuple[str, int], _Cohort], Dict[Tuple[str, int], str]]:
+    """The ``"compose"`` policy: publish the train into ``store`` and take
+    every cohort payload from :meth:`~repro.store.VersionStore.chain`."""
+    digests = {package: [store.publish(package, image) for image in train]
+               for package, train in sorted(releases.items())}
+    cohorts: Dict[Tuple[str, int], _Cohort] = {}
+    failed: Dict[Tuple[str, int], str] = {}
+    for package, have in needed:
+        want = len(releases[package]) - 1
+        cohort_key = "%s@%d->%d" % (package, have, want)
+        try:
+            payload = store.chain(package, digests[package][have],
+                                  digests[package][want])
+        except ReproError as exc:
+            payload = None
+            reason = "store chain failed: %s" % describe_failure(exc)
+        else:
+            reason = "store has no chain for cohort %s" % cohort_key
+        if payload is None:
+            failed[(package, have)] = reason
+            report.cohorts[cohort_key] = -1
+            continue
+        perf.add("campaign.store_chain")
+        cohorts[(package, have)] = _Cohort(
+            package, have, want, payload,
+            releases[package][have], releases[package][want])
+        report.cohorts[cohort_key] = len(payload)
+    return cohorts, failed
+
+
 def _build_cohorts(
     releases: Dict[str, List[bytes]],
     fleet: Sequence[DeviceSpec],
@@ -211,67 +258,27 @@ def _build_cohorts(
     report: CampaignReport,
     store: Optional[VersionStore] = None,
 ) -> Tuple[Dict[Tuple[str, int], _Cohort], Dict[Tuple[str, int], str]]:
-    """Encode one payload per (package, have) cohort.
+    """Encode one payload per stale (package, have) cohort.
 
     Returns the built cohorts plus, for cohorts whose encode failed, a
     structured reason their devices are deferred with.
 
-    With a ``store`` (``"compose"`` policy only), the release train is
-    published into it and each cohort payload is first requested as a
-    collapsed chain (:meth:`~repro.store.VersionStore.chain`) — a
-    :class:`~repro.store.PackStore` already holding the per-hop deltas
-    answers without re-diffing anything.  A store that cannot help
-    (``None``, or a damaged chain) falls back to the in-process
-    compose path below, never failing the cohort on its own.
+    The ``"compose"`` policy takes every payload from
+    :meth:`~repro.store.VersionStore.chain`: the given ``store``, or a
+    throwaway :class:`~repro.store.PackStore` in a temporary directory
+    that is removed once the cohorts are built.
     """
     needed = sorted({(d.package, d.have) for d in fleet
-                     if d.have < len(releases[d.package]) - 1})
+                     if not _is_current(releases, d)})
+    if policy.encode == "compose":
+        if store is not None:
+            return _chain_cohorts(releases, needed, store, report)
+        config = StoreConfig(algorithm=algorithm, fsync=False)
+        with tempfile.TemporaryDirectory() as tmp, \
+                PackStore.init(tmp, config) as throwaway:
+            return _chain_cohorts(releases, needed, throwaway, report)
     cohorts: Dict[Tuple[str, int], _Cohort] = {}
     failed: Dict[Tuple[str, int], str] = {}
-    if policy.encode == "compose":
-        digests: Dict[str, List[str]] = {}
-        if store is not None:
-            for package in sorted(releases):
-                digests[package] = [store.publish(package, image)
-                                    for image in releases[package]]
-        server = UpdateServer(algorithm=algorithm)
-        for package in sorted(releases):
-            for image in releases[package]:
-                server.publish(package, image)
-        for package, have in needed:
-            want = len(releases[package]) - 1
-            payload = None
-            if store is not None:
-                try:
-                    payload = store.chain(package, digests[package][have],
-                                          digests[package][want])
-                except ReproError:
-                    payload = None
-                if payload is not None:
-                    perf.add("campaign.store_chain")
-            if payload is not None:
-                cohort = _Cohort(package, have, want, payload,
-                                 releases[package][have],
-                                 releases[package][want])
-                cohorts[(package, have)] = cohort
-                report.cohorts[cohort.key] = len(payload)
-                continue
-            try:
-                payload = (
-                    server.build_chain_payload(package, have, want)
-                    if want - have > 1 else
-                    server.build_payload(package, have, want, "in-place")
-                )
-            except ReproError as exc:
-                failed[(package, have)] = describe_failure(exc)
-                report.cohorts["%s@%d->%d" % (package, have, want)] = -1
-                continue
-            cohort = _Cohort(package, have, want, payload,
-                             releases[package][have],
-                             releases[package][want])
-            cohorts[(package, have)] = cohort
-            report.cohorts[cohort.key] = len(payload)
-        return cohorts, failed
     # "direct": endpoint re-diffs through the pipeline, quarantines and
     # all; the batch summary lands in the report (shared schema with
     # `ipdelta pipeline --json`).
@@ -337,9 +344,12 @@ def run_campaign(
     ``#rN``); the encode phase uses cohort keys (``pkg@have->want``).
 
     ``store`` (``"compose"`` policy): publish the train into this
-    :class:`~repro.store.VersionStore` and source cohort payloads from
-    its collapsed delta chains, falling back to in-process composition
-    per cohort — see :func:`_build_cohorts`.
+    :class:`~repro.store.VersionStore` instead of a throwaway
+    :class:`~repro.store.PackStore`; either way every cohort payload is
+    the store's collapsed delta chain, and a cohort whose ``chain``
+    fails is deferred with the reason — see :func:`_build_cohorts`.
+    Devices whose image already is the latest release's bytes (a train
+    that repeats an image) count as updated without a session.
     """
     policy = policy or RolloutPolicy()
     policy.validate()
@@ -366,7 +376,7 @@ def run_campaign(
     pending: List[DeviceSpec] = []
     for device in fleet:
         want = len(releases[device.package]) - 1
-        if device.have >= want:
+        if _is_current(releases, device):
             report.outcomes.append(DeviceOutcome(
                 device=device.name, package=device.package,
                 have=device.have, want=want, status="updated",

@@ -35,7 +35,6 @@ from .shm import (
     SegmentMapping,
     SharedBufferArena,
     SharedBufferDescriptor,
-    content_digest,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "SharedBufferArena",
     "SharedBufferDescriptor",
     "classify_failure",
-    "content_digest",
 ]

@@ -37,9 +37,7 @@ Four executors:
   behind both, so no ``/dev/shm`` segment survives the process even
   under fault injection.
 
-Construction takes a :class:`PipelineConfig` (the stable API); the
-legacy keyword form ``DeltaPipeline(algorithm=..., executor=...)`` still
-works through a shim that emits :class:`DeprecationWarning`.
+Construction takes a :class:`PipelineConfig` (the stable API).
 
 Worker processes run their differencing under a local
 :class:`~repro.perf.PerfRecorder` and ship the counter snapshot back
@@ -69,7 +67,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -88,7 +85,7 @@ from ..delta import (
 )
 from ..delta.varint import varint_size
 from ..exceptions import ReproError
-from ..faults import FaultPlan, describe_failure, jitter_draw
+from ..faults import FaultPlan, backoff_delay, describe_failure
 from .cache import (
     ALGORITHM_KINDS,
     KIND_FINGERPRINTS,
@@ -572,9 +569,7 @@ class DeltaPipeline:
     Construction takes a :class:`PipelineConfig` fixing the serving
     configuration (algorithm, cycle policy, ordering, scratch budget,
     pricing, pool shape, resilience plane); each :meth:`run` call
-    processes one batch under it.  The legacy keyword form
-    ``DeltaPipeline(algorithm=..., executor=...)`` still works but
-    emits :class:`DeprecationWarning`.  The pipeline owns its pools,
+    processes one batch under it.  The pipeline owns its pools,
     cache and (for ``"process-shm"``) shared-memory arena: reuse one
     instance across batches to keep the cache warm, and close it (or
     use it as a context manager) when done.
@@ -599,7 +594,7 @@ class DeltaPipeline:
       ``backoff_max`` — exponential backoff between a job's attempts;
       ``backoff_base=0`` (default) disables sleeping.  Jitter is a pure
       function of ``(seed, job name, attempt)`` via
-      :func:`~repro.faults.jitter_draw` — the seed is the fault plan's
+      :func:`~repro.faults.backoff_delay` — the seed is the fault plan's
       when one is installed, else ``backoff_seed`` — never shared
       mutable RNG state, so a job's retry timing is identical whichever
       executor (or worker) drives it.
@@ -618,24 +613,8 @@ class DeltaPipeline:
     are quarantined into structured results, never raised.
     """
 
-    def __init__(self, config: Optional[PipelineConfig] = None, **kwargs):
-        if config is not None and kwargs:
-            raise TypeError(
-                "pass either a PipelineConfig or legacy keyword arguments, "
-                "not both"
-            )
-        if config is None:
-            if kwargs:
-                warnings.warn(
-                    "DeltaPipeline(**kwargs) is deprecated; build a "
-                    "PipelineConfig and pass DeltaPipeline(config)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                fallback = kwargs.pop("fallback", None)
-                if fallback is not None:
-                    kwargs["fallback"] = tuple(fallback)
-            config = PipelineConfig(**kwargs)
+    def __init__(self, config: Optional[PipelineConfig] = None):
+        config = config if config is not None else PipelineConfig()
         config.validate()
         self.config = config
         self.algorithm = config.algorithm
@@ -807,18 +786,16 @@ class DeltaPipeline:
     def _backoff(self, attempt: int, scope: str) -> None:
         """Sleep before the next attempt (exponential, jittered).
 
-        The jitter fraction is :func:`~repro.faults.jitter_draw` over
+        :func:`~repro.faults.backoff_delay` draws the jitter over
         ``(seed, scope, attempt)`` — a pure function, no shared RNG — so
         a job's retry schedule is byte-reproducible from its fault seed
         regardless of executor mode or sibling jobs' retries.
         """
-        if self.backoff_base <= 0.0:
-            return
-        delay = min(self.backoff_max,
-                    self.backoff_base * (self.backoff_factor ** (attempt - 1)))
-        delay *= 1.0 + self.backoff_jitter * jitter_draw(
-            self._backoff_seed, scope, attempt)
-        time.sleep(delay)
+        if self.backoff_base > 0.0:
+            time.sleep(backoff_delay(
+                attempt, self.backoff_base, self.backoff_factor,
+                cap=self.backoff_max, jitter=self.backoff_jitter,
+                seed=self._backoff_seed, scope=scope))
 
     def _diff_attempt(self, job: PipelineJob, algorithm: str, index: int) -> Tuple:
         """One inline diff attempt; ``("ok", stage_tuple)`` or

@@ -41,7 +41,6 @@ import mmap
 import os
 import threading
 import uuid
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Tuple, Union
@@ -57,20 +56,6 @@ Buffer = Union[bytes, bytearray, memoryview]
 #: resource-tracker registration); otherwise they attach through
 #: :class:`~multiprocessing.shared_memory.SharedMemory`.
 SHM_DIR = "/dev/shm"
-
-
-def content_digest(data: Buffer) -> str:
-    """Deprecated alias of :func:`repro.store.content_digest`.
-
-    The library-wide content digest moved to its neutral home in
-    :mod:`repro.store.digest` when the pack store froze it into an
-    on-disk format; this re-export keeps old imports working.
-    """
-    warnings.warn(
-        "repro.pipeline.shm.content_digest is deprecated; import "
-        "content_digest from repro.store",
-        DeprecationWarning, stacklevel=2)
-    return _content_digest(data)
 
 
 @dataclass(frozen=True)

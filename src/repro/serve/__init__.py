@@ -14,7 +14,7 @@ zero-silent-failure invariant.
 """
 
 from .client import PullOutcome, PullState, pull, pull_async
-from .daemon import DeltaServer, ReleaseStore, ServeConfig
+from .daemon import DeltaServer, ServeConfig
 from .loadgen import LoadReport, build_clients, build_corpus, run_load, run_load_async
 from .protocol import (
     ERROR_CODES,
@@ -34,7 +34,6 @@ __all__ = [
     "MAX_PAYLOAD",
     "PullOutcome",
     "PullState",
-    "ReleaseStore",
     "ServeConfig",
     "build_clients",
     "build_corpus",

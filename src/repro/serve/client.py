@@ -29,9 +29,9 @@ written.  With a :class:`PullState` directory both planes survive
 process death too: a re-invoked pull picks up the saved payload,
 journal, and partially-mutated storage and completes byte-exact.
 
-Retry backoff reuses :func:`repro.faults.jitter_draw` — the exact
-formula of the updater's ``_sleep_backoff`` — so a pull's retry timing
-is byte-reproducible from its fault seed.
+Retry backoff is :func:`repro.faults.backoff_delay`, the one the
+updater and the pipeline wait by, so a pull's retry timing is
+byte-reproducible from its fault seed.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ from ..exceptions import (
     ReproError,
     TransmissionError,
 )
-from ..faults import FaultPlan, describe_failure, jitter_draw
+from ..faults import FaultPlan, backoff_delay, describe_failure
 from ..pipeline import ReferenceIndexCache
+from ..store.pack import write_atomic
 from . import protocol
 from .protocol import (
     ERR_UP_TO_DATE,
@@ -154,12 +155,14 @@ class PullOutcome:
 class PullState:
     """Durable pull progress in a directory: crash-safe across processes.
 
-    Three artifacts, each written atomically (tmp + rename): the
-    downloaded payload plus its META record, the journal sector, and the
-    partially-mutated storage image.  A pull handed a state directory
-    saves after every completed download and every power-cut boot; a
-    later pull (same process or a fresh one) resumes from whatever
-    survived and :meth:`clear`\\ s on success.
+    Three artifacts, each written through
+    :func:`repro.store.pack.write_atomic` (tmp + fsync + rename, then a
+    directory fsync, so a power cut leaves the old or the new file,
+    never a torn one): the downloaded payload plus its META record, the
+    journal sector, and the partially-mutated storage image.  A pull
+    handed a state directory saves after every completed download and
+    every power-cut boot; a later pull (same process or a fresh one)
+    resumes from whatever survived and :meth:`clear`\\ s on success.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -169,12 +172,6 @@ class PullState:
         self._meta = self.root / "meta.json"
         self._journal = self.root / "journal.bin"
         self._storage = self.root / "storage.bin"
-
-    @staticmethod
-    def _write(path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
 
     def load_payload(self) -> Tuple[bytearray, Optional[Dict[str, object]]]:
         if not (self._payload.exists() and self._meta.exists()):
@@ -186,8 +183,9 @@ class PullState:
         return bytearray(self._payload.read_bytes()), meta
 
     def save_payload(self, payload: bytes, meta: Dict[str, object]) -> None:
-        self._write(self._payload, bytes(payload))
-        self._write(self._meta, json.dumps(meta, sort_keys=True).encode())
+        write_atomic(str(self._payload), bytes(payload))
+        write_atomic(str(self._meta),
+                     json.dumps(meta, sort_keys=True).encode())
 
     def load_apply(self) -> Tuple[Optional[bytes], Optional[bytes]]:
         """(storage bytes, journal bytes) of an interrupted apply."""
@@ -196,8 +194,8 @@ class PullState:
         return self._storage.read_bytes(), self._journal.read_bytes()
 
     def save_apply(self, storage: bytes, journal: bytes) -> None:
-        self._write(self._storage, storage)
-        self._write(self._journal, journal)
+        write_atomic(str(self._storage), storage)
+        write_atomic(str(self._journal), journal)
 
     def clear(self) -> None:
         for path in (self._payload, self._meta, self._journal,
@@ -241,12 +239,10 @@ async def pull_async(
     have = ReferenceIndexCache.digest(reference)
 
     async def backoff(attempt: int) -> None:
-        if backoff_base <= 0.0:
-            return
-        delay = min(backoff_cap, backoff_base * (backoff_factor ** (attempt - 1)))
-        if backoff_jitter > 0.0:
-            delay += delay * backoff_jitter * jitter_draw(seed, scope, attempt)
-        await _async_sleep(delay)
+        if backoff_base > 0.0:
+            await _async_sleep(backoff_delay(
+                attempt, backoff_base, backoff_factor, cap=backoff_cap,
+                jitter=backoff_jitter, seed=seed, scope=scope))
 
     # -- resume artifacts from a previous (crashed) pull ----------------
     buf = bytearray()

@@ -38,8 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-import warnings
-
 from .. import perf
 from ..exceptions import IntegrityError, ReproError
 from ..faults import FaultPlan, describe_failure
@@ -49,7 +47,7 @@ from ..pipeline import (
     PipelineJob,
     ReferenceIndexCache,
 )
-from ..store import MemoryStore, VersionStore
+from ..store import VersionStore
 from . import protocol
 from .protocol import (
     ERR_BAD_REQUEST,
@@ -69,25 +67,6 @@ from .protocol import (
     encode_msg,
     read_frame,
 )
-
-
-class ReleaseStore(MemoryStore):
-    """Deprecated alias of :class:`repro.store.MemoryStore`.
-
-    The in-memory release ledger moved to :mod:`repro.store` when the
-    :class:`~repro.store.VersionStore` protocol was extracted (any
-    store — this ledger, the persistent
-    :class:`~repro.store.PackStore` — now plugs into
-    :class:`DeltaServer` interchangeably).  This name keeps old
-    constructors working; new code should say ``MemoryStore``.
-    """
-
-    def __init__(self) -> None:
-        warnings.warn(
-            "repro.serve.ReleaseStore is deprecated; use "
-            "repro.store.MemoryStore (or any repro.store.VersionStore)",
-            DeprecationWarning, stacklevel=2)
-        super().__init__()
 
 
 @dataclass(frozen=True)
@@ -575,6 +554,5 @@ class DeltaServer:
 
 __all__ = [
     "DeltaServer",
-    "ReleaseStore",
     "ServeConfig",
 ]

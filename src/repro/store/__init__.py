@@ -7,8 +7,7 @@ surface the serving plane consumes them through.
 * :class:`VersionStore` — the structural protocol every store
   satisfies (``publish`` / ``get`` / ``latest`` / ``packages`` /
   ``in`` / ``chain``).
-* :class:`MemoryStore` — the thin in-memory ledger (formerly
-  ``repro.serve.ReleaseStore``).
+* :class:`MemoryStore` — the thin in-memory ledger.
 * :class:`PackStore` — the persistent pack store: one CRC-framed pack
   file per generation, similarity-grouped delta chains, chain-collapse
   serving, crash-safe ``fsck``/``gc``.

@@ -70,9 +70,7 @@ class MemoryStore:
     :class:`~repro.device.updater.UpdateServer`'s release list, keyed
     the way a network protocol must be: by the content digest of the
     bytes (what a client can actually assert it holds), not a release
-    counter the client may have lost track of.  Formerly
-    ``repro.serve.daemon.ReleaseStore``; that name is kept there as a
-    deprecation shim.
+    counter the client may have lost track of.
 
     **Latest ordering.**  ``latest`` returns the most *recently
     published* version.  Publishes append to the package's insertion

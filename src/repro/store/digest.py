@@ -4,11 +4,8 @@ Every content-addressed surface in the library — the pack store's
 object keys, the shared-memory arena's dedup registry, the reference
 index cache, the serve daemon's version addressing — must agree on one
 digest function, or a digest computed by one layer silently misses in
-another.  Historically the function lived in
-:mod:`repro.pipeline.shm`; the store is the layer whose on-disk format
-freezes it, so it lives here now and the old locations re-export it
-(:func:`repro.pipeline.shm.content_digest` with a
-``DeprecationWarning``).
+another.  The store is the layer whose on-disk format freezes it, so
+it lives here.
 
 The digest is the sha1 hex of the raw bytes, computed through a
 ``memoryview`` so ``bytearray`` and ``memoryview`` inputs (for example

@@ -1,8 +1,8 @@
 """The pack container: CRC-framed records and the derived index.
 
 One pack file holds every object of a :class:`~repro.store.PackStore`
-generation as a flat sequence of self-describing records, the same
-framing discipline as the integrity plane's journal (PR 3): every
+generation as a flat sequence of self-describing records, framed by
+the codec the device journal uses too (:mod:`repro.records`): every
 record carries its own CRC32, so a crash mid-append leaves a *torn
 tail* that scanning detects structurally instead of misparsing::
 
@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..delta.varint import decode_varint, encode_varint
 from ..exceptions import StoreError
-
-Buffer = Union[bytes, bytearray, memoryview]
+from ..records import Buffer, BadRecord, Record, crc32, encode_record
+from ..records import scan_records as scan_framed
 
 #: Pack container magic ("In-place Pack, v1").
 PACK_MAGIC = b"IPK1"
@@ -64,20 +63,6 @@ STORED_DELTA = "delta"
 
 INDEX_SCHEMA = "repro.store.index/1"
 INDEX_NAME = "index.json"
-
-
-def _crc32(data: Buffer) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def encode_record(kind: int, payload: Buffer) -> bytes:
-    """One framed record: ``kind | varint len | payload | crc32``."""
-    out = bytearray()
-    out.append(kind)
-    out.extend(encode_varint(len(payload)))
-    out.extend(payload)
-    out.extend(_crc32(out).to_bytes(4, "little"))
-    return bytes(out)
 
 
 def encode_object_payload(header: Dict[str, object], data: Buffer) -> bytes:
@@ -106,56 +91,29 @@ def decode_object_payload(payload: Buffer
     return head, bytes(view[pos + head_len:])
 
 
-@dataclass(frozen=True)
-class Record:
-    """One scanned pack record and where it lives."""
-
-    kind: int
-    #: Offset of the record's first byte (the kind byte) in the pack.
-    offset: int
-    #: Total framed length, including the kind byte and trailing CRC.
-    framed_length: int
-    payload: bytes
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.framed_length
-
-
 def scan_records(data: Buffer, *, start: int = 0
                  ) -> Tuple[List[Record], Optional[StoreError]]:
-    """Walk records from ``start``; returns ``(intact, damage)``.
+    """Walk pack records from ``start``; returns ``(intact, damage)``.
 
     ``damage`` is ``None`` for a clean scan, otherwise a structured
     :class:`~repro.exceptions.StoreError` (``kind="torn"``) describing
-    the first unreadable record — every record *before* it is intact
-    and returned.  A torn or bit-flipped tail therefore never hides
-    the intact prefix.
+    the first unreadable record or unknown kind — every record *before*
+    it is intact and returned.  A torn or bit-flipped tail therefore
+    never hides the intact prefix.
     """
-    view = memoryview(data)
-    records: List[Record] = []
-    pos = start
-    total = len(view)
-    while pos < total:
-        try:
-            kind = view[pos]
-            length, body = decode_varint(view, pos + 1)
-            end = body + length + 4
-            if end > total:
-                raise ValueError("record extends past end of pack")
-            stored = int.from_bytes(view[body + length:end], "little")
-            if _crc32(view[pos:body + length]) != stored:
-                raise ValueError("record CRC mismatch")
-            if kind not in _KNOWN_KINDS:
-                raise ValueError("unknown record kind 0x%02x" % kind)
-        except Exception as exc:
-            return records, StoreError(
-                "torn or corrupt pack record at offset %d: %s" % (pos, exc),
-                kind="torn", offset=pos)
-        records.append(Record(kind, pos, end - pos,
-                              bytes(view[body:body + length])))
-        pos = end
-    return records, None
+    records, bad = scan_framed(data, start=start)
+    for i, record in enumerate(records):
+        if record.kind not in _KNOWN_KINDS:
+            bad = BadRecord(
+                record.offset, "unknown record kind 0x%02x" % record.kind,
+                torn=False)
+            records = records[:i]
+            break
+    if bad is None:
+        return records, None
+    return records, StoreError(
+        "torn or corrupt pack record at offset %d: %s"
+        % (bad.offset, bad.reason), kind="torn", offset=bad.offset)
 
 
 def check_pack_header(data: Buffer) -> Optional[StoreError]:
@@ -231,7 +189,7 @@ class StoreIndex:
         }
         encoded = json.dumps(body, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-        wrapper = {"body": body, "crc32": _crc32(encoded)}
+        wrapper = {"body": body, "crc32": crc32(encoded)}
         return json.dumps(wrapper, sort_keys=True, indent=None,
                           separators=(",", ":")).encode("utf-8")
 
@@ -247,7 +205,7 @@ class StoreIndex:
                              kind="index") from None
         encoded = json.dumps(body, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-        if _crc32(encoded) != stored:
+        if crc32(encoded) != stored:
             raise StoreError("index body CRC mismatch", kind="index")
         if body.get("schema") != INDEX_SCHEMA:
             raise StoreError("unknown index schema %r" % body.get("schema"),
@@ -265,8 +223,8 @@ def write_atomic(path: str, data: bytes, *, fsync: bool = True) -> None:
     """Write ``data`` to ``path`` via tmp + fsync + rename.
 
     The rename is the commit point: a crash at any earlier byte leaves
-    the previous file untouched, exactly like the pull client's state
-    persistence.
+    the previous file untouched.  The store's index and the pull
+    client's :class:`~repro.serve.PullState` files are written here.
     """
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.faults
 import repro.pipeline
 import repro.store
 
@@ -124,6 +125,14 @@ class TestDocsMatchSurface:
     def test_store_surface_documented(self):
         documented = _documented_names("repro.store")
         exported = set(repro.store.__all__)
+        assert documented == exported, (
+            "undocumented: %s / stale docs: %s"
+            % (sorted(exported - documented), sorted(documented - exported))
+        )
+
+    def test_faults_surface_documented(self):
+        documented = _documented_names("repro.faults")
+        exported = set(repro.faults.__all__)
         assert documented == exported, (
             "undocumented: %s / stale docs: %s"
             % (sorted(exported - documented), sorted(documented - exported))

@@ -20,8 +20,21 @@ from repro.bundle import (
     encode_bundle,
     upgrade_and_verify,
 )
+from repro import diff
 from repro.bundle.manifest import FileEntry
-from repro.exceptions import DeltaFormatError, ReproError, VerificationError
+from repro.core.convert import make_in_place
+from repro.delta.encode import (
+    FORMAT_INPLACE,
+    decode_delta,
+    encode_delta,
+    version_checksum,
+)
+from repro.exceptions import (
+    DeltaFormatError,
+    IntegrityError,
+    ReproError,
+    VerificationError,
+)
 from repro.workloads import Corpus, make_source_file, mutate
 
 
@@ -204,6 +217,40 @@ class TestBuildApply:
         with pytest.raises(VerificationError):
             upgrade_and_verify(dict(old), bundle,
                                Manifest.from_tree("pkg", 1, wrong))
+
+    def test_deltas_carry_reference_digest(self, trees):
+        old, new = trees
+        bundle = build_bundle("pkg", 0, 1, old, new)
+        delta = next(e for e in bundle.entries if e.op == OP_DELTA)
+        _script, header = decode_delta(delta.payload)
+        assert header.has_reference
+        assert header.reference_crc32 == version_checksum(old[delta.path])
+
+    def test_altered_file_refused_before_any_write(self, rng):
+        old = {"src/main.c": make_source_file(rng, 5_000),
+               "src/util.c": make_source_file(rng, 3_000)}
+        new = dict(old, **{"src/main.c": mutate(old["src/main.c"], rng)})
+        bundle = build_bundle("pkg", 0, 1, old, new)
+        working = dict(old)
+        altered = bytearray(working["src/main.c"])
+        altered[100] ^= 0x01
+        working["src/main.c"] = bytes(altered)
+        before = dict(working)
+        with pytest.raises(IntegrityError) as info:
+            apply_bundle(working, bundle)
+        assert info.value.kind == "reference"
+        assert working == before
+
+    def test_ipd1_bundle_still_applies(self, rng):
+        old = make_source_file(rng, 4_000)
+        new = mutate(old, rng)
+        script = make_in_place(diff(old, new), old).script
+        bundle = Bundle("pkg", 0, 1)
+        bundle.entries.append(BundleEntry(OP_DELTA, "f", payload=encode_delta(
+            script, FORMAT_INPLACE, version_crc32=version_checksum(new))))
+        working = {"f": old}
+        apply_bundle(working, decode_bundle(encode_bundle(bundle)))
+        assert working == {"f": new}
 
     def test_scratch_budget_propagates(self, rng):
         content = rng.randbytes(6_000)

@@ -27,7 +27,16 @@ from repro.delta.encode import (
 )
 from repro.delta.stream import iter_delta_commands
 from repro.core.convert import make_in_place
+from repro.device.journal import Journal
 from repro.exceptions import DeltaFormatError, IntegrityError
+from repro.records import encode_record
+from repro.store.pack import (
+    PACK_MAGIC,
+    REC_OBJECT,
+    REC_REF,
+    encode_object_payload,
+    scan_records,
+)
 from repro.workloads import make_binary_blob, mutate
 
 SEED = 19980601
@@ -164,3 +173,89 @@ class TestSegmentGranularity:
             _drain(bytes(blob))
         assert info.value.kind == "segment"
         assert info.value.offset >= 0
+
+
+# -- the framed-record codec (pack records and journal records) -----------
+
+
+def _pack_body():
+    """A real multi-record pack: (bytes, record offsets, record ends)."""
+    rng = random.Random(SEED)
+    chunks = []
+    image = make_binary_blob(rng, 600)
+    for version in range(3):
+        chunks.append(encode_record(REC_OBJECT, encode_object_payload(
+            {"digest": "d%d" % version, "base": "", "size": len(image)},
+            image[:200])))
+        chunks.append(encode_record(REC_REF, encode_object_payload(
+            {"package": "pkg", "digest": "d%d" % version}, b"")))
+        image = mutate(image, rng)
+    starts, pos = [], len(PACK_MAGIC)
+    for chunk in chunks:
+        starts.append(pos)
+        pos += len(chunk)
+    return PACK_MAGIC + b"".join(chunks), starts, starts[1:] + [pos]
+
+
+def _journal_states():
+    """A multi-record journal and the state each record prefix holds."""
+    fields = dict(next_index=300, applied_crc=0x1234ABCD)
+    states = [Journal(),
+              Journal(**fields),
+              Journal(scratch=bytearray(b"spilled" * 20), **fields),
+              Journal(scratch=bytearray(b"spilled" * 20), backup_offset=17,
+                      backup_data=b"saved-run", **fields)]
+    ends = [0] + [len(state.to_bytes()) for state in states[1:]]
+    return states[-1].to_bytes(), states, ends
+
+
+class TestFramedRecordFuzz:
+    """One codec, one fuzz: every strict prefix and every single-bit flip
+    of a multi-record pack body and of a multi-record journal."""
+
+    def test_pack_prefix_keeps_intact_records(self):
+        pack, starts, ends = _pack_body()
+        for cut in range(len(PACK_MAGIC), len(pack)):
+            records, damage = scan_records(pack[:cut], start=len(PACK_MAGIC))
+            intact = sum(1 for end in ends if end <= cut)
+            assert [r.offset for r in records] == starts[:intact], cut
+            if cut in ends or cut == len(PACK_MAGIC):
+                assert damage is None, cut
+            else:
+                assert damage.kind == "torn", cut
+                assert damage.offset == starts[intact], cut
+
+    def test_pack_bit_flip_is_one_torn_damage_at_its_record(self):
+        pack, starts, ends = _pack_body()
+        clean, _ = scan_records(pack, start=len(PACK_MAGIC))
+        for bit in range(len(PACK_MAGIC) * 8, len(pack) * 8):
+            blob = bytearray(pack)
+            blob[bit // 8] ^= 1 << (bit % 8)
+            hit = next(i for i, end in enumerate(ends) if bit // 8 < end)
+            records, damage = scan_records(bytes(blob),
+                                           start=len(PACK_MAGIC))
+            assert records == clean[:hit], bit
+            assert damage is not None and damage.kind == "torn", bit
+            assert damage.offset == starts[hit], bit
+
+    def test_journal_prefix_drops_only_the_torn_tail(self):
+        blob, states, ends = _journal_states()
+        for cut in range(len(blob)):
+            intact = max(i for i, end in enumerate(ends) if end <= cut)
+            journal = Journal.from_bytes(blob[:cut])
+            assert journal == states[intact], cut
+            assert journal.torn_tail == (cut != ends[intact]), cut
+
+    def test_journal_bit_flip_is_torn_or_refused(self):
+        blob, states, ends = _journal_states()
+        for bit in range(len(blob) * 8):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            hit = next(i for i, end in enumerate(ends) if bit // 8 < end) - 1
+            try:
+                journal = Journal.from_bytes(bytes(flipped))
+            except IntegrityError as exc:
+                assert exc.kind == "journal", bit
+                continue
+            assert journal.torn_tail, bit
+            assert journal == states[hit], bit

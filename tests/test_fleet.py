@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from repro import diff, make_in_place
+import repro.fleet.campaign as campaign_module
+from repro import diff, make_in_place, perf
 from repro.core.apply import apply_delta
+from repro.exceptions import StoreError
 from repro.faults import FaultPlan, jitter_draw
 from repro.fleet import (
     CAMPAIGN_SCHEMA,
@@ -24,6 +26,7 @@ from repro.fleet import (
     percentile,
     run_campaign,
 )
+from repro.store import MemoryStore, PackStore, StoreConfig, content_digest
 from repro.workloads import (
     ADVERSARIAL_GENERATORS,
     InDelProcess,
@@ -283,6 +286,138 @@ class TestCampaign:
         assert data["schema"] == CAMPAIGN_SCHEMA
         assert len(data["devices"]) == 60
         assert data["counters"] == report.counters
+
+
+# One 12-release train (past the store's max_chain_depth of 8), recorded
+# before the campaign sourced every "compose" payload from a store: the
+# counters, cohort sizes and payload digests must never drift.  (Payload
+# CRC32s cannot pin anything here: an IPD2 payload ends with its own
+# CRC32, so every payload's CRC32 is the same residue.)
+_PINNED_COUNTERS = {
+    "devices": 150, "updated": 149, "quarantined": 1, "deferred": 0,
+    "sessions": 152, "attempts": 178, "boots": 161, "power_cuts": 11,
+    "fault_events": 57, "retried_sessions": 2,
+}
+_PINNED_COHORTS = {
+    "app@0->11": 1899, "app@1->11": 1899, "app@2->11": 1797,
+    "app@3->11": 1650, "app@4->11": 1397, "app@5->11": 1199,
+    "app@6->11": 1199, "app@7->11": 1043, "app@8->11": 655,
+    "app@9->11": 494, "app@10->11": 145,
+}
+_PINNED_PAYLOADS = [
+    "9f31d32c17ee", "921b5f65985e", "88697f46cb5a", "ba25a2c3ec41",
+    "bf993ff44984", "5f5438edb9ec", "eebb1c167230", "05f88252bbcc",
+    "ce44a7a59f03", "80aa1e00adf7", "39840de1bd97",
+]
+
+
+class _FailingChainStore(PackStore):
+    """A pack store whose ``chain`` fails for one ``have`` digest."""
+
+    failing_have = ""
+
+    def chain(self, package, have, want):
+        if have == self.failing_have:
+            raise StoreError("injected chain failure", kind="chain")
+        return super().chain(package, have, want)
+
+
+class TestStoreChainCohorts:
+    """The "compose" policy takes every payload from ``VersionStore.chain``."""
+
+    def _run(self, monkeypatch, train, fleet, store=None):
+        """(report, {have: payload digest prefix}) of one campaign."""
+        payloads = {}
+        real = campaign_module.run_journaled_session
+
+        def spy(payload, reference, expected, **kwargs):
+            payloads[reference] = content_digest(payload)[:12]
+            return real(payload, reference, expected, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "run_journaled_session", spy)
+        report = run_campaign(
+            train, fleet, policy=RolloutPolicy(),
+            fault_plan=FaultPlan.parse(_FAULTY_PLAN, seed=42), seed=3,
+            executor="serial", store=store)
+        image_have = {image: have for have, image
+                      in reversed(list(enumerate(train["app"])))}
+        return report, {image_have[ref]: digest
+                        for ref, digest in payloads.items()}
+
+    def _train(self):
+        train = make_release_train(("app",), releases=12, size=2048, seed=3)
+        return train, make_fleet(150, train, seed=3)
+
+    def test_payloads_identical_with_and_without_store(self, monkeypatch,
+                                                       tmp_path):
+        train, fleet = self._train()
+        plain, plain_payloads = self._run(monkeypatch, train, fleet)
+        store = PackStore.init(tmp_path / "s", StoreConfig(fsync=False))
+        stored, stored_payloads = self._run(monkeypatch, train, fleet,
+                                            store=store)
+        for report, payloads in ((plain, plain_payloads),
+                                 (stored, stored_payloads)):
+            assert report.counters == _PINNED_COUNTERS
+            assert report.cohorts == _PINNED_COHORTS
+            assert [payloads[have] for have in range(11)] == _PINNED_PAYLOADS
+        # The caller's store now holds the train.
+        assert len(store.versions("app")) == 12
+
+    def test_failing_chain_defers_only_its_cohort(self, monkeypatch,
+                                                  tmp_path):
+        train, fleet = self._train()
+        store = _FailingChainStore.init(tmp_path / "s",
+                                        StoreConfig(fsync=False))
+        store.failing_have = content_digest(train["app"][4])
+        report, payloads = self._run(monkeypatch, train, fleet, store=store)
+        assert report.cohorts["app@4->11"] == -1
+        assert {k: v for k, v in report.cohorts.items()
+                if k != "app@4->11"} == {
+                    k: v for k, v in _PINNED_COHORTS.items()
+                    if k != "app@4->11"}
+        assert 4 not in payloads
+        assert [payloads[h] for h in range(11) if h != 4] == [
+            d for h, d in enumerate(_PINNED_PAYLOADS) if h != 4]
+        deferred = [o for o in report.outcomes if o.status == "deferred"]
+        assert deferred and all(o.have == 4 for o in deferred)
+        assert all(o.reason == "store chain failed: StoreError: injected "
+                   "chain failure" for o in deferred)
+        assert deferred == [o for o in report.outcomes if o.have == 4]
+        assert report.silent_failures() == []
+
+    def test_store_without_chains_defers_every_stale_cohort(self,
+                                                            monkeypatch):
+        train, fleet = self._train()
+        report, payloads = self._run(monkeypatch, train, fleet,
+                                     store=MemoryStore())
+        assert payloads == {}
+        assert set(report.cohorts.values()) == {-1}
+        for outcome in report.outcomes:
+            assert outcome.status == "deferred"
+            assert outcome.reason == ("store has no chain for cohort "
+                                      "app@%d->11" % outcome.have)
+
+    def test_repeated_image_is_current_without_a_session(self, monkeypatch):
+        rng = random.Random(11)
+        image = rng.randbytes(2048)
+        other = image[:1000] + rng.randbytes(48) + image[1048:]
+        train = {"app": [image, other, image]}
+        fleet = make_fleet(40, train, seed=2)
+        assert {d.have for d in fleet} == {0, 1}
+        report, payloads = self._run(monkeypatch, train, fleet)
+        assert list(report.cohorts) == ["app@1->2"]
+        assert set(payloads) == {1}
+        for outcome in report.outcomes:
+            assert outcome.status == "updated"
+            assert outcome.sessions == (1 if outcome.have == 1 else 0)
+
+    def test_store_chain_counter_counts_cohorts(self):
+        train, fleet = self._train()
+        with perf.recording() as recorder:
+            report = run_campaign(train, fleet, seed=3)
+        counters = recorder.counters
+        assert counters["campaign.store_chain"] == len(report.cohorts) == 11
+        assert counters["store.chain.collapsed"] == 11
 
 
 class TestReportInvariants:

@@ -111,7 +111,7 @@ class TestWireV2:
 
 class TestGoldenBlobs:
     """Pinned wire bytes: the formats are frozen, not merely round-trip
-    stable.  A change to either hex string is a breaking format change."""
+    stable.  A change to any hex string is a breaking format change."""
 
     REF = bytes(range(10, 42))
     SCRIPT = DeltaScript([CopyCommand(src=4, dst=0, length=8),
@@ -139,6 +139,19 @@ class TestGoldenBlobs:
             script, header = decode_delta(blob)
             assert script == self.SCRIPT
             assert header.version_crc32 == 0xDEADBEEF
+
+    #: A journal sector: state, scratch mirror and backup records.
+    GOLDEN_JOURNAL = bytes.fromhex(
+        "010603cdab3412009217b59c020d7370696c6c6564206279746573ac1a"
+        "2b26030a1173617665642d72756ebc59bbb5"
+    )
+
+    def test_journal_bytes_are_stable(self):
+        journal = Journal(next_index=3, applied_crc=0x1234ABCD,
+                          scratch=bytearray(b"spilled bytes"),
+                          backup_offset=17, backup_data=b"saved-run")
+        assert journal.to_bytes() == self.GOLDEN_JOURNAL
+        assert Journal.from_bytes(self.GOLDEN_JOURNAL) == journal
 
 
 class _GuardedBuffer(bytearray):

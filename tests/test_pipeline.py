@@ -471,7 +471,7 @@ class TestDeltaPipeline:
         assert pipe.cache is cache
 
 class TestPipelineConfig:
-    """The consolidated configuration object and its deprecation shim."""
+    """The consolidated configuration object."""
 
     def test_defaults_reproduce_default_pipeline(self):
         with DeltaPipeline(PipelineConfig()) as pipe:
@@ -494,22 +494,6 @@ class TestPipelineConfig:
                     PipelineConfig(fallback=("magic",))):
             with pytest.raises(ValueError):
                 bad.validate()
-
-    def test_legacy_kwargs_warn_and_still_work(self, batch_pair):
-        reference, versions = batch_pair
-        jobs = [PipelineJob(reference, v, "v%d" % i)
-                for i, v in enumerate(versions)]
-        with pytest.warns(DeprecationWarning):
-            pipe = DeltaPipeline(algorithm="greedy", executor="serial",
-                                 retries=1, fallback=["raw"])
-        with pipe:
-            batch = pipe.run(jobs)
-        assert pipe.algorithm == "greedy"
-        assert pipe.fallback_chain == ("raw",)
-        assert pipe.config == PipelineConfig(algorithm="greedy",
-                                             executor="serial", retries=1,
-                                             fallback=("raw",))
-        assert batch.ok_jobs == len(jobs)
 
     def test_config_and_kwargs_together_rejected(self):
         with pytest.raises(TypeError):

@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.delta import ALGORITHMS
 from repro.faults import FaultPlan, FaultSpec
-from repro.pipeline import DeltaPipeline, PipelineJob
+from repro.pipeline import DeltaPipeline, PipelineConfig, PipelineJob
 from repro.workloads import make_source_file, mutate
 
 EXECUTORS_UNDER_TEST = ("serial", "thread", "process")
@@ -42,7 +42,8 @@ def _run(small_batch, executor, specs, seed=0, **kwargs):
     kwargs.setdefault("diff_workers", 2)
     kwargs.setdefault("convert_workers", 2)
     plan = FaultPlan([FaultSpec(**spec) for spec in specs], seed=seed)
-    with DeltaPipeline(executor=executor, fault_plan=plan, **kwargs) as pipe:
+    config = PipelineConfig(executor=executor, fault_plan=plan, **kwargs)
+    with DeltaPipeline(config) as pipe:
         return pipe.run(_jobs(small_batch))
 
 
@@ -57,13 +58,13 @@ SCENARIOS = {
     ),
     "fallback": dict(
         specs=[dict(site="diff.worker", count=2)],
-        kwargs=dict(retries=1, fallback=["greedy", "raw"]),
+        kwargs=dict(retries=1, fallback=("greedy", "raw")),
         check=lambda b: (b.ok_jobs == b.jobs and b.fallbacks
                          and not b.quarantined),
     ),
     "quarantine": dict(
         specs=[dict(site="convert.evict", count=99)],
-        kwargs=dict(retries=1, fallback=["greedy", "raw"]),
+        kwargs=dict(retries=1, fallback=("greedy", "raw")),
         check=lambda b: (b.ok_jobs == 0 and len(b.quarantined) == b.jobs),
     ),
 }
@@ -102,7 +103,7 @@ class TestFaultMatrix:
 
     def test_probabilistic_plan_same_seed_same_trace(self, small_batch):
         spec = [dict(site="diff.worker", probability=0.5)]
-        kwargs = dict(retries=2, fallback=["raw"])
+        kwargs = dict(retries=2, fallback=("raw",))
         first = _run(small_batch, "serial", spec, seed=1, **kwargs)
         second = _run(small_batch, "thread", spec, seed=1, **kwargs)
         assert first.trace == second.trace
@@ -111,7 +112,7 @@ class TestFaultMatrix:
 
     def test_different_seed_changes_the_trace(self, small_batch):
         spec = [dict(site="diff.worker", probability=0.5)]
-        kwargs = dict(retries=2, fallback=["raw"])
+        kwargs = dict(retries=2, fallback=("raw",))
         a = _run(small_batch, "serial", spec, seed=1, **kwargs)
         b = _run(small_batch, "serial", spec, seed=2, **kwargs)
         assert a.trace != b.trace
@@ -123,7 +124,7 @@ class TestDegradationChain:
         # the first fallback link (greedy) succeeds.
         batch = _run(small_batch, "serial",
                      [dict(site="diff.worker", nth=1)],
-                     fallback=["greedy", "raw"])
+                     fallback=("greedy", "raw"))
         reference, versions = small_batch
         for i, result in enumerate(batch.results):
             assert result.ok
@@ -137,7 +138,7 @@ class TestDegradationChain:
         # full-rewrite floor can serve the job — and it round-trips.
         batch = _run(small_batch, "serial",
                      [dict(site="diff.worker", count=999)],
-                     retries=1, fallback=["greedy", "raw"])
+                     retries=1, fallback=("greedy", "raw"))
         reference, versions = small_batch
         assert batch.ok_jobs == batch.jobs
         for i, result in enumerate(batch.results):
@@ -149,11 +150,11 @@ class TestDegradationChain:
 
     def test_unknown_fallback_rejected(self):
         with pytest.raises(ValueError):
-            DeltaPipeline(fallback=["sorcery"])
+            DeltaPipeline(PipelineConfig(fallback=("sorcery",)))
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
-            DeltaPipeline(retries=-1)
+            DeltaPipeline(PipelineConfig(retries=-1))
 
 
 class TestCacheDegrade:
@@ -183,8 +184,9 @@ class TestTimeouts:
     def test_watchdog_flags_real_overruns(self, executor, small_batch):
         # A budget no real diff can meet: every attempt times out and the
         # job quarantines instead of raising or hanging.
-        with DeltaPipeline(executor=executor, stage_timeout=1e-9,
-                           diff_workers=2, convert_workers=2) as pipe:
+        with DeltaPipeline(PipelineConfig(
+                executor=executor, stage_timeout=1e-9,
+                diff_workers=2, convert_workers=2)) as pipe:
             batch = pipe.run(_jobs(small_batch))
         assert len(batch.results) == 3
         for result in batch.results:
@@ -193,7 +195,7 @@ class TestTimeouts:
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
-            DeltaPipeline(stage_timeout=0)
+            DeltaPipeline(PipelineConfig(stage_timeout=0))
 
 
 class TestFaultIsolationBugfixes:
@@ -212,8 +214,8 @@ class TestFaultIsolationBugfixes:
             return real(reference, version, **kwargs)
 
         monkeypatch.setitem(ALGORITHMS, "correcting", flaky)
-        pipe = DeltaPipeline(executor=executor, diff_workers=2,
-                             convert_workers=2)
+        pipe = DeltaPipeline(PipelineConfig(
+            executor=executor, diff_workers=2, convert_workers=2))
         batch = pipe.run(_jobs(small_batch))  # must not raise
         assert len(batch.results) == 3
         failed = [r for r in batch.results if not r.ok]
@@ -233,8 +235,8 @@ class TestFaultIsolationBugfixes:
             raise RuntimeError("boom")
 
         monkeypatch.setitem(ALGORITHMS, "correcting", always_boom)
-        pipe = DeltaPipeline(executor="thread", diff_workers=2,
-                             convert_workers=2)
+        pipe = DeltaPipeline(PipelineConfig(
+            executor="thread", diff_workers=2, convert_workers=2))
         batch = pipe.run(_jobs(small_batch))
         assert len(batch.results) == 3
         assert batch.ok_jobs == 0

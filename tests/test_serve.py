@@ -9,11 +9,12 @@ deadlines, structured server errors, graceful drain with in-flight
 pulls completing, download resume under injected frame corruption and
 connection drops, power-cut resume via the journal, crash-safe resume
 from a :class:`~repro.serve.PullState` directory, and the
-``jitter_draw``-derived retry backoff (byte-reproducible, matching the
-pipeline's and updater's formula).
+``backoff_delay`` retry backoff (byte-reproducible, shared with the
+pipeline and the updater).
 """
 
 import asyncio
+import os
 import random
 import time
 import zlib
@@ -26,11 +27,11 @@ from repro.pipeline import ReferenceIndexCache
 from repro.serve import (
     DeltaServer,
     PullState,
-    ReleaseStore,
     ServeConfig,
     pull_async,
 )
 import repro.serve.client as client_module
+from repro.store import MemoryStore
 from repro.workloads import make_binary_blob, mutate
 
 SEED = 19980601
@@ -38,7 +39,7 @@ SEED = 19980601
 
 def _corpus(size=16384, releases=2, seed=SEED):
     rng = random.Random(seed)
-    store = ReleaseStore()
+    store = MemoryStore()
     old = make_binary_blob(rng, size)
     chain = [old]
     store.publish("pkg", old)
@@ -53,15 +54,17 @@ def _server(store, **overrides):
 
 
 class TestReleaseStore:
+    """The daemon's in-memory release ledger, :class:`MemoryStore`."""
+
     def test_publish_resolve_latest(self):
         store, chain = _corpus(size=2048, releases=3)
         digest, latest = store.latest("pkg")
         assert latest == chain[-1]
         assert digest == ReferenceIndexCache.digest(chain[-1])
-        assert store.get("pkg", ReleaseStore.digest(chain[0])) == chain[0]
+        assert store.get("pkg", MemoryStore.digest(chain[0])) == chain[0]
 
     def test_republish_moves_to_head(self):
-        store = ReleaseStore()
+        store = MemoryStore()
         store.publish("pkg", b"alpha")
         store.publish("pkg", b"beta")
         store.publish("pkg", b"alpha")
@@ -82,12 +85,12 @@ class TestEndToEnd:
         assert outcome.status == "applied"
         assert outcome.image == chain[-1]
         assert outcome.boots == 1 and outcome.power_cuts == 0
-        assert outcome.want == ReleaseStore.digest(chain[-1])
+        assert outcome.want == MemoryStore.digest(chain[-1])
         assert outcome.payload_bytes > 0
 
     def test_pull_explicit_want_digest(self):
         store, chain = _corpus(releases=3)
-        middle = ReleaseStore.digest(chain[1])
+        middle = MemoryStore.digest(chain[1])
 
         async def go():
             async with _server(store) as server:
@@ -439,6 +442,29 @@ class TestDrain:
 
 
 class TestPullState:
+    def test_saves_fsync_each_file_and_its_directory(self, tmp_path,
+                                                     monkeypatch):
+        state = PullState(tmp_path / "pull-state")
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        state.save_payload(b"payload", {"want": "w", "length": 7})
+        # Two files, each fsynced before its rename, then the directory.
+        assert len(synced) == 4
+        state.save_apply(b"storage", b"journal")
+        assert len(synced) == 8
+        monkeypatch.undo()
+        assert state.load_payload() == (bytearray(b"payload"),
+                                        {"want": "w", "length": 7})
+        assert state.load_apply() == (b"storage", b"journal")
+        assert sorted(p.name for p in state.root.iterdir()) == [
+            "journal.bin", "meta.json", "payload.bin", "storage.bin"]
+
     def test_power_exhausted_pull_resumes_from_state_dir(self, tmp_path):
         store, chain = _corpus()
         # Every boot of the first invocation dies mid-apply.
@@ -492,7 +518,7 @@ class TestPullState:
                     server.host, server.port)
                 await write_frame(writer, T_PULL, encode_msg({
                     "package": "pkg",
-                    "have": ReleaseStore.digest(chain[0]),
+                    "have": MemoryStore.digest(chain[0]),
                     "want": "latest", "offset": 0}))
                 ftype, payload = await read_frame(reader)
                 assert ftype == T_META

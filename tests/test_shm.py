@@ -20,9 +20,9 @@ from repro.pipeline import (
     SegmentMapping,
     SharedBufferArena,
     SharedBufferDescriptor,
-    content_digest,
 )
 from repro.pipeline.shm import SHM_DIR
+from repro.store import content_digest
 from repro.workloads import make_source_file, mutate
 
 

@@ -8,9 +8,7 @@ in-place delta, asserted via perf counters), gc/repack semantics, and
 the :class:`~repro.store.VersionStore` protocol conformance shared by
 :class:`~repro.store.MemoryStore` and
 :class:`~repro.store.PackStore` — including the documented
-``latest``-ordering contract and the deprecation shims left behind by
-the API move (``repro.serve.ReleaseStore``,
-``repro.pipeline.shm.content_digest``).
+``latest``-ordering contract.
 
 Crash-safety (torn packs, stale indexes, repair) lives in
 ``tests/test_store_crash.py``.
@@ -732,19 +730,6 @@ class TestPersistentOrdering:
 
 
 class TestDeprecationShims:
-    def test_release_store_warns_and_is_a_memory_store(self):
-        from repro.serve import ReleaseStore
-        with pytest.warns(DeprecationWarning, match="MemoryStore"):
-            store = ReleaseStore()
-        assert isinstance(store, MemoryStore)
-        assert isinstance(store, VersionStore)
-
-    def test_shm_content_digest_warns_and_delegates(self):
-        from repro.pipeline import shm
-        with pytest.warns(DeprecationWarning, match="repro.store"):
-            digest = shm.content_digest(b"payload")
-        assert digest == content_digest(b"payload")
-
     def test_new_homes_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
