@@ -12,22 +12,20 @@ are pure functions of ``(reference bytes, seed parameters)``, so sharing
 them across versions changes *nothing* about the output scripts — only
 how often the per-byte construction loops run.
 
-:class:`ReferenceIndexCache` is that sharing layer: an LRU keyed by the
-reference's content digest plus the construction parameters, bounded by
-an approximate byte budget.  It is thread-safe; cached artifacts are
-treated as immutable after construction (the differs only read them),
-so one instance can back a whole thread pool.  Process pools hold one
-cache per worker process (see :mod:`repro.pipeline.executor`).
+:class:`ReferenceIndexCache` is that sharing layer: a
+:class:`repro.lru.LRU` keyed by the reference's content digest plus the
+construction parameters, bounded by an approximate byte budget.  It is
+thread-safe; cached artifacts are treated as immutable after
+construction (the differs only read them), so one instance can back a
+whole thread pool.  Process pools hold one cache per worker process
+(see :mod:`repro.pipeline.executor`).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-from .. import perf
+from ..lru import LRU, CacheStats
 from ..store.digest import content_digest
 from ..delta.rolling import (
     DEFAULT_SEED_LENGTH,
@@ -72,27 +70,29 @@ _FINGERPRINT_BYTES = 36
 _GREEDY_INDEX_BUDGET_FRACTION = 0.5
 
 
-@dataclass
-class CacheStats:
-    """Point-in-time counters of one :class:`ReferenceIndexCache`."""
+def _build(kind: str, reference: Buffer, params: tuple) -> object:
+    """One artifact; ``params`` follow the digest in its cache key."""
+    if kind == KIND_FULL_INDEX:
+        return FullSeedIndex(reference, *params)
+    if kind == KIND_SPARSE_INDEX:
+        seed_length, max_candidates, stride = params
+        return SparseSeedIndex(reference, seed_length, max_candidates,
+                               stride=stride)
+    if kind == KIND_SEED_TABLE:
+        seed_length, table_size = params
+        return SeedTable.from_fingerprints(
+            _seed_fingerprint_array(reference, seed_length), table_size)
+    return seed_fingerprints(reference, *params)
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-    current_bytes: int = 0
-    max_bytes: int = 0
 
-    @property
-    def lookups(self) -> int:
-        """Total artifact requests served (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when untouched)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
+def _charge(kind: str, reference: Buffer, artifact) -> int:
+    """Estimated resident bytes of one artifact (an index keeps its
+    reference alive; a seed table is charged :attr:`SeedTable.nbytes`)."""
+    if kind == KIND_SEED_TABLE:
+        return artifact.nbytes
+    if kind == KIND_FINGERPRINTS:
+        return _FINGERPRINT_BYTES * len(artifact)
+    return len(reference) + _POSITION_BYTES * len(artifact)
 
 
 class ReferenceIndexCache:
@@ -101,24 +101,17 @@ class ReferenceIndexCache:
     ``max_bytes`` bounds the *estimated* resident size of the cached
     artifacts (plus the reference bytes an artifact keeps alive).  An
     artifact larger than the whole budget is built and returned but not
-    retained.  All methods are safe to call from multiple threads;
-    artifact construction runs under a *per-key* lock — a multi-second
-    index build never blocks another thread's unrelated hit or build —
-    while the double-checked key lock still guarantees each artifact is
-    built at most once.
+    retained.  All methods are safe to call from multiple threads: the
+    cache is a :class:`repro.lru.LRU`, so an artifact is built at most
+    once, under a *per-key* lock — a multi-second index build never
+    blocks another thread's unrelated hit or build.
     """
 
     def __init__(self, max_bytes: int = 128 << 20):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive, got %d" % max_bytes)
         self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, Tuple[object, int]]" = OrderedDict()
-        self._build_locks: Dict[tuple, threading.Lock] = {}
-        self._bytes = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._lru = LRU(max_bytes, evictions="cache.reference.evictions")
 
     # -- keys ----------------------------------------------------------
 
@@ -140,113 +133,54 @@ class ReferenceIndexCache:
     # per job.  A caller-supplied digest MUST equal
     # ``self.digest(reference)`` for those bytes — the cache trusts it.
 
-    # -- core get-or-build --------------------------------------------
+    def _key(self, kind: str, reference: Buffer, digest: Optional[str],
+             seed_length: int, max_candidates: int = 64,
+             table_size: int = 1 << 16, *, tiered: bool = True) -> tuple:
+        """The cache key of one artifact: ``(kind, digest, *params)``.
 
-    def _lookup(self, key: tuple):
-        """Under ``self._lock``: the cached entry for ``key``, counted
-        as a hit and moved to the LRU tail, or ``None``."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self._hits += 1
-            perf.add("cache.reference.hits")
-        return entry
-
-    def _fetch(
-        self,
-        key: tuple,
-        build: Callable[[], object],
-        estimate: Callable[[object], int],
-    ) -> Tuple[object, bool]:
-        """Return ``(artifact, was_hit)``, building and inserting on miss.
-
-        Builds run under a per-key lock, not the global cache lock:
-        concurrent fetches of *different* keys build in parallel (well,
-        as parallel as the GIL allows — what matters is that a hit on an
-        unrelated key returns immediately instead of queueing behind a
-        multi-second index build), while concurrent fetches of the
-        *same* key serialize on its key lock and all but the first find
-        the entry at the double-check, preserving build-at-most-once.
-
-        A key's build lock lives exactly as long as its entry: it stays
-        in the lock map while the artifact is cached (so re-fetches of a
-        hot key never re-allocate it) and is pruned the moment the entry
-        is evicted — or immediately after the build, when the artifact
-        was too large to retain.  Under eviction churn the lock map is
-        therefore bounded by the entry map instead of growing one stale
-        lock per key ever fetched.
+        Every key is derived here.  A full-index request resolves the
+        greedy tier (:meth:`greedy_stride`): the sparse tier's key when
+        the full index would price over its budget share, unless
+        ``tiered`` is False.
         """
-        with self._lock:
-            entry = self._lookup(key)
-            if entry is not None:
-                return entry[0], True
-            build_lock = self._build_locks.get(key)
-            if build_lock is None:
-                build_lock = self._build_locks[key] = threading.Lock()
-        with build_lock:
-            with self._lock:
-                entry = self._lookup(key)
-                if entry is not None:
-                    return entry[0], True
-                self._misses += 1
-                perf.add("cache.reference.misses")
-            retained = False
-            try:
-                value = build()
-                nbytes = estimate(value)
-                with self._lock:
-                    if nbytes <= self.max_bytes:
-                        self._entries[key] = (value, nbytes)
-                        self._bytes += nbytes
-                        retained = True
-                        while self._bytes > self.max_bytes:
-                            old_key, (_old_value, old_bytes) = \
-                                self._entries.popitem(last=False)
-                            self._bytes -= old_bytes
-                            self._evictions += 1
-                            if old_key == key:
-                                retained = False
-                            else:
-                                self._build_locks.pop(old_key, None)
-                            perf.add("cache.reference.evictions")
-            finally:
-                if not retained:
-                    with self._lock:
-                        if key not in self._entries:
-                            self._build_locks.pop(key, None)
-            return value, False
+        digest = digest or self.digest(reference)
+        if kind == KIND_FULL_INDEX:
+            stride = self.greedy_stride(len(reference),
+                                        seed_length=seed_length) \
+                if tiered else 1
+            if stride > 1:
+                return (KIND_SPARSE_INDEX, digest, seed_length,
+                        max_candidates, stride)
+            return (kind, digest, seed_length, max_candidates)
+        if kind == KIND_SEED_TABLE:
+            return (kind, digest, seed_length, table_size)
+        return (kind, digest, seed_length)
+
+    def _get(self, key: tuple, reference: Buffer) -> object:
+        kind = key[0]
+        return self._lru.get_or_build(
+            key, lambda: _build(kind, reference, key[2:]),
+            lambda artifact: _charge(kind, reference, artifact),
+            "cache.reference")
 
     # -- artifact getters ---------------------------------------------
 
-    def full_index(
-        self,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        max_candidates: int = 64,
-        digest: Optional[str] = None,
-    ) -> FullSeedIndex:
+    def full_index(self, reference: Buffer, *,
+                   seed_length: int = DEFAULT_SEED_LENGTH,
+                   max_candidates: int = 64,
+                   digest: Optional[str] = None) -> FullSeedIndex:
         """The greedy algorithm's exhaustive seed index for ``reference``.
 
         Always the full tier, regardless of how it prices; most callers
         want :meth:`greedy_index`, which degrades to the sparse tier
         when the full index would not fit the budget.
         """
-        key = (KIND_FULL_INDEX, digest or self.digest(reference),
-               seed_length, max_candidates)
-        value, _hit = self._fetch(
-            key,
-            lambda: FullSeedIndex(reference, seed_length, max_candidates),
-            lambda idx: len(reference) + _POSITION_BYTES * len(idx),
-        )
-        return value
+        return self._get(self._key(KIND_FULL_INDEX, reference, digest,
+                                   seed_length, max_candidates,
+                                   tiered=False), reference)
 
-    def greedy_stride(
-        self,
-        reference_len: int,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-    ) -> int:
+    def greedy_stride(self, reference_len: int, *,
+                      seed_length: int = DEFAULT_SEED_LENGTH) -> int:
         """The sampling stride the greedy tiers use for this reference.
 
         ``1`` means the full index fits its share of the budget
@@ -270,14 +204,11 @@ class ReferenceIndexCache:
             return positions
         return min(-(-full_cost // budget), positions)
 
-    def greedy_index(
-        self,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        max_candidates: int = 64,
-        digest: Optional[str] = None,
-    ) -> Union[FullSeedIndex, SparseSeedIndex]:
+    def greedy_index(self, reference: Buffer, *,
+                     seed_length: int = DEFAULT_SEED_LENGTH,
+                     max_candidates: int = 64,
+                     digest: Optional[str] = None
+                     ) -> Union[FullSeedIndex, SparseSeedIndex]:
         """The greedy index tier that fits the budget for ``reference``.
 
         Small references get the exhaustive :class:`FullSeedIndex`; a
@@ -290,53 +221,25 @@ class ReferenceIndexCache:
         either tier; with the sparse tier it compensates for sampling by
         extending verified matches backwards.
         """
-        stride = self.greedy_stride(len(reference), seed_length=seed_length)
-        if stride == 1:
-            return self.full_index(reference, seed_length=seed_length,
-                                   max_candidates=max_candidates,
-                                   digest=digest)
-        key = (KIND_SPARSE_INDEX, digest or self.digest(reference),
-               seed_length, max_candidates, stride)
-        value, _hit = self._fetch(
-            key,
-            lambda: SparseSeedIndex(reference, seed_length, max_candidates,
-                                    stride=stride),
-            lambda idx: len(reference) + _POSITION_BYTES * len(idx),
-        )
-        return value
+        return self._get(self._key(KIND_FULL_INDEX, reference, digest,
+                                   seed_length, max_candidates), reference)
 
-    def seed_table(
-        self,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        table_size: int = 1 << 16,
-        digest: Optional[str] = None,
-    ) -> SeedTable:
+    def seed_table(self, reference: Buffer, *,
+                   seed_length: int = DEFAULT_SEED_LENGTH,
+                   table_size: int = 1 << 16,
+                   digest: Optional[str] = None) -> SeedTable:
         """The correcting algorithm's half-pass FCFS seed table.
 
         The returned table is shared: callers must only :meth:`lookup`,
-        never insert or clear.  It is charged what it holds when built
-        (:attr:`SeedTable.nbytes`: probe arrays under the fast paths, a
-        slot list otherwise).
+        never insert or clear.
         """
-        key = (KIND_SEED_TABLE, digest or self.digest(reference),
-               seed_length, table_size)
-        value, _hit = self._fetch(
-            key,
-            lambda: SeedTable.from_fingerprints(
-                _seed_fingerprint_array(reference, seed_length), table_size),
-            lambda t: t.nbytes,
-        )
-        return value
+        return self._get(self._key(KIND_SEED_TABLE, reference, digest,
+                                   seed_length, table_size=table_size),
+                         reference)
 
-    def fingerprints(
-        self,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        digest: Optional[str] = None,
-    ) -> List[int]:
+    def fingerprints(self, reference: Buffer, *,
+                     seed_length: int = DEFAULT_SEED_LENGTH,
+                     digest: Optional[str] = None) -> List[int]:
         """Rolling Karp-Rabin fingerprints of every reference seed.
 
         ``result[i]`` equals the fingerprint a
@@ -344,26 +247,15 @@ class ReferenceIndexCache:
         at offset ``i`` — the one-pass algorithm's reference-side scan
         state, precomputed once.
         """
-        key = (KIND_FINGERPRINTS, digest or self.digest(reference), seed_length)
-        value, _hit = self._fetch(
-            key,
-            lambda: seed_fingerprints(reference, seed_length),
-            lambda fps: _FINGERPRINT_BYTES * len(fps),
-        )
-        return value
+        return self._get(self._key(KIND_FINGERPRINTS, reference, digest,
+                                   seed_length), reference)
 
     # -- algorithm-level helpers --------------------------------------
 
-    def artifact(
-        self,
-        algorithm: str,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        max_candidates: int = 64,
-        table_size: int = 1 << 16,
-        digest: Optional[str] = None,
-    ) -> object:
+    def artifact(self, algorithm: str, reference: Buffer, *,
+                 seed_length: int = DEFAULT_SEED_LENGTH,
+                 max_candidates: int = 64, table_size: int = 1 << 16,
+                 digest: Optional[str] = None) -> object:
         """Get-or-build the reference artifact ``algorithm`` consumes.
 
         Returns the greedy index tier (a
@@ -375,27 +267,14 @@ class ReferenceIndexCache:
         prebuilt artifact (``index=`` / ``table=`` / ``fingerprints=``).
         Raises ``KeyError`` for algorithms with no cacheable state.
         """
-        kind = ALGORITHM_KINDS[algorithm]
-        if kind == KIND_FULL_INDEX:
-            return self.greedy_index(reference, seed_length=seed_length,
-                                     max_candidates=max_candidates,
-                                     digest=digest)
-        if kind == KIND_SEED_TABLE:
-            return self.seed_table(reference, seed_length=seed_length,
-                                   table_size=table_size, digest=digest)
-        return self.fingerprints(reference, seed_length=seed_length,
-                                 digest=digest)
+        return self._get(self._key(ALGORITHM_KINDS[algorithm], reference,
+                                   digest, seed_length, max_candidates,
+                                   table_size), reference)
 
-    def has(
-        self,
-        algorithm: str,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        max_candidates: int = 64,
-        table_size: int = 1 << 16,
-        digest: Optional[str] = None,
-    ) -> bool:
+    def has(self, algorithm: str, reference: Buffer, *,
+            seed_length: int = DEFAULT_SEED_LENGTH,
+            max_candidates: int = 64, table_size: int = 1 << 16,
+            digest: Optional[str] = None) -> bool:
         """True when the artifact ``algorithm`` needs is already cached.
 
         Does not count as a lookup and does not touch LRU order; used by
@@ -403,35 +282,13 @@ class ReferenceIndexCache:
         algorithms with no cacheable state.
         """
         kind = ALGORITHM_KINDS.get(algorithm)
-        if kind is None:
-            return False
-        digest = digest or self.digest(reference)
-        if kind == KIND_FULL_INDEX:
-            # Same tier decision greedy_index makes, so the answer
-            # matches the key an artifact fetch would use.
-            stride = self.greedy_stride(len(reference),
-                                        seed_length=seed_length)
-            if stride == 1:
-                key = (kind, digest, seed_length, max_candidates)
-            else:
-                key = (KIND_SPARSE_INDEX, digest, seed_length,
-                       max_candidates, stride)
-        elif kind == KIND_SEED_TABLE:
-            key = (kind, digest, seed_length, table_size)
-        else:
-            key = (kind, digest, seed_length)
-        with self._lock:
-            return key in self._entries
+        return kind is not None and self._key(
+            kind, reference, digest, seed_length, max_candidates,
+            table_size) in self._lru
 
-    def warm(
-        self,
-        algorithm: str,
-        reference: Buffer,
-        *,
-        seed_length: int = DEFAULT_SEED_LENGTH,
-        max_candidates: int = 64,
-        table_size: int = 1 << 16,
-    ) -> bool:
+    def warm(self, algorithm: str, reference: Buffer, *,
+             seed_length: int = DEFAULT_SEED_LENGTH,
+             max_candidates: int = 64, table_size: int = 1 << 16) -> bool:
         """Pre-build the artifact ``algorithm`` will need for ``reference``.
 
         Returns True when the artifact is now cached (built or already
@@ -440,39 +297,21 @@ class ReferenceIndexCache:
         kind = ALGORITHM_KINDS.get(algorithm)
         if kind is None:
             return False
-        if kind == KIND_FULL_INDEX:
-            self.greedy_index(reference, seed_length=seed_length,
-                              max_candidates=max_candidates)
-        elif kind == KIND_SEED_TABLE:
-            self.seed_table(reference, seed_length=seed_length,
-                            table_size=table_size)
-        else:
-            self.fingerprints(reference, seed_length=seed_length)
-        return self.has(algorithm, reference, seed_length=seed_length,
-                        max_candidates=max_candidates, table_size=table_size)
+        key = self._key(kind, reference, None, seed_length, max_candidates,
+                        table_size)
+        self._get(key, reference)
+        return key in self._lru
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
     def stats(self) -> CacheStats:
         """A consistent snapshot of the cache counters."""
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                entries=len(self._entries),
-                current_bytes=self._bytes,
-                max_bytes=self.max_bytes,
-            )
+        return self._lru.stats
 
     def clear(self) -> None:
         """Drop every cached artifact (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-            self._build_locks.clear()
-            self._bytes = 0
+        self._lru.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)

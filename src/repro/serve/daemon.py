@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import zlib
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -41,6 +40,7 @@ from typing import Dict, Optional, Tuple
 from .. import perf
 from ..exceptions import IntegrityError, ReproError
 from ..faults import FaultPlan, describe_failure
+from ..lru import LRU
 from ..pipeline import (
     DeltaPipeline,
     PipelineConfig,
@@ -154,10 +154,9 @@ class DeltaServer:
         #: coalescing map: every concurrent request for the same pair
         #: awaits the same task.
         self._inflight_encodes: Dict[Tuple[str, str, str], asyncio.Task] = {}
-        #: (package, have, want) -> encoded payload, byte-budgeted LRU.
-        self._payload_cache: "OrderedDict[Tuple[str, str, str], bytes]" = \
-            OrderedDict()
-        self._payload_bytes = 0
+        #: (package, have, want) -> encoded payload.
+        self._payload_cache = LRU(self.config.payload_cache_bytes,
+                                  evictions="serve.payload.evictions")
         self._active_requests = 0
         self._accepts = 0
         #: Per-scope outbound frame counters, indexing ``serve.frame``
@@ -435,7 +434,7 @@ class DeltaServer:
         pipeline onto the encode thread pool.
         """
         key = (package, have, want)
-        cached = self._payload_cache_get(key)
+        cached = self._payload_cache.get(key)
         if cached is not None:
             self.counters["payload_hits"] += 1
             perf.add("serve.payload.hits")
@@ -476,7 +475,7 @@ class DeltaServer:
         if chained is not None:
             self.counters["chain_served"] += 1
             perf.add("serve.chain_served")
-            self._payload_cache_put(key, chained)
+            self._payload_cache.put(key, chained, len(chained))
             return chained
         reference = self.store.get(package, have)
         target = self.store.get(package, want)
@@ -489,31 +488,11 @@ class DeltaServer:
         if result.report.quarantined:
             raise _EncodeFailed(result.report.failure
                                 or "encode quarantined")
-        self._payload_cache_put(key, result.payload)
+        self._payload_cache.put(key, result.payload, len(result.payload))
         return result.payload
 
     def _encode_sync(self, job: PipelineJob):
         return self._pipeline.run([job]).results[0]
-
-    def _payload_cache_get(self, key) -> Optional[bytes]:
-        entry = self._payload_cache.get(key)
-        if entry is not None:
-            self._payload_cache.move_to_end(key)
-        return entry
-
-    def _payload_cache_put(self, key, payload: bytes) -> None:
-        budget = self.config.payload_cache_bytes
-        if budget <= 0 or len(payload) > budget:
-            return
-        old = self._payload_cache.pop(key, None)
-        if old is not None:
-            self._payload_bytes -= len(old)
-        self._payload_cache[key] = payload
-        self._payload_bytes += len(payload)
-        while self._payload_bytes > budget:
-            _k, evicted = self._payload_cache.popitem(last=False)
-            self._payload_bytes -= len(evicted)
-            perf.add("serve.payload.evictions")
 
     # -- frame sending (the serve.frame corruption site) ----------------
 

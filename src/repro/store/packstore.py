@@ -39,11 +39,12 @@ appends) are not copied, and chain depths reset.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import re
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -61,6 +62,7 @@ from ..delta.encode import (
     version_checksum,
 )
 from ..exceptions import ReproError, StoreError
+from ..lru import LRU
 from .digest import Buffer, content_digest
 from .pack import (
     INDEX_NAME,
@@ -81,6 +83,9 @@ from .pack import (
 )
 
 _PACK_RE = re.compile(r"^pack-(\d{6})\.pack$")
+
+#: Writer lock file in the store directory (:meth:`PackStore._writer_lock`).
+LOCK_NAME = "writer.lock"
 
 #: What one cached hop-script command is charged against
 #: ``StoreConfig.cache_bytes`` beyond its literal bytes: about the size
@@ -164,8 +169,7 @@ class FsckProblem:
     offset: int = -1
 
     def to_json(self) -> Dict[str, object]:
-        return {"kind": self.kind, "detail": self.detail,
-                "digest": self.digest, "offset": self.offset}
+        return asdict(self)
 
 
 @dataclass
@@ -185,16 +189,8 @@ class FsckReport:
         return not self.problems
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "schema": "repro.store.fsck/1",
-            "ok": self.ok,
-            "packages": self.packages,
-            "versions": self.versions,
-            "objects": self.objects,
-            "verified": self.verified,
-            "pack_bytes": self.pack_bytes,
-            "problems": [p.to_json() for p in self.problems],
-        }
+        return {"schema": "repro.store.fsck/1", "ok": self.ok,
+                **asdict(self)}
 
 
 @dataclass
@@ -217,18 +213,7 @@ class GcReport:
     repaired: List[str] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "schema": "repro.store.gc/1",
-            "objects_before": self.objects_before,
-            "objects_after": self.objects_after,
-            "pack_bytes_before": self.pack_bytes_before,
-            "pack_bytes_after": self.pack_bytes_after,
-            "redeltified": self.redeltified,
-            "dropped_objects": self.dropped_objects,
-            "dropped_versions": self.dropped_versions,
-            "repaired_bytes": self.repaired_bytes,
-            "repaired": list(self.repaired),
-        }
+        return {"schema": "repro.store.gc/1", **asdict(self)}
 
 
 def _probes(data: bytes, count: int, length: int) -> List[bytes]:
@@ -266,8 +251,8 @@ class PackStore:
     from it directly.  All public methods are thread-safe under one
     re-entrant lock — the serve daemon calls :meth:`get` and
     :meth:`chain` from its encode thread pool.  :meth:`chain` holds the
-    lock only for index, cache and pack access, so its decode, diff,
-    compose, convert and encode run while other callers proceed.
+    lock only for index and pack access, so its decode, diff, compose,
+    convert and encode run while other callers proceed.
 
     Opening requires an initialized directory (:meth:`init`, or
     ``ipdelta store init``); a damaged store still *opens* — reads work
@@ -281,21 +266,18 @@ class PackStore:
         self.config.validate()
         self.root = Path(root)
         self._lock = threading.RLock()
-        #: One LRU under ``config.cache_bytes``: reconstructed objects
-        #: keyed by digest, hop scripts keyed by ``(cur, nxt)`` digests,
-        #: each package's newest seed table keyed by ``("seed-table",
-        #: package)`` (see :meth:`_diff`); each entry is ``(value,
-        #: charged bytes)``.
-        self._cache: "OrderedDict[object, Tuple[object, int]]" = \
-            OrderedDict()
-        self._cache_bytes = 0
-        #: Per-hop build locks of :meth:`_hop_script` misses in flight.
-        self._hop_builds: Dict[Tuple[str, str], threading.Lock] = {}
+        #: The store's one cache, under ``config.cache_bytes``: objects
+        #: keyed by digest, hop scripts by ``(cur, nxt)`` digests
+        #: (:meth:`_hop_script`), each package's newest seed table by
+        #: ``("seed-table", package)`` (:meth:`_diff`).
+        self._cache = LRU(self.config.cache_bytes,
+                          evictions="store.cache.evictions")
         #: Structured damage found while opening; non-empty blocks
         #: mutation (``publish``/plain ``gc``) until ``gc(repair=True)``.
         self.damage: List[StoreError] = []
         self._index = StoreIndex()
-        self._load()
+        with self._writer_lock(required=False):
+            self._load()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -320,9 +302,7 @@ class PackStore:
     def close(self) -> None:
         """Drop the cached reconstructions, hop scripts and seed tables
         (no file handles stay open)."""
-        with self._lock:
-            self._cache.clear()
-            self._cache_bytes = 0
+        self._cache.clear()
 
     def __enter__(self) -> "PackStore":
         return self
@@ -507,6 +487,44 @@ class PackStore:
             except OSError:  # pragma: no cover - concurrent cleanup
                 pass
 
+    @contextmanager
+    def _writer_lock(self, *, required: bool = True):
+        """Hold the exclusive ``fcntl.flock`` on :data:`LOCK_NAME`.
+
+        ``publish``, ``gc`` and the load at open take it once per call:
+        no two writers interleave appends, index rewrites or tmp-file
+        sweeps, and no open sees half a publish.  A ``flock`` belongs to
+        the open file, so two handles in one process exclude each other
+        too.  ``required=False``: a directory that refuses the lock file
+        (read-only media) still opens for reads.
+        """
+        path = self.root / LOCK_NAME
+        try:
+            fd: Optional[int] = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError as exc:
+            if required:
+                raise StoreError("cannot take the writer lock %s: %s"
+                                 % (path, exc), kind="pack") from exc
+            fd = None
+        try:
+            if fd is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            if fd is not None:
+                os.close(fd)
+
+    def _follow(self) -> None:
+        """Under the writer lock: reload if another writer gc'd (the
+        pack is gone) or published (its length differs), or if this
+        handle carries damage that another writer may have repaired."""
+        try:
+            moved = self.pack_path.stat().st_size != self._index.pack_bytes
+        except OSError:
+            moved = True
+        if moved or self.damage:
+            self._load()
+
     def _ensure_writable(self) -> None:
         if self.damage:
             raise StoreError(
@@ -564,9 +582,12 @@ class PackStore:
         delta, see the module docs) and a ref record, fsyncs, then
         atomically rewrites the index — the pack is the journal of
         record, so a crash anywhere loses at most the publish in
-        flight, never an earlier object.
+        flight, never an earlier object.  It first catches up with any
+        other writer, so it appends after their records and picks bases
+        among their versions too.
         """
-        with self._lock:
+        with self._lock, self._writer_lock():
+            self._follow()
             self._ensure_writable()
             data = bytes(image)
             digest = content_digest(data)
@@ -601,7 +622,7 @@ class PackStore:
                 log.remove(digest)
             log.append(digest)
             self._write_index()
-            self._cache_put(digest, data, len(data))
+            self._cache.put(digest, data, len(data))
             perf.add("store.publish")
             return digest
 
@@ -619,10 +640,10 @@ class PackStore:
 
         Each hop's script is computed once per store lifetime (see
         :meth:`_hop_script`).  The store lock covers only the log read,
-        cache access, pack reads and reconstructions; decode, diff,
-        compose, convert and encode run unlocked on in-memory bytes.  A
-        version a concurrent ``gc(keep_last=...)`` drops mid-chain
-        raises :class:`~repro.exceptions.StoreError` (``kind="chain"``).
+        pack reads and reconstructions; decode, diff, compose, convert
+        and encode run unlocked on in-memory bytes.  A version a
+        concurrent ``gc(keep_last=...)`` drops mid-chain raises
+        :class:`~repro.exceptions.StoreError` (``kind="chain"``).
 
         Returns ``None`` when the store cannot do better than a fresh
         encode (unknown digests, ``want`` not newer than ``have``), so
@@ -667,46 +688,33 @@ class PackStore:
         source leads to the same payload bytes.)  A miss reads the
         stored record (storage-aligned hop) or reconstructs both
         versions (any other hop) under the store lock, then decodes or
-        re-diffs outside it.  Concurrent misses of one hop serialize on
-        a per-hop build lock, so all but the first find the script
-        cached (unless the budget could not keep it).
+        re-diffs outside it.  The cache builds each hop once: concurrent
+        misses wait on the hop's build lock, never while holding the
+        store lock.
         """
-        key = (cur, nxt)
         with self._lock:
             info = self._object_info(nxt)
             perf.add("store.chain.stored_hops"
                      if info.stored == STORED_DELTA and info.base == cur
                      else "store.chain.hop_diffs")
-            script = self._cache_get(key)
-            if script is not None:
-                perf.add("store.chain.hop_cache.hits")
-                return script
-            build = self._hop_builds.setdefault(key, threading.Lock())
-        with build:
-            try:
-                with self._lock:
-                    script = self._cache_get(key)
-                    if script is not None:
-                        perf.add("store.chain.hop_cache.hits")
-                        return script
-                    perf.add("store.chain.hop_cache.misses")
-                    info = self._object_info(nxt)
-                    stored = info.stored == STORED_DELTA and info.base == cur
-                    if stored:
-                        _header, payload = self._read_object_record(info)
-                    else:
-                        inputs = self._materialize(cur), self._materialize(nxt)
+
+        def build() -> DeltaScript:
+            with self._lock:
+                info = self._object_info(nxt)
+                stored = info.stored == STORED_DELTA and info.base == cur
                 if stored:
-                    script, _delta_header = decode_delta(payload)
+                    _header, payload = self._read_object_record(info)
                 else:
-                    script = ALGORITHMS[self.config.algorithm](*inputs)
-                size = script.added_bytes + _HOP_COMMAND_BYTES * len(script)
-                with self._lock:
-                    return self._cache_put(key, script, size)
-            finally:
-                with self._lock:
-                    if self._hop_builds.get(key) is build:
-                        del self._hop_builds[key]
+                    inputs = self._materialize(cur), self._materialize(nxt)
+            if stored:
+                return decode_delta(payload)[0]
+            return ALGORITHMS[self.config.algorithm](*inputs)
+
+        return self._cache.get_or_build(
+            (cur, nxt), build,
+            lambda script: script.added_bytes
+            + _HOP_COMMAND_BYTES * len(script),
+            "store.chain.hop_cache")
 
     # -- introspection --------------------------------------------------
 
@@ -849,7 +857,8 @@ class PackStore:
         damage list cleared — the "recover all intact objects"
         guarantee the crash tests enumerate.
         """
-        with self._lock:
+        with self._lock, self._writer_lock():
+            self._follow()
             if self.damage and not repair:
                 raise StoreError(
                     "store is damaged; gc(repair=True) to rebuild from "
@@ -1008,17 +1017,16 @@ class PackStore:
                 self.config.cache_bytes <= 0:
             return differ(base_bytes, data)
         key = ("seed-table", package)
-        kept = self._cache.pop(key, None)
+        kept = self._cache.pop(key)
         table = None
         if kept is not None:
-            self._cache_bytes -= kept[1]
-            kept_digest, kept_table = kept[0]
+            kept_digest, kept_table = kept
             if kept_digest == base:
                 table = kept_table
                 perf.add("store.publish.table_reused")
         script, version_table = differ(base_bytes, data, table=table,
                                        return_version_table=True)
-        self._cache_put(key, (digest, version_table), version_table.nbytes)
+        self._cache.put(key, (digest, version_table), version_table.nbytes)
         return script
 
     def _append(self, chunks: List[bytes]) -> List[int]:
@@ -1066,7 +1074,7 @@ class PackStore:
 
     def _materialize(self, digest: str) -> bytes:
         """Reconstruct one object through its chain, digest-verified."""
-        cached = self._cache_get(digest)
+        cached = self._cache.get(digest)
         if cached is not None:
             perf.add("store.cache.hits")
             return cached
@@ -1089,36 +1097,9 @@ class PackStore:
             raise StoreError(
                 "object %s reconstructs to the wrong bytes"
                 % digest[:12], kind="object", offset=info.offset)
-        self._cache_put(digest, data, len(data))
+        self._cache.put(digest, data, len(data))
         perf.add("store.cache.misses")
         return data
-
-    # -- cache ----------------------------------------------------------
-
-    def _cache_get(self, key: object) -> Optional[object]:
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        self._cache.move_to_end(key)
-        return entry[0]
-
-    def _cache_put(self, key: object, value: object, size: int) -> object:
-        """Insert ``value`` charged ``size`` bytes; returns the cached
-        value (an existing entry wins, its bytes being identical)."""
-        entry = self._cache.get(key)
-        if entry is not None:
-            self._cache.move_to_end(key)
-            return entry[0]
-        budget = self.config.cache_bytes
-        if budget <= 0 or size > budget:
-            return value
-        self._cache[key] = (value, size)
-        self._cache_bytes += size
-        while self._cache_bytes > budget:
-            _k, (_value, evicted) = self._cache.popitem(last=False)
-            self._cache_bytes -= evicted
-            perf.add("store.cache.evictions")
-        return value
 
 
 __all__ = [

@@ -114,31 +114,6 @@ class TestReferenceIndexCache:
         assert cache.stats.misses == 1
         assert cache.stats.current_bytes == 0
 
-    def test_build_lock_map_is_bounded_by_entries(self, rng):
-        # Regression: per-key build locks must die with their entries.
-        # Churning many distinct references through a small budget used
-        # to leave one lock behind per key ever seen — a leak on a
-        # long-lived daemon serving an open-ended key space.
-        cache = ReferenceIndexCache(max_bytes=150_000)
-        for _ in range(50):
-            cache.fingerprints(rng.randbytes(2_000))
-        assert len(cache._build_locks) <= len(cache._entries)
-        assert len(cache._build_locks) < 50
-
-    def test_oversized_artifact_leaves_no_lock_behind(self, rng):
-        cache = ReferenceIndexCache(max_bytes=1)
-        for _ in range(10):
-            cache.full_index(rng.randbytes(2_000))
-        assert len(cache._entries) == 0
-        assert len(cache._build_locks) == 0
-
-    def test_clear_drops_build_locks(self, rng):
-        cache = ReferenceIndexCache()
-        cache.seed_table(rng.randbytes(1_000))
-        assert len(cache._build_locks) == 1
-        cache.clear()
-        assert len(cache._build_locks) == 0
-
     def test_seed_table_build_is_timed_on_miss_only(self, rng):
         reference = rng.randbytes(3_000)
         cache = ReferenceIndexCache()

@@ -15,8 +15,13 @@ Crash-safety (torn packs, stale indexes, repair) lives in
 """
 
 import asyncio
+import os
 import random
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +37,7 @@ from repro.store import (
     content_digest,
 )
 from repro.store.pack import STORED_DELTA, STORED_FULL
+from repro.store.packstore import LOCK_NAME
 from repro.workloads import make_binary_blob, mutate
 
 SEED = 19980601
@@ -264,7 +270,8 @@ class TestPublishTableReuse:
 
     @staticmethod
     def _tables(store):
-        return {key[1]: value for key, (value, _size) in store._cache.items()
+        return {key[1]: value
+                for key, (value, _size) in store._cache._entries.items()
                 if isinstance(key, tuple) and key[0] == "seed-table"}
 
     def _run(self, root, fast, **config):
@@ -353,11 +360,11 @@ class TestPublishTableReuse:
             repro.delta.use_fast_paths(previous)
         assert set(self._tables(store)) == {"app"}
         # Charged its probe arrays: 2^16 slots x two 8-byte entries.
-        charged = [size for key, (_v, size) in store._cache.items()
+        charged = [size for key, (_v, size) in store._cache._entries.items()
                    if isinstance(key, tuple) and key[0] == "seed-table"]
         assert charged == [1 << 20]
         store.close()
-        assert not self._tables(store) and store._cache_bytes == 0
+        assert not self._tables(store) and store._cache.nbytes == 0
         with perf.recording() as recorder:
             store.publish("app", images["app"][3])
         assert "store.publish.table_reused" not in recorder.counters
@@ -665,6 +672,124 @@ class TestGc:
         assert data["schema"] == "repro.store.gc/1"
         assert data["objects_after"] == 1
         assert data["repaired"] == []
+
+
+def _cli(*args):
+    """Run ``python -m repro.cli ARGS`` on this checkout; returns stdout."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-m", "repro.cli", *args],
+                         capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestTwoWriters:
+    """Several handles, in one process or several, on one directory:
+    the writer lock keeps every acknowledged publish, in publish order."""
+
+    @staticmethod
+    def _train(rng, releases):
+        images = [make_binary_blob(rng, 4096)]
+        while len(images) < releases:
+            images.append(mutate(images[-1], rng))
+        return images
+
+    @staticmethod
+    def _assert_reopens_with(root, expected):
+        """``expected``: package -> [(digest, image)] in publish order."""
+        reopened = PackStore(root, FAST)
+        assert not reopened.damage
+        for package, versions in expected.items():
+            assert reopened.versions(package) == [d for d, _ in versions]
+            for digest, image in versions:
+                assert reopened.get(package, digest) == image
+        report = reopened.fsck()
+        assert report.ok, report.problems
+        assert report.versions == sum(len(v) for v in expected.values())
+        return reopened
+
+    def test_cli_and_second_handle_publishes_survive(self, tmp_path):
+        # A long-lived handle used to append at its own idea of the pack
+        # length and truncate after it, silently cutting off the CLI's
+        # acknowledged publish.
+        root = tmp_path / "s"
+        rng = random.Random(SEED)
+        images = self._train(rng, 6)
+        cli_image = make_binary_blob(rng, 4096)
+        (tmp_path / "cli.bin").write_bytes(cli_image)
+        a = PackStore.init(root, FAST)
+        app = [(a.publish("app", images[0]), images[0])]
+        assert "published" in _cli("store", "add", "--no-fsync", str(root),
+                                   "cli", str(tmp_path / "cli.bin"))
+        app.append((a.publish("app", images[1]), images[1]))
+        b = PackStore(root, FAST)
+        for i, handle in enumerate((b, a, b, a), start=2):
+            app.append((handle.publish("app", images[i]), images[i]))
+        reopened = self._assert_reopens_with(root, {
+            "app": app, "cli": [(content_digest(cli_image), cli_image)]})
+        # Base choice saw the other handle's versions: every release
+        # is a delta against the one before it, whoever published it.
+        log = reopened.log("app")
+        assert [e["base"] for e in log[1:]] == [e["digest"] for e in log[:-1]]
+
+    def test_stale_handle_gc_keeps_other_publishes(self, tmp_path):
+        root = tmp_path / "s"
+        images = self._train(random.Random(SEED), 4)
+        a = PackStore.init(root, FAST)
+        b = PackStore(root, FAST)
+        app = [(a.publish("app", images[0]), images[0]),
+               (b.publish("app", images[1]), images[1])]
+        a.gc()
+        # b's pack generation is gone: it follows a's gc, then appends.
+        app.append((b.publish("app", images[2]), images[2]))
+        app.append((a.publish("app", images[3]), images[3]))
+        self._assert_reopens_with(root, {"app": app})
+
+    def test_two_handles_in_two_threads(self, tmp_path):
+        root = tmp_path / "s"
+        rng = random.Random(SEED)
+        trains = {"p0": self._train(rng, 6), "p1": self._train(rng, 6)}
+        PackStore.init(root, FAST)
+        barrier = threading.Barrier(2)
+        published = {}
+        errors = []
+
+        def writer(package):
+            try:
+                store = PackStore(root, FAST)
+                barrier.wait()
+                published[package] = [(store.publish(package, image), image)
+                                      for image in trains[package]]
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(p,))
+                   for p in trains]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive()
+        assert not errors
+        self._assert_reopens_with(root, published)
+
+    def test_directory_refusing_the_lock_still_opens_for_reads(
+            self, tmp_path):
+        root = tmp_path / "s"
+        store = PackStore.init(root, FAST)
+        digest = store.publish("app", b"v1" * 300)
+        (root / LOCK_NAME).unlink()
+        (root / LOCK_NAME).mkdir()  # the lock file cannot be opened
+        reopened = PackStore(root, FAST)
+        assert reopened.get("app", digest) == b"v1" * 300
+        assert reopened.fsck().ok
+        with pytest.raises(StoreError, match="writer lock"):
+            reopened.publish("app", b"v2" * 300)
+        assert reopened.versions("app") == [digest]
 
 
 @pytest.fixture(params=["memory", "pack"])
