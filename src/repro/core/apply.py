@@ -26,11 +26,18 @@ from __future__ import annotations
 
 import zlib
 from time import perf_counter
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .. import perf
 from ..exceptions import DeltaRangeError, IntegrityError, WriteBeforeReadError
-from .commands import AddCommand, CopyCommand, DeltaScript, FillCommand, SpillCommand
+from .commands import (
+    AddCommand,
+    Command,
+    CopyCommand,
+    DeltaScript,
+    FillCommand,
+    SpillCommand,
+)
 from .intervals import DynamicIntervalSet
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -126,12 +133,9 @@ def preflight_in_place(script: DeltaScript, header, storage, *,
     write_bound = max(version_length, reference_length)
     scratch_length = script.scratch_length
     for i, cmd in enumerate(script.commands):
-        if isinstance(cmd, (CopyCommand, SpillCommand)):
-            if cmd.src + cmd.length > reference_length:
-                raise DeltaRangeError(
-                    "command %d reads [%d, %d) beyond reference of length %d"
-                    % (i, cmd.src, cmd.src + cmd.length, reference_length)
-                )
+        if isinstance(cmd, (CopyCommand, SpillCommand)) and \
+                cmd.src + cmd.length > reference_length:
+            raise _read_out_of_range(i, cmd, reference_length)
         if isinstance(cmd, SpillCommand):
             if cmd.scratch + cmd.length > scratch_length:
                 raise DeltaRangeError(
@@ -146,10 +150,19 @@ def preflight_in_place(script: DeltaScript, header, storage, *,
                 % (i, scratch_length)
             )
         if cmd.dst + cmd.length > write_bound:
-            raise DeltaRangeError(
-                "command %d writes [%d, %d) beyond the %d-byte version "
-                "region" % (i, cmd.dst, cmd.dst + cmd.length, write_bound)
-            )
+            raise _write_out_of_range(i, cmd, write_bound)
+
+
+def _read_out_of_range(i: int, cmd, bound: int) -> DeltaRangeError:
+    return DeltaRangeError(
+        "command %d reads [%d, %d) beyond reference of length %d"
+        % (i, cmd.src, cmd.src + cmd.length, bound))
+
+
+def _write_out_of_range(i: int, cmd, bound: int) -> DeltaRangeError:
+    return DeltaRangeError(
+        "command %d writes [%d, %d) beyond the %d-byte version region"
+        % (i, cmd.dst, cmd.dst + cmd.length, bound))
 
 
 def apply_delta(script: DeltaScript, reference: Buffer) -> bytes:
@@ -157,36 +170,41 @@ def apply_delta(script: DeltaScript, reference: Buffer) -> bytes:
 
     The script's write intervals must be disjoint and cover the version;
     call :meth:`DeltaScript.validate` first if the script is untrusted.
-    Spill/fill commands are honoured so scratch-using in-place scripts
-    also apply two-space (useful for verification on the server side).
+    A read beyond the reference or a write beyond ``version_length``
+    raises :class:`DeltaRangeError`.  Spill/fill commands are honoured
+    so scratch-using in-place scripts also apply two-space (useful for
+    verification on the server side).
     """
     recorder = perf.active()
     started = perf_counter() if recorder is not None else 0.0
     ref = memoryview(reference) if not isinstance(reference, memoryview) else reference
-    out = bytearray(script.version_length)
+    version_length = script.version_length
+    out = bytearray(version_length)
     scratch = bytearray(script.scratch_length)
     for i, cmd in enumerate(script.commands):
         if isinstance(cmd, CopyCommand):
             end = cmd.src + cmd.length
             if end > len(ref):
-                raise DeltaRangeError(
-                    "command %d reads [%d, %d) beyond reference of length %d"
-                    % (i, cmd.src, end, len(ref))
-                )
-            out[cmd.dst:cmd.dst + cmd.length] = ref[cmd.src:end]
+                raise _read_out_of_range(i, cmd, len(ref))
+            stop = cmd.dst + cmd.length
+            if stop > version_length:
+                raise _write_out_of_range(i, cmd, version_length)
+            out[cmd.dst:stop] = ref[cmd.src:end]
         elif isinstance(cmd, AddCommand):
-            out[cmd.dst:cmd.dst + cmd.length] = cmd.data
+            stop = cmd.dst + cmd.length
+            if stop > version_length:
+                raise _write_out_of_range(i, cmd, version_length)
+            out[cmd.dst:stop] = cmd.data
         elif isinstance(cmd, SpillCommand):
             end = cmd.src + cmd.length
             if end > len(ref):
-                raise DeltaRangeError(
-                    "spill %d reads [%d, %d) beyond reference of length %d"
-                    % (i, cmd.src, end, len(ref))
-                )
+                raise _read_out_of_range(i, cmd, len(ref))
             scratch[cmd.scratch:cmd.scratch + cmd.length] = ref[cmd.src:end]
         else:  # FillCommand
-            out[cmd.dst:cmd.dst + cmd.length] = \
-                scratch[cmd.scratch:cmd.scratch + cmd.length]
+            stop = cmd.dst + cmd.length
+            if stop > version_length:
+                raise _write_out_of_range(i, cmd, version_length)
+            out[cmd.dst:stop] = scratch[cmd.scratch:cmd.scratch + cmd.length]
     if recorder is not None:
         recorder.merge({
             "apply.two_space.calls": 1,
@@ -232,7 +250,8 @@ def apply_in_place(
     ``buffer`` enters holding the reference file and returns holding the
     version file; it is resized when the version is longer or shorter than
     the reference.  Commands execute serially in script order — the order
-    the in-place converter chose.
+    the in-place converter chose.  A read beyond the reference or a write
+    beyond the larger of the two files raises :class:`DeltaRangeError`.
 
     ``strict=True`` tracks written regions and raises
     :class:`WriteBeforeReadError` the moment a copy reads a byte some
@@ -246,21 +265,43 @@ def apply_in_place(
         raise ValueError("chunk_size must be positive, got %d" % chunk_size)
     recorder = perf.active()
     started = perf_counter() if recorder is not None else 0.0
+    _apply_commands(script.commands, buffer, script.version_length,
+                    script.scratch_length, strict, chunk_size)
+    if recorder is not None:
+        recorder.merge({
+            "apply.in_place.calls": 1,
+            "apply.in_place.seconds": perf_counter() - started,
+            "apply.in_place.commands": len(script.commands),
+            "apply.in_place.bytes": script.version_length,
+        })
+    return buffer
+
+
+def _apply_commands(
+    commands: Iterable[Command],
+    buffer: bytearray,
+    version_length: int,
+    scratch_length: int,
+    strict: bool,
+    chunk_size: int,
+) -> bytearray:
+    """The in-place command loop behind :func:`apply_in_place` and
+    :func:`~repro.delta.stream.apply_delta_stream`.
+
+    ``commands`` may be a lazy iterator: each command is checked and
+    applied before the next is drawn.
+    """
     original_length = len(buffer)
-    needed = max(script.version_length, original_length)
-    if needed > len(buffer):
-        buffer.extend(b"\x00" * (needed - len(buffer)))
+    write_bound = max(version_length, original_length)
+    if write_bound > original_length:
+        buffer.extend(b"\x00" * (write_bound - original_length))
 
     written: Optional[DynamicIntervalSet] = DynamicIntervalSet() if strict else None
-    scratch = bytearray(script.scratch_length)
+    scratch = bytearray(scratch_length)
 
     def check_read(i: int, cmd) -> None:
-        end = cmd.src + cmd.length
-        if end > original_length:
-            raise DeltaRangeError(
-                "command %d reads [%d, %d) beyond reference of length %d"
-                % (i, cmd.src, end, original_length)
-            )
+        if cmd.src + cmd.length > original_length:
+            raise _read_out_of_range(i, cmd, original_length)
         if written is not None:
             clash = written.first_intersection(cmd.read_interval)
             if clash is not None:
@@ -277,44 +318,44 @@ def apply_in_place(
                     reader_index=i,
                 )
 
-    for i, cmd in enumerate(script.commands):
+    for i, cmd in enumerate(commands):
         if isinstance(cmd, CopyCommand):
             check_read(i, cmd)
+            if cmd.dst + cmd.length > write_bound:
+                raise _write_out_of_range(i, cmd, write_bound)
             _directional_copy(buffer, cmd.src, cmd.dst, cmd.length, chunk_size)
             if written is not None:
                 written.add(cmd.write_interval)
         elif isinstance(cmd, AddCommand):
-            buffer[cmd.dst:cmd.dst + cmd.length] = cmd.data
+            stop = cmd.dst + cmd.length
+            if stop > write_bound:
+                raise _write_out_of_range(i, cmd, write_bound)
+            buffer[cmd.dst:stop] = cmd.data
             if written is not None:
                 written.add(cmd.write_interval)
         elif isinstance(cmd, SpillCommand):
             check_read(i, cmd)
-            if cmd.scratch + cmd.length > len(scratch):
+            if cmd.scratch + cmd.length > scratch_length:
                 raise DeltaRangeError(
                     "spill %d writes beyond declared scratch size %d"
-                    % (i, len(scratch))
+                    % (i, scratch_length)
                 )
             scratch[cmd.scratch:cmd.scratch + cmd.length] = \
                 buffer[cmd.src:cmd.src + cmd.length]
         else:  # FillCommand: reads only scratch, immune to buffer writes
-            if cmd.scratch + cmd.length > len(scratch):
+            if cmd.scratch + cmd.length > scratch_length:
                 raise DeltaRangeError(
                     "fill %d reads beyond declared scratch size %d"
-                    % (i, len(scratch))
+                    % (i, scratch_length)
                 )
-            buffer[cmd.dst:cmd.dst + cmd.length] = \
-                scratch[cmd.scratch:cmd.scratch + cmd.length]
+            stop = cmd.dst + cmd.length
+            if stop > write_bound:
+                raise _write_out_of_range(i, cmd, write_bound)
+            buffer[cmd.dst:stop] = scratch[cmd.scratch:cmd.scratch + cmd.length]
             if written is not None:
                 written.add(cmd.write_interval)
 
-    del buffer[script.version_length:]
-    if recorder is not None:
-        recorder.merge({
-            "apply.in_place.calls": 1,
-            "apply.in_place.seconds": perf_counter() - started,
-            "apply.in_place.commands": len(script.commands),
-            "apply.in_place.bytes": script.version_length,
-        })
+    del buffer[version_length:]
     return buffer
 
 

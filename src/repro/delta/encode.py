@@ -115,13 +115,17 @@ _KNOWN_FLAGS = FLAG_HAS_VERSION_CRC | FLAG_HAS_REFERENCE | FLAG_SEGMENT_CRCS
 #: Maximum literal bytes one add codeword can carry (1-byte length field).
 MAX_ADD_CHUNK = 255
 
+#: Upper bound on one codeword's wire size: an opcode, three 10-byte
+#: varint fields, an add's length byte and its literals.
+MAX_CODEWORD_BYTES = 1 + 3 * 10 + 1 + MAX_ADD_CHUNK
+
 #: A segment checkpoint is emitted once the codewords since the last one
 #: reach this many wire bytes (plus a final checkpoint over any tail).
 SEGMENT_TARGET_BYTES = 1024
 #: Upper bound on bytes between checkpoints a decoder will tolerate: the
 #: target plus one maximal codeword (a checkpoint lands immediately
 #: after the codeword that crosses the target).
-SEGMENT_LIMIT_BYTES = SEGMENT_TARGET_BYTES + 1 + 3 * 10 + 1 + MAX_ADD_CHUNK
+SEGMENT_LIMIT_BYTES = SEGMENT_TARGET_BYTES + MAX_CODEWORD_BYTES
 
 _HEADER_FIXED = len(MAGIC) + 1  # magic + format byte
 _V2_FIXED = len(MAGIC_V2) + 2  # magic + format byte + flags byte
@@ -129,6 +133,10 @@ _V2_FIXED = len(MAGIC_V2) + 2  # magic + format byte + flags byte
 #: version CRC, 1-byte reference length varint, reference CRC, OP_END,
 #: trailer.
 _V2_MIN_SIZE = _V2_FIXED + 1 + 1 + 4 + 1 + 4 + 1 + 4
+#: Header size bounds: every varint one byte (the smallest IPD1 header)
+#: and every varint ten bytes (the largest IPD2 header).
+_MIN_HEADER_BYTES = _HEADER_FIXED + 1 + 1 + 4
+_MAX_HEADER_BYTES = _V2_FIXED + 3 * 10 + 2 * 4
 
 
 @dataclass(frozen=True)
@@ -349,164 +357,218 @@ def encode_delta(
     return bytes(out)
 
 
-def _decode_commands(
-    data: Buffer,
-    pos: int,
-    bound: int,
-    fixed: bool,
-    with_offsets: bool,
-    segment_crcs: bool,
-) -> Tuple[List[Command], int]:
-    """Parse codewords from ``data[pos:bound]`` up to and incl. ``OP_END``.
+def _header_u32(data: Buffer, pos: int) -> Tuple[int, int]:
+    if pos + 4 > len(data):
+        raise DeltaFormatError("truncated header")
+    return int.from_bytes(data[pos:pos + 4], "little"), pos + 4
 
-    ``bound`` excludes any trailer; ``segment_crcs`` enables ``OP_CRC``
-    checkpoint verification (and requires every codeword to be covered
-    by one).  Returns the commands and the position just past ``OP_END``.
+
+def _parse_header(data: Buffer) -> Tuple[DeltaHeader, int]:
+    """Parse the header at the start of ``data``: the header and its size.
+
+    The one header grammar.  It reads only a prefix of the file, so the
+    streamed decoder feeds it the bytes it has read so far; a prefix
+    that ends inside the header raises :class:`DeltaFormatError` like
+    any other malformation.
     """
-    commands: List[Command] = []
-    cursor = 0  # implicit write offset for the sequential format
-    seg_start = pos
-    while True:
-        if pos >= bound:
-            raise DeltaFormatError("delta file ended without OP_END")
-        op = data[pos]
-        pos += 1
-        if op == OP_END:
-            if segment_crcs and pos - 1 != seg_start:
-                raise DeltaFormatError(
-                    "codewords after the final segment checkpoint"
-                )
-            break
-        if op == OP_CRC:
-            if not segment_crcs:
-                raise DeltaFormatError(
-                    "unexpected segment checkpoint at byte %d" % (pos - 1)
-                )
-            if pos - 1 == seg_start:
-                raise DeltaFormatError(
-                    "empty segment checkpoint at byte %d" % (pos - 1)
-                )
-            if pos + 4 > bound:
-                raise DeltaFormatError("truncated segment checkpoint")
-            expected = zlib.crc32(memoryview(data)[seg_start:pos - 1]) \
-                & 0xFFFFFFFF
-            stored = int.from_bytes(data[pos:pos + 4], "little")
-            if stored != expected:
-                raise IntegrityError(
-                    "segment checkpoint at byte %d failed: stored 0x%08x, "
-                    "computed 0x%08x" % (pos - 1, stored, expected),
-                    kind="segment", offset=pos - 1,
-                    expected=stored, actual=expected,
-                )
-            pos += 4
-            seg_start = pos
-            continue
-        if op == OP_COPY:
-            src, pos = _get_int(data, pos, fixed)
-            if with_offsets:
-                dst, pos = _get_int(data, pos, fixed)
-            else:
-                dst = cursor
-            length, pos = _get_int(data, pos, fixed)
-            if length == 0:
-                raise DeltaFormatError("zero-length copy at byte %d" % (pos - 1))
-            commands.append(CopyCommand(src, dst, length))
-            cursor = dst + length
-        elif op in (OP_SPILL, OP_FILL):
-            if not with_offsets:
-                raise DeltaFormatError(
-                    "opcode 0x%02x not valid in a sequential delta" % op
-                )
-            a, pos = _get_int(data, pos, fixed)
-            b, pos = _get_int(data, pos, fixed)
-            length, pos = _get_int(data, pos, fixed)
-            if length == 0:
-                raise DeltaFormatError("zero-length scratch command at byte %d" % (pos - 1))
-            if op == OP_SPILL:
-                commands.append(SpillCommand(a, b, length))
-            else:
-                commands.append(FillCommand(a, b, length))
-                cursor = b + length
-        elif op == OP_ADD:
-            if with_offsets:
-                dst, pos = _get_int(data, pos, fixed)
-            else:
-                dst = cursor
-            if pos >= bound:
-                raise DeltaFormatError("truncated add length at byte %d" % pos)
-            length = data[pos]
-            pos += 1
-            if length == 0:
-                raise DeltaFormatError("zero-length add at byte %d" % (pos - 1))
-            if pos + length > bound:
-                raise DeltaFormatError("truncated add data at byte %d" % pos)
-            commands.append(AddCommand(dst, bytes(data[pos:pos + length])))
-            pos += length
-            cursor = dst + length
-        else:
-            raise DeltaFormatError("unknown opcode 0x%02x at byte %d" % (op, pos - 1))
-        if segment_crcs and pos - seg_start > SEGMENT_LIMIT_BYTES:
-            raise DeltaFormatError(
-                "segment checkpoint overdue at byte %d" % pos
-            )
-    return commands, pos
-
-
-def _decode_v2(data: Buffer) -> Tuple[DeltaScript, DeltaHeader]:
-    """Parse an ``IPD2`` file: trailer first, then header, then commands."""
-    if len(data) < _V2_MIN_SIZE:
-        raise DeltaFormatError(
-            "truncated IPD2 file: %d bytes, need at least %d"
-            % (len(data), _V2_MIN_SIZE)
-        )
-    stored = int.from_bytes(data[len(data) - 4:], "little")
-    computed = zlib.crc32(memoryview(data)[:len(data) - 4]) & 0xFFFFFFFF
-    if stored != computed:
-        raise IntegrityError(
-            "delta trailer CRC failed: stored 0x%08x, computed 0x%08x — "
-            "the file is corrupt or truncated" % (stored, computed),
-            kind="trailer", expected=stored, actual=computed,
-        )
+    v2 = bytes(data[:4]) == MAGIC_V2
+    if v2:
+        if len(data) < _V2_FIXED:
+            raise DeltaFormatError("truncated header")
+    elif len(data) < _HEADER_FIXED or bytes(data[:4]) != MAGIC:
+        raise DeltaFormatError("not a delta file (bad magic)")
     fmt = data[4]
     if fmt not in ALL_FORMATS:
         raise DeltaFormatError("unknown delta format %d" % fmt)
-    flags = data[5]
-    if flags & ~_KNOWN_FLAGS:
-        raise DeltaFormatError(
-            "unknown IPD2 flag bits 0x%02x" % (flags & ~_KNOWN_FLAGS)
-        )
-    fixed = fmt in _FIXED_FORMATS
-    with_offsets = fmt in _INPLACE_FORMATS
-    pos = _V2_FIXED
+    pos = _HEADER_FIXED
+    if v2:
+        flags = data[5]
+        if flags & ~_KNOWN_FLAGS:
+            raise DeltaFormatError(
+                "unknown IPD2 flag bits 0x%02x" % (flags & ~_KNOWN_FLAGS))
+        pos = _V2_FIXED
     version_length, pos = decode_varint(data, pos)
     scratch_length, pos = decode_varint(data, pos)
-    if pos + 4 > len(data):
-        raise DeltaFormatError("truncated header")
-    version_crc = int.from_bytes(data[pos:pos + 4], "little")
-    pos += 4
+    version_crc, pos = _header_u32(data, pos)
+    if not v2:
+        return DeltaHeader(fmt, version_length, scratch_length,
+                           version_crc), pos
     reference_length, pos = decode_varint(data, pos)
-    if pos + 4 > len(data):
-        raise DeltaFormatError("truncated header")
-    reference_crc = int.from_bytes(data[pos:pos + 4], "little")
-    pos += 4
+    reference_crc, pos = _header_u32(data, pos)
     has_reference = bool(flags & FLAG_HAS_REFERENCE)
-    header = DeltaHeader(
+    return DeltaHeader(
         fmt, version_length, scratch_length, version_crc,
         magic=WIRE_V2,
         has_checksum=bool(flags & FLAG_HAS_VERSION_CRC),
         reference_length=reference_length if has_reference else None,
         reference_crc32=reference_crc if has_reference else None,
         has_segment_crcs=bool(flags & FLAG_SEGMENT_CRCS),
-    )
-    bound = len(data) - 4
-    commands, pos = _decode_commands(
-        data, pos, bound, fixed, with_offsets, header.has_segment_crcs
-    )
-    if pos != bound:
-        raise DeltaFormatError(
-            "%d trailing bytes after OP_END" % (bound - pos)
+    ), pos
+
+
+def _check_trailer(data: Buffer, end: int, crc: int = 0,
+                   offset: int = -1) -> None:
+    """The ``IPD2`` trailer rule: ``data[end:end + 4]`` holds the CRC32
+    of every byte before it.  ``crc`` is the CRC of any bytes of the
+    file that precede ``data``; ``offset`` is the trailer's wire offset,
+    when the caller reports one."""
+    stored = int.from_bytes(data[end:end + 4], "little")
+    computed = zlib.crc32(memoryview(data)[:end], crc) & 0xFFFFFFFF
+    if stored != computed:
+        raise IntegrityError(
+            "delta trailer CRC failed: stored 0x%08x, computed 0x%08x — "
+            "the file is corrupt or truncated" % (stored, computed),
+            kind="trailer", offset=offset, expected=stored, actual=computed,
         )
-    return DeltaScript(commands, version_length), header
+
+
+class _CodewordParser:
+    """The codeword grammar: every rule on the bytes after the header.
+
+    The only codeword parser.  :func:`decode_delta` runs :meth:`parse`
+    once over a whole file; the streamed decoder
+    (:mod:`repro.delta.stream`) runs it over a bounded window sliding
+    along the stream, calling :meth:`advance` as bytes scroll out.
+    Positions are window indices and ``base`` is the wire offset of the
+    window's first byte, so reported offsets are wire offsets on both
+    paths.
+    """
+
+    __slots__ = ("fixed", "with_offsets", "segment_crcs", "base", "cursor",
+                 "seg_start", "seg_crc")
+
+    def __init__(self, header: DeltaHeader, start: int) -> None:
+        self.fixed = header.format in _FIXED_FORMATS
+        self.with_offsets = header.format in _INPLACE_FORMATS
+        self.segment_crcs = header.has_segment_crcs
+        self.base = 0
+        #: The implicit write offset of the sequential formats.
+        self.cursor = 0
+        #: Where the current segment began: a window index, negative once
+        #: its first bytes have scrolled out, their CRC32 in ``seg_crc``.
+        self.seg_start = start
+        self.seg_crc = 0
+
+    def advance(self, data: Buffer, count: int) -> None:
+        """Scroll the parsed ``data[:count]`` out of the window."""
+        if self.segment_crcs:
+            self.seg_crc = zlib.crc32(data[max(self.seg_start, 0):count],
+                                      self.seg_crc)
+        self.seg_start -= count
+        self.base += count
+
+    def parse(self, data: Buffer, pos: int, bound: int, final: bool,
+              commands: List[Command]) -> int:
+        """Append the commands coded in ``data[pos:bound]`` to ``commands``.
+
+        ``bound`` excludes any trailer.  ``OP_END`` ends the parse and
+        must end the input, so a ``final`` parse returns only there.
+        Otherwise the input goes on past ``bound``: the parse stops once
+        fewer than :data:`MAX_CODEWORD_BYTES` remain, so no codeword is
+        cut by the window's end, and returns where the next one starts.
+        """
+        fixed = self.fixed
+        with_offsets = self.with_offsets
+        segment_crcs = self.segment_crcs
+        base = self.base
+        cursor = self.cursor
+        seg_start = self.seg_start
+        stop = bound if final else bound - MAX_CODEWORD_BYTES
+        while True:
+            if pos >= stop:
+                if final:
+                    raise DeltaFormatError("delta file ended without OP_END")
+                break
+            op = data[pos]
+            pos += 1
+            if op == OP_END:
+                if segment_crcs and pos - 1 != seg_start:
+                    raise DeltaFormatError(
+                        "codewords after the final segment checkpoint")
+                if pos != bound:
+                    raise DeltaFormatError(
+                        "%d trailing bytes after OP_END" % (bound - pos))
+                break
+            if op == OP_CRC:
+                if not segment_crcs:
+                    raise DeltaFormatError("unexpected segment checkpoint "
+                                           "at byte %d" % (base + pos - 1))
+                if pos - 1 == seg_start:
+                    raise DeltaFormatError("empty segment checkpoint at "
+                                           "byte %d" % (base + pos - 1))
+                if pos + 4 > bound:
+                    raise DeltaFormatError("truncated segment checkpoint")
+                expected = zlib.crc32(
+                    memoryview(data)[max(seg_start, 0):pos - 1], self.seg_crc
+                ) & 0xFFFFFFFF
+                stored = int.from_bytes(data[pos:pos + 4], "little")
+                if stored != expected:
+                    raise IntegrityError(
+                        "segment checkpoint at byte %d failed: stored 0x%08x, "
+                        "computed 0x%08x" % (base + pos - 1, stored, expected),
+                        kind="segment", offset=base + pos - 1,
+                        expected=stored, actual=expected,
+                    )
+                pos += 4
+                seg_start = pos
+                self.seg_crc = 0
+                continue
+            if op == OP_COPY:
+                src, pos = _get_int(data, pos, fixed)
+                if with_offsets:
+                    dst, pos = _get_int(data, pos, fixed)
+                else:
+                    dst = cursor
+                length, pos = _get_int(data, pos, fixed)
+                if length == 0:
+                    raise DeltaFormatError(
+                        "zero-length copy at byte %d" % (base + pos - 1))
+                commands.append(CopyCommand(src, dst, length))
+                cursor = dst + length
+            elif op in (OP_SPILL, OP_FILL):
+                if not with_offsets:
+                    raise DeltaFormatError(
+                        "opcode 0x%02x not valid in a sequential delta" % op)
+                a, pos = _get_int(data, pos, fixed)
+                b, pos = _get_int(data, pos, fixed)
+                length, pos = _get_int(data, pos, fixed)
+                if length == 0:
+                    raise DeltaFormatError(
+                        "zero-length scratch command at byte %d"
+                        % (base + pos - 1))
+                if op == OP_SPILL:
+                    commands.append(SpillCommand(a, b, length))
+                else:
+                    commands.append(FillCommand(a, b, length))
+                    cursor = b + length
+            elif op == OP_ADD:
+                if with_offsets:
+                    dst, pos = _get_int(data, pos, fixed)
+                else:
+                    dst = cursor
+                if pos >= bound:
+                    raise DeltaFormatError(
+                        "truncated add length at byte %d" % (base + pos))
+                length = data[pos]
+                pos += 1
+                if length == 0:
+                    raise DeltaFormatError(
+                        "zero-length add at byte %d" % (base + pos - 1))
+                if pos + length > bound:
+                    raise DeltaFormatError(
+                        "truncated add data at byte %d" % (base + pos))
+                commands.append(AddCommand(dst, bytes(data[pos:pos + length])))
+                pos += length
+                cursor = dst + length
+            else:
+                raise DeltaFormatError(
+                    "unknown opcode 0x%02x at byte %d" % (op, base + pos - 1))
+            if segment_crcs and pos - seg_start > SEGMENT_LIMIT_BYTES:
+                raise DeltaFormatError(
+                    "segment checkpoint overdue at byte %d" % (base + pos))
+        self.cursor = cursor
+        self.seg_start = seg_start
+        return pos
 
 
 def decode_delta(data: Buffer) -> Tuple[DeltaScript, DeltaHeader]:
@@ -523,31 +585,19 @@ def decode_delta(data: Buffer) -> Tuple[DeltaScript, DeltaHeader]:
     parse.  A successfully decoded ``IPD2`` delta is therefore known
     bit-exact as produced.
     """
-    if len(data) >= 4 and bytes(data[:4]) == MAGIC_V2:
-        return _decode_v2(data)
-    if len(data) < _HEADER_FIXED or bytes(data[:4]) != MAGIC:
-        raise DeltaFormatError("not a delta file (bad magic)")
-    fmt = data[4]
-    if fmt not in ALL_FORMATS:
-        raise DeltaFormatError("unknown delta format %d" % fmt)
-    fixed = fmt in _FIXED_FORMATS
-    with_offsets = fmt in _INPLACE_FORMATS
-    pos = _HEADER_FIXED
-    version_length, pos = decode_varint(data, pos)
-    scratch_length, pos = decode_varint(data, pos)
-    if pos + 4 > len(data):
-        raise DeltaFormatError("truncated header")
-    crc = int.from_bytes(data[pos:pos + 4], "little")
-    pos += 4
-    header = DeltaHeader(fmt, version_length, scratch_length, crc)
-    commands, pos = _decode_commands(
-        data, pos, len(data), fixed, with_offsets, False
-    )
-    if pos != len(data):
-        raise DeltaFormatError(
-            "%d trailing bytes after OP_END" % (len(data) - pos)
-        )
-    return DeltaScript(commands, version_length), header
+    bound = len(data)
+    if bytes(data[:4]) == MAGIC_V2:
+        if len(data) < _V2_MIN_SIZE:
+            raise DeltaFormatError(
+                "truncated IPD2 file: %d bytes, need at least %d"
+                % (len(data), _V2_MIN_SIZE)
+            )
+        bound -= 4
+        _check_trailer(data, bound)
+    header, pos = _parse_header(data)
+    commands: List[Command] = []
+    _CodewordParser(header, pos).parse(data, pos, bound, True, commands)
+    return DeltaScript(commands, header.version_length), header
 
 
 def encoded_size(

@@ -9,16 +9,20 @@ reconstruction this drops a device's working memory to
 conclusion of the paper's "no scratch space" goal, and how production
 OTA updaters consume patches today.
 
-:func:`iter_delta_commands` incrementally parses any of the four wire
-formats from a file-like object; :func:`apply_delta_stream` drives the
-in-place engine from it, command by command.
+:func:`iter_delta_commands` feeds the one wire parser of
+:mod:`repro.delta.encode` from a window of at most :data:`WINDOW_BYTES`
+that slides along a file-like object, so a streamed delta is held to
+exactly the grammar :func:`~repro.delta.encode.decode_delta` enforces —
+bytes after the end included.  :func:`apply_delta_stream` runs the
+in-place applier (:func:`repro.core.apply.apply_in_place`'s command
+loop) over the commands as they arrive.
 
-``IPD2`` streams are verified as they are consumed: a rolling CRC is
-kept over the wire bytes and checked against every ``OP_CRC`` segment
-checkpoint, so a bit-flip halts — with its wire offset — within at most
-:data:`~repro.delta.encode.SEGMENT_LIMIT_BYTES` bytes of where it
-happened, and the whole-file trailer is checked at ``OP_END``.  A
-streaming applier cannot be fully abort-before-mutate (the point of
+``IPD2`` streams are verified as they are consumed: the segment CRCs
+are folded as bytes scroll out of the window and checked at every
+``OP_CRC`` checkpoint, so a bit-flip halts — with its wire offset —
+within at most :data:`~repro.delta.encode.SEGMENT_LIMIT_BYTES` bytes of
+where it happened, and the whole-file trailer is checked at ``OP_END``.
+A streaming applier cannot be fully abort-before-mutate (the point of
 streaming is not holding the file); the checkpoints bound the damage
 window instead, and the buffered path (:func:`repro.delta.encode
 .decode_delta` plus :func:`repro.core.apply.preflight_in_place`)
@@ -29,140 +33,57 @@ from __future__ import annotations
 
 import io
 import zlib
-from typing import BinaryIO, Iterator, Optional, Tuple, Union
+from typing import BinaryIO, Iterator, List, Tuple, Union
 
-from ..core.commands import (
-    AddCommand,
-    Command,
-    CopyCommand,
-    FillCommand,
-    SpillCommand,
-)
-from ..core.intervals import DynamicIntervalSet
-from ..exceptions import (
-    DeltaFormatError,
-    DeltaRangeError,
-    IntegrityError,
-    WriteBeforeReadError,
-)
+from ..core.apply import _apply_commands
+from ..core.commands import Command
+from ..exceptions import DeltaFormatError
 from .encode import (
-    ALL_FORMATS,
-    FLAG_HAS_REFERENCE,
-    FLAG_HAS_VERSION_CRC,
-    FLAG_SEGMENT_CRCS,
-    MAGIC,
-    MAGIC_V2,
-    OP_ADD,
-    OP_COPY,
-    OP_CRC,
-    OP_END,
-    OP_FILL,
-    OP_SPILL,
-    SEGMENT_LIMIT_BYTES,
+    _MAX_HEADER_BYTES,
+    _MIN_HEADER_BYTES,
     WIRE_V2,
-    _FIXED_FORMATS,
-    _INPLACE_FORMATS,
-    _KNOWN_FLAGS,
     DeltaHeader,
+    _check_trailer,
+    _CodewordParser,
+    _parse_header,
 )
 
-
-class _TrackingReader:
-    """Wrap a stream, keeping rolling CRCs over everything read.
-
-    ``crc_total`` covers every byte read so far (the trailer check);
-    ``crc_segment`` covers bytes since the last :meth:`reset_segment`
-    (the checkpoint check).  ``seg_before_last`` is the segment CRC as
-    it stood *before* the most recent read — when the decoder reads an
-    opcode byte and it turns out to be ``OP_CRC``, that is the value the
-    checkpoint was computed over (the checkpoint opcode itself is not
-    part of its segment).
-    """
-
-    def __init__(self, stream: BinaryIO):
-        self._stream = stream
-        self.crc_total = 0
-        self.crc_segment = 0
-        self.seg_before_last = 0
-        #: Bytes read so far — wire offsets for error reports.
-        self.offset = 0
-
-    def read(self, n: int) -> bytes:
-        data = self._stream.read(n)
-        self.seg_before_last = self.crc_segment
-        if data:
-            self.crc_total = zlib.crc32(data, self.crc_total) & 0xFFFFFFFF
-            self.crc_segment = zlib.crc32(data, self.crc_segment) & 0xFFFFFFFF
-            self.offset += len(data)
-        return data
-
-    def reset_segment(self) -> None:
-        self.crc_segment = 0
-        self.seg_before_last = 0
+#: Most delta bytes held at once, and the most one ``read()`` asks for:
+#: the stream buffer a streaming device budgets.  It holds a maximal
+#: codeword, and an ``IPD2`` trailer, with room to spare.
+WINDOW_BYTES = 512
 
 
-def _read_exact(stream: BinaryIO, n: int) -> bytes:
-    data = stream.read(n)
-    if data is None or len(data) != n:
-        raise DeltaFormatError(
-            "stream ended: wanted %d bytes, got %d" % (n, len(data or b""))
-        )
-    return data
+def _fill(stream: BinaryIO, window: bytearray, size: int) -> bool:
+    """Read until ``window`` holds ``size`` bytes; False if the stream
+    ends first."""
+    while len(window) < size:
+        chunk = stream.read(size - len(window))
+        if not chunk:
+            return False
+        window += chunk
+    return True
 
 
-def _read_varint(stream: BinaryIO) -> int:
-    value = 0
-    shift = 0
-    for _ in range(10):
-        byte = _read_exact(stream, 1)[0]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
-    raise DeltaFormatError("varint exceeds 10 bytes in stream")
-
-
-def _read_field(stream: BinaryIO, fixed: bool) -> int:
-    if fixed:
-        return int.from_bytes(_read_exact(stream, 4), "little")
-    return _read_varint(stream)
+def _read_header(stream: BinaryIO,
+                 window: bytearray) -> Tuple[DeltaHeader, int]:
+    """Read the header into ``window`` and parse it, consuming nothing
+    after it: start at the smallest header size and add a byte per
+    failed parse, until the parse succeeds or more bytes cannot help."""
+    size = _MIN_HEADER_BYTES
+    while True:
+        ended = not _fill(stream, window, size)
+        try:
+            return _parse_header(window)
+        except DeltaFormatError:
+            if ended or size >= _MAX_HEADER_BYTES:
+                raise
+        size += 1
 
 
 def read_header(stream: BinaryIO) -> DeltaHeader:
     """Parse and return the delta header from ``stream``."""
-    magic = _read_exact(stream, 4)
-    if magic == MAGIC_V2:
-        fmt = _read_exact(stream, 1)[0]
-        if fmt not in ALL_FORMATS:
-            raise DeltaFormatError("unknown delta format %d" % fmt)
-        flags = _read_exact(stream, 1)[0]
-        if flags & ~_KNOWN_FLAGS:
-            raise DeltaFormatError(
-                "unknown IPD2 flag bits 0x%02x" % (flags & ~_KNOWN_FLAGS)
-            )
-        version_length = _read_varint(stream)
-        scratch_length = _read_varint(stream)
-        version_crc = int.from_bytes(_read_exact(stream, 4), "little")
-        reference_length = _read_varint(stream)
-        reference_crc = int.from_bytes(_read_exact(stream, 4), "little")
-        has_reference = bool(flags & FLAG_HAS_REFERENCE)
-        return DeltaHeader(
-            fmt, version_length, scratch_length, version_crc,
-            magic=WIRE_V2,
-            has_checksum=bool(flags & FLAG_HAS_VERSION_CRC),
-            reference_length=reference_length if has_reference else None,
-            reference_crc32=reference_crc if has_reference else None,
-            has_segment_crcs=bool(flags & FLAG_SEGMENT_CRCS),
-        )
-    if magic != MAGIC:
-        raise DeltaFormatError("not a delta file (bad magic)")
-    fmt = _read_exact(stream, 1)[0]
-    if fmt not in ALL_FORMATS:
-        raise DeltaFormatError("unknown delta format %d" % fmt)
-    version_length = _read_varint(stream)
-    scratch_length = _read_varint(stream)
-    crc = int.from_bytes(_read_exact(stream, 4), "little")
-    return DeltaHeader(fmt, version_length, scratch_length, crc)
+    return _read_header(stream, bytearray())[0]
 
 
 def iter_delta_commands(
@@ -171,9 +92,11 @@ def iter_delta_commands(
     """Incrementally decode a delta: header now, commands on demand.
 
     Accepts a binary file-like object or raw bytes (wrapped in a
-    :class:`io.BytesIO`).  The returned iterator holds at most one
-    command's worth of data (≤ 255 literal bytes) at a time and raises
-    :class:`DeltaFormatError` on malformed or truncated input.
+    :class:`io.BytesIO`).  Only the header is read before the first
+    command is requested; after that the iterator holds at most
+    :data:`WINDOW_BYTES` of the delta and the commands coded in it, and
+    raises :class:`DeltaFormatError` on malformed or truncated input
+    and on bytes after the end.
 
     For ``IPD2`` streams the iterator also verifies every segment
     checkpoint as it passes (raising
@@ -183,99 +106,31 @@ def iter_delta_commands(
     """
     if isinstance(stream, (bytes, bytearray, memoryview)):
         stream = io.BytesIO(stream)
-    tracker = _TrackingReader(stream)
-    header = read_header(tracker)
-    fixed = header.format in _FIXED_FORMATS
-    with_offsets = header.format in _INPLACE_FORMATS
-    v2 = header.magic == WIRE_V2
-    # Segments cover codeword bytes only, starting after the header.
-    tracker.reset_segment()
+    window = bytearray()
+    header, start = _read_header(stream, window)
+    return header, _commands(stream, window, header, start)
 
-    def commands() -> Iterator[Command]:
-        cursor = 0
-        seg_anchor = tracker.offset
-        while True:
-            op_offset = tracker.offset
-            op = _read_exact(tracker, 1)[0]
-            if op == OP_END:
-                if v2:
-                    if header.has_segment_crcs and op_offset != seg_anchor:
-                        raise DeltaFormatError(
-                            "codewords after the final segment checkpoint"
-                        )
-                    computed = tracker.crc_total
-                    stored = int.from_bytes(_read_exact(tracker, 4), "little")
-                    if stored != computed:
-                        raise IntegrityError(
-                            "delta trailer CRC failed: stored 0x%08x, "
-                            "computed 0x%08x" % (stored, computed),
-                            kind="trailer", offset=op_offset + 1,
-                            expected=stored, actual=computed,
-                        )
-                return
-            if op == OP_CRC:
-                if not (v2 and header.has_segment_crcs):
-                    raise DeltaFormatError(
-                        "unexpected segment checkpoint at byte %d" % op_offset
-                    )
-                if op_offset == seg_anchor:
-                    raise DeltaFormatError(
-                        "empty segment checkpoint at byte %d" % op_offset
-                    )
-                computed = tracker.seg_before_last
-                stored = int.from_bytes(_read_exact(tracker, 4), "little")
-                if stored != computed:
-                    raise IntegrityError(
-                        "segment checkpoint at byte %d failed: stored "
-                        "0x%08x, computed 0x%08x"
-                        % (op_offset, stored, computed),
-                        kind="segment", offset=op_offset,
-                        expected=stored, actual=computed,
-                    )
-                tracker.reset_segment()
-                seg_anchor = tracker.offset
-                continue
-            if op == OP_COPY:
-                src = _read_field(tracker, fixed)
-                dst = _read_field(tracker, fixed) if with_offsets else cursor
-                length = _read_field(tracker, fixed)
-                if length == 0:
-                    raise DeltaFormatError("zero-length copy in stream")
-                cursor = dst + length
-                result: Command = CopyCommand(src, dst, length)
-            elif op in (OP_SPILL, OP_FILL):
-                if not with_offsets:
-                    raise DeltaFormatError(
-                        "opcode 0x%02x not valid in a sequential delta" % op
-                    )
-                a = _read_field(tracker, fixed)
-                b = _read_field(tracker, fixed)
-                length = _read_field(tracker, fixed)
-                if length == 0:
-                    raise DeltaFormatError("zero-length scratch command in stream")
-                if op == OP_SPILL:
-                    result = SpillCommand(a, b, length)
-                else:
-                    cursor = b + length
-                    result = FillCommand(a, b, length)
-            elif op == OP_ADD:
-                dst = _read_field(tracker, fixed) if with_offsets else cursor
-                length = _read_exact(tracker, 1)[0]
-                if length == 0:
-                    raise DeltaFormatError("zero-length add in stream")
-                data = _read_exact(tracker, length)
-                cursor = dst + length
-                result = AddCommand(dst, data)
-            else:
-                raise DeltaFormatError("unknown opcode 0x%02x in stream" % op)
-            if v2 and header.has_segment_crcs and \
-                    tracker.offset - seg_anchor > SEGMENT_LIMIT_BYTES:
-                raise DeltaFormatError(
-                    "segment checkpoint overdue at byte %d" % tracker.offset
-                )
-            yield result
 
-    return header, commands()
+def _commands(stream: BinaryIO, window: bytearray, header: DeltaHeader,
+              pos: int) -> Iterator[Command]:
+    """Slide ``window`` along ``stream`` and yield the commands parsed
+    from it; ``window[:pos]`` is the header, already parsed."""
+    trailer = 4 if header.magic == WIRE_V2 else 0
+    parser = _CodewordParser(header, pos)
+    crc = 0  # CRC32 of every byte scrolled out: the trailer's prefix
+    batch: List[Command] = []
+    final = False
+    while not final:
+        if trailer:
+            crc = zlib.crc32(window[:pos], crc)
+        parser.advance(window, pos)
+        del window[:pos]
+        final = not _fill(stream, window, WINDOW_BYTES)
+        pos = parser.parse(window, 0, len(window) - trailer, final, batch)
+        yield from batch
+        batch.clear()
+    if trailer:
+        _check_trailer(window, pos, crc, offset=parser.base + pos)
 
 
 def apply_delta_stream(
@@ -287,64 +142,14 @@ def apply_delta_stream(
 ) -> bytearray:
     """Apply a streamed delta to ``buffer`` in place.
 
-    Semantics match :func:`repro.core.apply.apply_in_place`, but the
-    delta is consumed incrementally: peak transient memory is one
-    codeword plus the ``chunk_size`` copy window, independent of both
-    the delta's and the version's size.
+    Semantics match :func:`repro.core.apply.apply_in_place`, whose
+    command loop runs here, but the delta is consumed incrementally:
+    peak transient memory is one window of the delta plus the
+    ``chunk_size`` copy window, independent of both the delta's and the
+    version's size.
     """
-    from ..core.apply import _directional_copy
-
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive, got %d" % chunk_size)
     header, commands = iter_delta_commands(stream)
-    original_length = len(buffer)
-    needed = max(header.version_length, original_length)
-    if needed > len(buffer):
-        buffer.extend(b"\x00" * (needed - len(buffer)))
-
-    written: Optional[DynamicIntervalSet] = DynamicIntervalSet() if strict else None
-    scratch = bytearray(header.scratch_length)
-    for i, cmd in enumerate(commands):
-        if isinstance(cmd, (CopyCommand, SpillCommand)):
-            if cmd.src + cmd.length > original_length:
-                raise DeltaRangeError(
-                    "streamed command %d reads beyond reference of length %d"
-                    % (i, original_length)
-                )
-            if written is not None and written.intersects(cmd.read_interval):
-                raise WriteBeforeReadError(
-                    "streamed command %d reads already-written bytes" % i,
-                    reader_index=i,
-                )
-        if isinstance(cmd, SpillCommand):
-            end = cmd.scratch + cmd.length
-            if end > len(scratch):
-                raise DeltaRangeError(
-                    "streamed spill %d writes beyond declared scratch size %d"
-                    % (i, len(scratch))
-                )
-            scratch[cmd.scratch:end] = buffer[cmd.src:cmd.src + cmd.length]
-            continue  # spills write no version bytes
-        if cmd.dst + cmd.length > len(buffer):
-            raise DeltaRangeError(
-                "streamed command %d writes [%d, %d) beyond the %d-byte "
-                "version region"
-                % (i, cmd.dst, cmd.dst + cmd.length, len(buffer))
-            )
-        if isinstance(cmd, CopyCommand):
-            _directional_copy(buffer, cmd.src, cmd.dst, cmd.length, chunk_size)
-        elif isinstance(cmd, FillCommand):
-            if cmd.scratch + cmd.length > len(scratch):
-                raise DeltaRangeError(
-                    "streamed fill %d reads beyond declared scratch size %d"
-                    % (i, len(scratch))
-                )
-            buffer[cmd.dst:cmd.dst + cmd.length] = \
-                scratch[cmd.scratch:cmd.scratch + cmd.length]
-        else:
-            buffer[cmd.dst:cmd.dst + cmd.length] = cmd.data
-        if written is not None:
-            written.add(cmd.write_interval)
-
-    del buffer[header.version_length:]
-    return buffer
+    return _apply_commands(commands, buffer, header.version_length,
+                           header.scratch_length, strict, chunk_size)

@@ -123,6 +123,9 @@ _ARTIFACT_KWARGS = {
 #: — the guaranteed-progress floor of the chain.
 RAW_REWRITE = "raw"
 
+#: Longest sleep, in seconds, between two attempts of one job.
+BACKOFF_CAP = 1.0
+
 #: Failure types (the ``"Type: message"`` prefix produced by
 #: :func:`~repro.faults.describe_failure`) that indicate bad *data*
 #: rather than bad *luck*: retrying the same inputs deterministically
@@ -190,8 +193,8 @@ class PipelineReport:
     failure: str = ""
     #: Post-encode self-check outcome: ``"verified"`` when the emitted
     #: payload decoded cleanly (trailer + segment CRCs) and its
-    #: reference digest matched the job's reference, ``""`` when
-    #: verification was disabled or the job never produced a payload.
+    #: reference digest matched the job's reference, ``""`` when the
+    #: job never produced a payload.
     integrity: str = ""
     #: Why a quarantined job was quarantined: ``"corruption"`` when the
     #: final failure was an integrity/format/verification error (the
@@ -342,7 +345,6 @@ def _process_initializer(cache_bytes: int) -> None:
 def _diff_stage(
     job: PipelineJob,
     algorithm: str,
-    options: Dict[str, object],
     cache: Optional[ReferenceIndexCache],
     submitted_at: float,
     plan: Optional[FaultPlan] = None,
@@ -379,7 +381,7 @@ def _diff_stage(
     faults: List[str] = []
     if plan is not None:
         plan.check("diff.worker", scope=job.name, index=attempt)
-    kwargs = dict(options)
+    kwargs: Dict[str, object] = {}
     cache_hit = False
     if cache is not None and algorithm in ALGORITHM_KINDS and plan is not None:
         try:
@@ -389,10 +391,7 @@ def _diff_stage(
             cache = None  # degrade: diff without the shared index
     use_cache = cache is not None and algorithm in ALGORITHM_KINDS
     if use_cache:
-        cache_hit = cache.has(
-            algorithm, job.reference, digest=digest,
-            **_has_kwargs(algorithm, options)
-        )
+        cache_hit = cache.has(algorithm, job.reference, digest=digest)
         if digest is None:
             kwargs["cache"] = cache
     t0 = time.perf_counter()
@@ -400,9 +399,7 @@ def _diff_stage(
         # Fetched inside the timed window so diff_seconds accounts the
         # artifact build exactly like the cache-inside-the-differ path.
         kwargs[_ARTIFACT_KWARGS[ALGORITHM_KINDS[algorithm]]] = cache.artifact(
-            algorithm, job.reference, digest=digest,
-            **_has_kwargs(algorithm, options)
-        )
+            algorithm, job.reference, digest=digest)
     script = ALGORITHMS[algorithm](job.reference, job.version, **kwargs)
     diff_seconds = time.perf_counter() - t0
     perf.add("pipeline.diff.seconds", diff_seconds)
@@ -411,20 +408,13 @@ def _diff_stage(
             submitted_at, faults, {})
 
 
-def _has_kwargs(algorithm: str, options: Dict[str, object]) -> Dict[str, object]:
-    """The subset of diff options that parameterize the cached artifact."""
-    keys = ("seed_length", "max_candidates", "table_size")
-    return {k: options[k] for k in keys if k in options}
-
-
 def _process_diff_stage(payload: Tuple) -> Tuple:
     """Process-pool entry: run :func:`_diff_stage` with the worker-global
     cache, capturing worker-side perf counters into the result."""
-    job, algorithm, options, submitted_at, plan, attempt = payload
+    job, algorithm, submitted_at, plan, attempt = payload
     recorder = perf.PerfRecorder()
     with perf.recording(recorder):
-        out = _diff_stage(job, algorithm, options, None, submitted_at,
-                          plan, attempt)
+        out = _diff_stage(job, algorithm, None, submitted_at, plan, attempt)
     return out[:6] + (recorder.counters,)
 
 
@@ -457,7 +447,7 @@ def _shm_diff_stage(payload: Tuple) -> Tuple:
     data), so it pickles back to the parent without referencing the
     mapping.
     """
-    (name, ref_desc, ver_desc, algorithm, options,
+    (name, ref_desc, ver_desc, algorithm,
      submitted_at, plan, attempt) = payload
     recorder = perf.PerfRecorder()
     with perf.recording(recorder):
@@ -473,7 +463,7 @@ def _shm_diff_stage(payload: Tuple) -> Tuple:
         finally:
             version_mapping.close()
         job = PipelineJob(reference, version, name)
-        out = _diff_stage(job, algorithm, options, None, submitted_at,
+        out = _diff_stage(job, algorithm, None, submitted_at,
                           plan, attempt, digest=ref_desc.digest)
     return out[:6] + (recorder.counters,)
 
@@ -482,10 +472,9 @@ def _shm_diff_stage(payload: Tuple) -> Tuple:
 class PipelineConfig:
     """The full serving configuration of a :class:`DeltaPipeline`.
 
-    One frozen value object instead of nineteen keyword arguments: build
-    it once, validate it once, share it (``dataclasses.replace`` derives
-    variants), and hand it to ``DeltaPipeline(config)``.  Every field
-    mirrors a legacy constructor keyword; defaults are identical, so
+    One frozen value object instead of seventeen keyword arguments:
+    build it once, validate it once, share it (``dataclasses.replace``
+    derives variants), and hand it to ``DeltaPipeline(config)``.
     ``PipelineConfig()`` reproduces ``DeltaPipeline()`` exactly.
 
     * ``algorithm``/``policy``/``ordering``/``scratch_budget``/
@@ -495,10 +484,8 @@ class PipelineConfig:
       ``cache_bytes`` — where to compute it: pool shape and cache
       budget (``diff_workers``/``convert_workers`` of ``None`` mean one
       per CPU).
-    * ``diff_options`` — extra keywords forwarded to the differ.
     * ``retries``/``fallback``/``stage_timeout``/``backoff_*``/
-      ``fault_plan``/``verify_outputs`` — the resilience plane (see
-      :class:`DeltaPipeline`).
+      ``fault_plan`` — the resilience plane (see :class:`DeltaPipeline`).
     """
 
     algorithm: str = "correcting"
@@ -511,17 +498,13 @@ class PipelineConfig:
     convert_workers: Optional[int] = None
     cache: Optional[ReferenceIndexCache] = None
     cache_bytes: int = 128 << 20
-    diff_options: Optional[Dict[str, object]] = None
     retries: int = 0
     fallback: Tuple[str, ...] = ()
     stage_timeout: Optional[float] = None
     backoff_base: float = 0.0
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.25
-    backoff_max: float = 1.0
-    backoff_seed: int = 0
     fault_plan: Optional[FaultPlan] = None
-    verify_outputs: bool = True
 
     def validate(self) -> None:
         """Raise ``ValueError`` on any inconsistent field combination."""
@@ -590,22 +573,22 @@ class DeltaPipeline:
     * ``stage_timeout`` — wall-clock budget per stage; an overrunning
       stage counts as a failed attempt (pooled stages abandon the wait,
       the serial watchdog flags the overrun after the fact).
-    * ``backoff_base``/``backoff_factor``/``backoff_jitter``/
-      ``backoff_max`` — exponential backoff between a job's attempts;
-      ``backoff_base=0`` (default) disables sleeping.  Jitter is a pure
-      function of ``(seed, job name, attempt)`` via
-      :func:`~repro.faults.backoff_delay` — the seed is the fault plan's
-      when one is installed, else ``backoff_seed`` — never shared
+    * ``backoff_base``/``backoff_factor``/``backoff_jitter`` —
+      exponential backoff between a job's attempts, capped at
+      :data:`BACKOFF_CAP` seconds; ``backoff_base=0`` (default) disables
+      sleeping.  Jitter is a pure function of ``(seed, job name,
+      attempt)`` via :func:`~repro.faults.backoff_delay` — the seed is
+      the fault plan's when one is installed, else 0 — never shared
       mutable RNG state, so a job's retry timing is identical whichever
       executor (or worker) drives it.
     * ``fault_plan`` — a :class:`~repro.faults.FaultPlan` checked at the
       ``diff.worker``, ``cache.lookup`` and ``convert.evict`` sites.
 
-    ``verify_outputs`` (default True) decodes every emitted payload —
-    re-checking the ``IPD2`` trailer, segment CRCs and reference digest
-    — before handing it out, recording ``report.integrity ==
-    "verified"``; a mismatch fails the attempt into the retry
-    machinery.  Quarantined jobs carry ``report.quarantine_reason``
+    Every emitted payload is decoded — re-checking the ``IPD2``
+    trailer, segment CRCs and reference digest — before it is handed
+    out, recording ``report.integrity == "verified"``; a mismatch fails
+    the attempt into the retry machinery.  Quarantined jobs carry
+    ``report.quarantine_reason``
     (``"corruption"`` vs ``"transient"``) so operators can tell bad
     data from bad luck.
 
@@ -629,7 +612,6 @@ class DeltaPipeline:
         self.cache_bytes = config.cache_bytes
         self.cache = (config.cache if config.cache is not None
                       else ReferenceIndexCache(config.cache_bytes))
-        self.diff_options: Dict[str, object] = dict(config.diff_options or {})
         self.retries = config.retries
         self._chain: Tuple[str, ...] = config.chain()
         self.fallback_chain: Tuple[str, ...] = self._chain[1:]
@@ -637,14 +619,11 @@ class DeltaPipeline:
         self.backoff_base = config.backoff_base
         self.backoff_factor = config.backoff_factor
         self.backoff_jitter = config.backoff_jitter
-        self.backoff_max = config.backoff_max
         # Jitter derives from the fault plan's seed when one is set, so
         # a seeded fault scenario reproduces its retry timing exactly.
         self._backoff_seed = (config.fault_plan.seed
-                              if config.fault_plan is not None
-                              else config.backoff_seed)
+                              if config.fault_plan is not None else 0)
         self.fault_plan = config.fault_plan
-        self.verify_outputs = config.verify_outputs
         self._diff_pool: Optional[Executor] = None
         self._convert_pool: Optional[ThreadPoolExecutor] = None
         self._arena: Optional[SharedBufferArena] = None
@@ -706,9 +685,8 @@ class DeltaPipeline:
         each reference, so warming here does not reach them.
         """
         count = 0
-        params = _has_kwargs(self.algorithm, self.diff_options)
         for reference in references:
-            if self.cache.warm(self.algorithm, bytes(reference), **params):
+            if self.cache.warm(self.algorithm, bytes(reference)):
                 count += 1
         return count
 
@@ -744,16 +722,13 @@ class DeltaPipeline:
         )
         encode_seconds = time.perf_counter() - t0
         perf.add("pipeline.encode.seconds", encode_seconds)
-        integrity = ""
-        if self.verify_outputs:
-            # Decode the bytes we are about to hand out: this re-checks
-            # the trailer and every segment CRC, then the reference
-            # digest against the job's own reference.  Any mismatch
-            # raises into the retry machinery instead of shipping a
-            # payload that would brick an in-place device.
-            _script, header = decode_delta(payload)
-            verify_reference(header, job.reference)
-            integrity = "verified"
+        # Decode the bytes we are about to hand out: this re-checks the
+        # trailer and every segment CRC, then the reference digest
+        # against the job's own reference.  Any mismatch raises into the
+        # retry machinery instead of shipping a payload that would brick
+        # an in-place device.
+        _script, header = decode_delta(payload)
+        verify_reference(header, job.reference)
         report = PipelineReport(
             name=job.name,
             algorithm=self.algorithm,
@@ -768,7 +743,7 @@ class DeltaPipeline:
             version_bytes=len(job.version),
             delta_bytes=len(payload),
             conversion=converted.report,
-            integrity=integrity,
+            integrity="verified",
         )
         return PipelineResult(payload=payload, script=converted.script,
                               report=report)
@@ -794,7 +769,7 @@ class DeltaPipeline:
         if self.backoff_base > 0.0:
             time.sleep(backoff_delay(
                 attempt, self.backoff_base, self.backoff_factor,
-                cap=self.backoff_max, jitter=self.backoff_jitter,
+                cap=BACKOFF_CAP, jitter=self.backoff_jitter,
                 seed=self._backoff_seed, scope=scope))
 
     def _diff_attempt(self, job: PipelineJob, algorithm: str, index: int) -> Tuple:
@@ -808,8 +783,8 @@ class DeltaPipeline:
                            submitted, [], {}))
         t0 = time.perf_counter()
         try:
-            out = _diff_stage(job, algorithm, self.diff_options, self.cache,
-                              submitted, self.fault_plan, index)
+            out = _diff_stage(job, algorithm, self.cache, submitted,
+                              self.fault_plan, index)
         except Exception as exc:
             return ("error", describe_failure(exc))
         if self._overran(t0):
@@ -961,20 +936,18 @@ class DeltaPipeline:
                         fut = diff_pool.submit(
                             _shm_diff_stage,
                             (job.name, ref_desc, ver_desc, self.algorithm,
-                             self.diff_options, submitted,
-                             self.fault_plan, 1),
+                             submitted, self.fault_plan, 1),
                         )
                     elif self.executor == "process":
                         fut = diff_pool.submit(
                             _process_diff_stage,
-                            (job, self.algorithm, self.diff_options,
-                             submitted, self.fault_plan, 1),
+                            (job, self.algorithm, submitted,
+                             self.fault_plan, 1),
                         )
                     else:
                         fut = diff_pool.submit(
                             _diff_stage, job, self.algorithm,
-                            self.diff_options, shared_cache, submitted,
-                            self.fault_plan, 1,
+                            shared_cache, submitted, self.fault_plan, 1,
                         )
                     pending.append(fut)
                     first_futs.append((job, fut))

@@ -61,7 +61,6 @@ from ..exceptions import (
 from ..faults import FaultPlan, backoff_delay, describe_failure
 from ..pipeline import ReferenceIndexCache
 from ..store.pack import write_atomic
-from . import protocol
 from .protocol import (
     ERR_UP_TO_DATE,
     T_DATA,
@@ -223,7 +222,6 @@ async def pull_async(
     backoff_cap: float = 5.0,
     chunk_size: int = 4096,
     state: Optional[PullState] = None,
-    max_frame_bytes: int = protocol.MAX_PAYLOAD,
     io_timeout: Optional[float] = 30.0,
 ) -> PullOutcome:
     """One end-to-end pull: request, download (resumable), apply in place.
@@ -267,7 +265,7 @@ async def pull_async(
             recv_state["index"] += 1
             fault_plan.check("client.recv", scope=scope,
                              index=recv_state["index"])
-        return await read_frame(reader, max_payload=max_frame_bytes)
+        return await read_frame(reader)
 
     def payload_complete() -> bool:
         return (meta is not None and len(buf) == meta["length"]

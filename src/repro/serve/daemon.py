@@ -87,7 +87,6 @@ class ServeConfig:
     request_timeout: Optional[float] = 30.0
     #: DATA frame payload size.
     chunk_size: int = 1 << 16
-    max_frame_bytes: int = protocol.MAX_PAYLOAD
     #: Byte budget of the encoded-payload LRU (0 disables).
     payload_cache_bytes: int = 64 << 20
     #: Byte budget of the shared reference-index cache.
@@ -300,8 +299,7 @@ class DeltaServer:
                                    "server is draining")
             return
         try:
-            ftype, payload = await read_frame(
-                reader, max_payload=self.config.max_frame_bytes)
+            ftype, payload = await read_frame(reader)
         except IntegrityError as exc:
             # Truncated or corrupt request frame: answer structurally if
             # the socket still works, then drop the connection.

@@ -15,8 +15,8 @@ Storage policy, per publish (see :class:`StoreConfig`):
    recent versions (``similarity_window``) plus the current chain's
    anchor; each is scored by probe containment — evenly-spaced
    substrings of the new image searched in the candidate (shift
-   tolerant, C-speed ``bytes.find``) — and the best score above
-   ``similarity_threshold`` wins.
+   tolerant, C-speed ``bytes.find``) — and the best score of at least
+   :data:`SIMILARITY_THRESHOLD` wins.
 2. **Chain-depth limit.**  A candidate whose chain is already
    ``max_chain_depth`` deep is skipped; when every candidate is, the
    object is stored full (a fresh anchor), bounding reconstruction
@@ -92,6 +92,13 @@ LOCK_NAME = "writer.lock"
 #: of a command object with its fields and its list slot in CPython.
 _HOP_COMMAND_BYTES = 192
 
+#: Base choice: a candidate qualifies when at least this share of
+#: :data:`SIMILARITY_PROBES` probes of :data:`SIMILARITY_PROBE_LEN`
+#: bytes, evenly spaced over the new image, occur in it.
+SIMILARITY_THRESHOLD = 0.6
+SIMILARITY_PROBES = 32
+SIMILARITY_PROBE_LEN = 24
+
 
 def _pack_name(generation: int) -> str:
     return "pack-%06d.pack" % generation
@@ -121,12 +128,6 @@ class StoreConfig:
     min_delta_size: int = 256
     #: How many recent versions of the package are considered as bases.
     similarity_window: int = 4
-    #: Minimum probe-containment score a base candidate must reach.
-    similarity_threshold: float = 0.6
-    #: Probe sampling: ``similarity_probes`` windows of
-    #: ``similarity_probe_len`` bytes, evenly spaced over the image.
-    similarity_probes: int = 32
-    similarity_probe_len: int = 24
     #: Byte budget of the store's LRU, shared by reconstructed objects,
     #: :meth:`PackStore.chain`'s hop scripts and the per-package seed
     #: tables publish carries forward (0 disables all three).
@@ -148,10 +149,6 @@ class StoreConfig:
             raise ValueError("min_delta_size must be non-negative")
         if self.similarity_window < 1:
             raise ValueError("similarity_window must be >= 1")
-        if not (0.0 <= self.similarity_threshold <= 1.0):
-            raise ValueError("similarity_threshold must be in [0, 1]")
-        if self.similarity_probes < 1 or self.similarity_probe_len < 1:
-            raise ValueError("similarity probes/probe_len must be >= 1")
         if self.cache_bytes < 0:
             raise ValueError("cache_bytes must be non-negative")
 
@@ -968,8 +965,7 @@ class PackStore:
             anchor = objects.get(anchor.base)
         if anchor is not None and anchor.digest not in seen:
             candidates.append(anchor)
-        probes = _probes(data, cfg.similarity_probes,
-                         cfg.similarity_probe_len)
+        probes = _probes(data, SIMILARITY_PROBES, SIMILARITY_PROBE_LEN)
         best: Optional[ObjectInfo] = None
         best_score = 0.0
         best_bytes = b""
@@ -979,7 +975,7 @@ class PackStore:
                 continue
             base_bytes = get_bytes(info.digest)
             score = _containment(probes, base_bytes)
-            if score >= cfg.similarity_threshold and score > best_score:
+            if score >= SIMILARITY_THRESHOLD and score > best_score:
                 best, best_score, best_bytes = info, score, base_bytes
         if best is None:
             perf.add("store.publish.full")

@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro
 from repro.core.apply import _directional_copy, apply_delta, apply_in_place, reconstruct
 from repro.core.commands import AddCommand, CopyCommand, DeltaScript
+from repro.delta import FORMAT_INPLACE, encode_delta, version_checksum
+from repro.delta.stream import apply_delta_stream
 from repro.exceptions import DeltaRangeError, WriteBeforeReadError
 
 
@@ -170,3 +173,31 @@ class TestReconstruct:
         )
         with pytest.raises(WriteBeforeReadError):
             reconstruct(script, b"01234567", in_place=True)
+
+
+class TestWriteBeyondVersion:
+    """A command writing past ``version_length`` is refused by every
+    applier: the two-space one used to grow its output, the in-place one
+    to cut the write short, both without an error."""
+
+    REFERENCE = bytes(range(40))
+
+    def test_every_applier_refuses(self):
+        # A 50-byte version whose last add writes [45, 55).
+        script = DeltaScript([CopyCommand(0, 0, 40), AddCommand(40, b"a" * 5),
+                              AddCommand(45, b"b" * 10)], version_length=50)
+        intended = self.REFERENCE + b"a" * 5 + b"b" * 5
+        payload = encode_delta(script, FORMAT_INPLACE,
+                               version_crc32=version_checksum(intended),
+                               reference=self.REFERENCE)
+        assert repro.decode_delta(payload)[0] == script
+        with pytest.raises(DeltaRangeError):
+            repro.patch(self.REFERENCE, payload)
+        with pytest.raises(DeltaRangeError):
+            apply_delta(script, self.REFERENCE)
+        with pytest.raises(DeltaRangeError):
+            apply_in_place(script, bytearray(self.REFERENCE), strict=True)
+        with pytest.raises(DeltaRangeError):
+            repro.patch_in_place(bytearray(self.REFERENCE), payload)
+        with pytest.raises(DeltaRangeError):
+            apply_delta_stream(payload, bytearray(self.REFERENCE), strict=True)

@@ -448,13 +448,18 @@ class TestDeltaPipeline:
 class TestPipelineConfig:
     """The consolidated configuration object."""
 
-    def test_defaults_reproduce_default_pipeline(self):
+    def test_defaults_reproduce_default_pipeline(self, batch_pair):
+        reference, versions = batch_pair
+        jobs = [PipelineJob(reference, v, "v%d" % i)
+                for i, v in enumerate(versions)]
         with DeltaPipeline(PipelineConfig()) as pipe:
             assert pipe.algorithm == "correcting"
             assert pipe.executor == "thread"
             assert pipe.retries == 0
-            assert pipe.verify_outputs is True
             assert pipe.config == PipelineConfig()
+            batch = pipe.run(jobs)
+        # Every emitted payload is decoded and checked before it ships.
+        assert all(r.report.integrity == "verified" for r in batch.results)
 
     def test_chain_is_primary_plus_fallbacks(self):
         config = PipelineConfig(algorithm="greedy",

@@ -69,8 +69,8 @@ class TestStoreConfig:
         {"delta_max_ratio": 1.5},
         {"min_delta_size": -1},
         {"similarity_window": 0},
-        {"similarity_threshold": 1.5},
-        {"similarity_probes": 0},
+        {"delta_max_ratio": float("nan")},
+        {"max_chain_depth": -1},
         {"cache_bytes": -1},
     ])
     def test_nonsense_rejected(self, kwargs):
