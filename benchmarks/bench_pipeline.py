@@ -67,7 +67,7 @@ def test_pipeline_speedup_over_cold_serial_loop(benchmark):
         # Pipeline: warm the shared cache once, then fan the batch out.
         with DeltaPipeline(PipelineConfig(
                 algorithm="greedy", executor="thread",
-                diff_workers=WORKERS, convert_workers=WORKERS,
+                workers=WORKERS,
                 varint_pricing=False)) as pipe:
             pipe.warm([reference])
             warm_seconds, batch = elapsed(lambda: pipe.run(jobs))
@@ -129,7 +129,7 @@ def test_bench_pipeline_kernel(benchmark):
     jobs = [PipelineJob(reference, v, "v%d" % i)
             for i, v in enumerate(versions)]
     with DeltaPipeline(PipelineConfig(algorithm="greedy", executor="thread",
-                                      diff_workers=WORKERS)) as pipe:
+                                      workers=WORKERS)) as pipe:
         pipe.warm([reference])
         benchmark(lambda: pipe.run(jobs))
 
@@ -179,7 +179,7 @@ def test_process_shm_speedup_over_process(benchmark):
     def timed_batch(executor):
         with DeltaPipeline(PipelineConfig(
                 algorithm="greedy", executor=executor,
-                diff_workers=2, convert_workers=2)) as pipe:
+                workers=2)) as pipe:
             pipe.run(jobs)  # absorb pool spawn + per-worker index build
             seconds, batch = min(
                 (elapsed(lambda: pipe.run(jobs)) for _ in range(3)),

@@ -396,8 +396,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         ordering=args.ordering,
         scratch_budget=args.scratch,
         executor=args.executor,
-        diff_workers=args.workers,
-        convert_workers=args.workers,
+        workers=args.workers,
         cache_bytes=args.cache_bytes,
         retries=args.retries,
         fallback=tuple(fallback),
@@ -434,7 +433,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     print(
         "encoded %d deltas in %.3fs (%s executor, %d workers); "
         "cache hit rate %.0f%%"
-        % (batch.ok_jobs, batch.wall_seconds, args.executor, pipe.diff_workers,
+        % (batch.ok_jobs, batch.wall_seconds, args.executor, pipe.workers,
            100.0 * batch.cache_hit_rate)
     )
     print(

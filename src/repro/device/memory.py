@@ -201,16 +201,16 @@ class ConstrainedDevice:
 
         The delta's commands execute in file order and each codeword is
         tiny, so the device never holds the payload: RAM is charged only
-        for a one-codeword stream buffer plus the copy window.  This is
-        the smallest-footprint strategy — it updates devices whose RAM is
+        for the stream's parse window plus the copy window.  This is the
+        smallest-footprint strategy — it updates devices whose RAM is
         smaller than the delta file itself.
         """
         import io
 
-        from ..delta.stream import apply_delta_stream, read_header
+        from ..delta.stream import WINDOW_BYTES, apply_delta_stream, read_header
 
-        stream_buffer = 512  # one codeword: opcode + fields + <=255 literals
-        self.ram.allocate("stream-buffer", stream_buffer)
+        # The stream never holds more of the delta than its parse window.
+        self.ram.allocate("stream-buffer", WINDOW_BYTES)
         self.ram.allocate("copy-window", self.copy_window)
         scratch_allocated = False
         inflater_allocated = False

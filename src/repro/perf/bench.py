@@ -399,7 +399,7 @@ def _pipeline_op(executor: str, jobs: List[PipelineJob], size_label: str,
     """
     pipe = DeltaPipeline(PipelineConfig(
         algorithm=algorithm, executor=executor,
-        diff_workers=2, convert_workers=2,
+        workers=2,
     ))
     total_version_bytes = sum(len(j.version) for j in jobs)
 

@@ -3,27 +3,28 @@
 The serving shape this targets is one reference diffed against many
 versions (a release pushed to a fleet, a mirror syncing a directory of
 histories).  Each :class:`PipelineJob` runs the full per-client path —
-differencing, in-place conversion, wire encoding — and returns a
-:class:`PipelineResult` whose :class:`PipelineReport` carries stage and
-queue timings, the per-job cache outcome, and the converter's
-:class:`~repro.core.convert.ConversionReport`.
+differencing, in-place conversion, wire encoding, a decode self-check —
+and returns a :class:`PipelineResult` whose :class:`PipelineReport`
+carries stage and queue timings, the per-job cache outcome, and the
+converter's :class:`~repro.core.convert.ConversionReport`.
 
-Four executors:
+One function, :func:`_run_job`, runs a job's whole life: every diff
+attempt, conversion, encode, self-check, retry, fallback link, backoff
+and quarantine.  Each of the four executors runs it as one task per
+job, on at most one pool:
 
-* ``"serial"`` — inline, no pools; the baseline the benches compare
-  against.
-* ``"thread"`` — a differencing thread pool feeding a conversion thread
-  pool, all workers sharing one
+* ``"serial"`` — calls it inline, no pool; the baseline the benches
+  compare against.
+* ``"thread"`` — maps it over one thread pool whose workers share one
   :class:`~repro.pipeline.cache.ReferenceIndexCache`.  CPython's GIL
   serializes the pure-Python compute, so the win here is the cache (the
   reference index is built once per batch instead of once per job) plus
   overlap of any releasing operations.
-* ``"process"`` — differencing in a process pool (true parallelism on
-  multi-core hosts), conversion in a thread pool.  Each worker process
-  holds its own cache, kept warm because the pool persists across
-  :meth:`DeltaPipeline.run` calls; job payloads (reference and version
-  bytes, then the resulting script) cross the process boundary by
-  pickling.
+* ``"process"`` — maps it over one process pool (true parallelism on
+  multi-core hosts).  Each worker process holds its own cache, kept
+  warm because the pool persists across :meth:`DeltaPipeline.run`
+  calls; the job's reference and version bytes reach the worker by
+  pickling, and its result comes back the same way.
 * ``"process-shm"`` — the process pool fed zero-copy: reference and
   version buffers are published once into shared-memory segments (a
   ref-counted :class:`~repro.pipeline.shm.SharedBufferArena`), workers
@@ -39,10 +40,10 @@ Four executors:
 
 Construction takes a :class:`PipelineConfig` (the stable API).
 
-Worker processes run their differencing under a local
+Worker processes run each job under a local
 :class:`~repro.perf.PerfRecorder` and ship the counter snapshot back
-with the stage result; the parent merges it into whatever recorder its
-batch runs under, so ``repro.perf`` telemetry from ``"process"`` and
+with the result; the parent merges it into whatever recorder its batch
+runs under, so ``repro.perf`` telemetry from ``"process"`` and
 ``"process-shm"`` workers aggregates instead of being silently dropped.
 
 **Fault isolation.**  A batch of N jobs always yields N
@@ -54,7 +55,10 @@ down a fallback chain of algorithms ending, if configured, in a
 structured failure result rather than raised.  The per-job
 ``report.trace`` records every attempt, fault and fallback in a
 timing-free format, so the same fault seed reproduces byte-identical
-traces across runs and executor modes.
+traces across runs and executor modes.  A job whose worker process
+dies counts the loss as its failed first attempt and runs its retries
+and fallback inline in the parent; the broken pool is replaced for the
+next batch.
 
 By default the pipeline prices evictions with
 :func:`~repro.delta.varint.varint_size` — the pricing that matches the
@@ -67,15 +71,20 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import perf
 from ..core.apply import verify_reference
 from ..core.commands import AddCommand, DeltaScript
-from ..core.convert import ConversionReport, make_in_place
+from ..core.convert import ConversionReport, InPlaceResult, make_in_place
 from ..delta import (
     ALGORITHMS,
     FORMAT_INPLACE,
@@ -84,7 +93,7 @@ from ..delta import (
     version_checksum,
 )
 from ..delta.varint import varint_size
-from ..exceptions import ReproError
+from ..exceptions import ReproError, StageTimeoutError
 from ..faults import FaultPlan, backoff_delay, describe_failure
 from .cache import (
     ALGORITHM_KINDS,
@@ -101,8 +110,8 @@ Buffer = Union[bytes, bytearray, memoryview]
 
 EXECUTORS = ("serial", "thread", "process", "process-shm")
 
-#: Executors whose differencing stage runs in worker *processes* (their
-#: caches live per worker; the parent cannot observe them directly).
+#: Executors whose jobs run in worker *processes* (their caches live per
+#: worker; the parent cannot observe them directly).
 PROCESS_EXECUTORS = ("process", "process-shm")
 
 #: Differ keyword accepting a prebuilt reference artifact, per artifact
@@ -165,11 +174,11 @@ class PipelineReport:
     algorithm: str
     policy: str
     executor: str
-    #: Whether the reference artifact was already cached when the diff
-    #: stage picked the job up (best-effort under concurrency).
+    #: Whether the reference artifact was already cached when the
+    #: successful diff started (best-effort under concurrency).
     cache_hit: bool = False
-    #: Seconds the job waited between submission and the diff stage
-    #: starting (wall clock, comparable across processes).
+    #: Seconds between the job's submission and its start (wall clock,
+    #: comparable across processes).
     queue_seconds: float = 0.0
     diff_seconds: float = 0.0
     convert_seconds: float = 0.0
@@ -306,8 +315,11 @@ class BatchReport:
         The same dictionary serves ``ipdelta pipeline --json`` and the
         fleet campaign's encode-phase section, so tooling parses one
         schema wherever a batch ran.  Everything in it is derived from
-        per-job reports, so for a fixed fault seed it is identical
-        across executor modes (wall/compute seconds excepted).
+        per-job reports.  For a fixed fault seed it is identical across
+        executor modes except ``wall_seconds``, ``compute_seconds`` and
+        ``cache_hits``: each worker process fills its own cache, and
+        jobs running side by side can all miss a reference none of them
+        has built yet.
         """
         return {
             "schema": "repro.pipeline.batch/1",
@@ -327,152 +339,11 @@ class BatchReport:
         }
 
 
-# -- process-pool plumbing --------------------------------------------
-#
-# Worker processes keep a module-global cache so repeated jobs against
-# one reference amortize index construction exactly like threads do,
-# just per-process.  The pool persists across run() calls, so the
-# caches stay warm for a pipeline's whole lifetime.
-
-_PROCESS_CACHE: Optional[ReferenceIndexCache] = None
-
-
-def _process_initializer(cache_bytes: int) -> None:
-    global _PROCESS_CACHE
-    _PROCESS_CACHE = ReferenceIndexCache(cache_bytes)
-
-
-def _diff_stage(
-    job: PipelineJob,
-    algorithm: str,
-    cache: Optional[ReferenceIndexCache],
-    submitted_at: float,
-    plan: Optional[FaultPlan] = None,
-    attempt: int = 1,
-    digest: Optional[str] = None,
-) -> Tuple[DeltaScript, float, float, bool, float, List[str], Dict[str, float]]:
-    """Run differencing; returns
-    ``(script, queue_s, diff_s, cache_hit, submitted_at, faults, counters)``.
-
-    ``plan`` fault sites: ``diff.worker`` fails the attempt;
-    ``cache.lookup`` degrades it to cache-less differencing (the fault is
-    recorded in ``faults`` but the attempt proceeds).  ``attempt`` is the
-    job's 1-based diff call index — passed explicitly so fault decisions
-    are identical whether this runs inline, in a thread, or in a worker
-    process holding a pickled copy of the plan.
-
-    ``digest`` is the reference's precomputed content digest (shipped in
-    a shared-memory descriptor): when given, cache lookups key on it
-    directly and the cached artifact is passed to the differ prebuilt,
-    so the worker never re-hashes the reference bytes.
-
-    The trailing ``counters`` dict is empty when this runs in the parent
-    process (perf counters flow to the active recorder directly); the
-    process-pool entry points fill it with the worker-side snapshot.
-    """
-    if cache is None:
-        cache = _PROCESS_CACHE
-    # Monotonic, not wall clock: submitted_at crosses process boundaries,
-    # and CLOCK_MONOTONIC is system-wide on the supported platforms, so
-    # queue/total durations stay immune to wall-clock jumps (NTP steps
-    # were skewing the section-7 runtime benches).
-    started_wall = time.perf_counter()
-    queue_seconds = max(0.0, started_wall - submitted_at)
-    faults: List[str] = []
-    if plan is not None:
-        plan.check("diff.worker", scope=job.name, index=attempt)
-    kwargs: Dict[str, object] = {}
-    cache_hit = False
-    if cache is not None and algorithm in ALGORITHM_KINDS and plan is not None:
-        try:
-            plan.check("cache.lookup", scope=job.name, index=attempt)
-        except ReproError as exc:
-            faults.append(describe_failure(exc))
-            cache = None  # degrade: diff without the shared index
-    use_cache = cache is not None and algorithm in ALGORITHM_KINDS
-    if use_cache:
-        cache_hit = cache.has(algorithm, job.reference, digest=digest)
-        if digest is None:
-            kwargs["cache"] = cache
-    t0 = time.perf_counter()
-    if use_cache and digest is not None:
-        # Fetched inside the timed window so diff_seconds accounts the
-        # artifact build exactly like the cache-inside-the-differ path.
-        kwargs[_ARTIFACT_KWARGS[ALGORITHM_KINDS[algorithm]]] = cache.artifact(
-            algorithm, job.reference, digest=digest)
-    script = ALGORITHMS[algorithm](job.reference, job.version, **kwargs)
-    diff_seconds = time.perf_counter() - t0
-    perf.add("pipeline.diff.seconds", diff_seconds)
-    perf.add("pipeline.diff.jobs")
-    return (script, queue_seconds, diff_seconds, cache_hit,
-            submitted_at, faults, {})
-
-
-def _process_diff_stage(payload: Tuple) -> Tuple:
-    """Process-pool entry: run :func:`_diff_stage` with the worker-global
-    cache, capturing worker-side perf counters into the result."""
-    job, algorithm, submitted_at, plan, attempt = payload
-    recorder = perf.PerfRecorder()
-    with perf.recording(recorder):
-        out = _diff_stage(job, algorithm, None, submitted_at, plan, attempt)
-    return out[:6] + (recorder.counters,)
-
-
-# Worker-side zero-copy mappings of *reference* segments, keyed by
-# content digest.  Kept for the worker's lifetime: the cached reference
-# artifacts (e.g. a FullSeedIndex) hold views into these mappings, and
-# keying by digest lets a re-published identical reference (new segment
-# name, same bytes) reuse the existing mapping instead of re-attaching.
-# Version segments are mapped transiently per job and closed in the
-# entry point's ``finally``.
-_SHM_RETAINED: Dict[str, SegmentMapping] = {}
-
-
-def _retained_reference(descriptor: SharedBufferDescriptor) -> Buffer:
-    mapping = _SHM_RETAINED.get(descriptor.digest)
-    if mapping is None:
-        mapping = SegmentMapping(descriptor)
-        _SHM_RETAINED[descriptor.digest] = mapping
-    return mapping.buf
-
-
-def _shm_diff_stage(payload: Tuple) -> Tuple:
-    """Process-pool entry for ``"process-shm"``: map the job's buffers
-    zero-copy from their shared-memory descriptors and diff.
-
-    The descriptors replace the pickled buffers of ``"process"``; the
-    reference digest they carry keys the worker cache, so N versions
-    against one reference build the index once per worker.  The emitted
-    script carries only materialized ``bytes`` (the builders copy add
-    data), so it pickles back to the parent without referencing the
-    mapping.
-    """
-    (name, ref_desc, ver_desc, algorithm,
-     submitted_at, plan, attempt) = payload
-    recorder = perf.PerfRecorder()
-    with perf.recording(recorder):
-        reference = _retained_reference(ref_desc)
-        # The version is scanned byte-by-byte by the differ hot loops,
-        # which run measurably faster on bytes than on a memoryview —
-        # one memcpy out of the segment beats paying slice-object
-        # overhead across the whole scan.  The multi-megabyte buffer
-        # worth keeping zero-copy is the reference.
-        version_mapping = SegmentMapping(ver_desc)
-        try:
-            version = bytes(version_mapping.buf)
-        finally:
-            version_mapping.close()
-        job = PipelineJob(reference, version, name)
-        out = _diff_stage(job, algorithm, None, submitted_at,
-                          plan, attempt, digest=ref_desc.digest)
-    return out[:6] + (recorder.counters,)
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """The full serving configuration of a :class:`DeltaPipeline`.
 
-    One frozen value object instead of seventeen keyword arguments:
+    One frozen value object instead of sixteen keyword arguments:
     build it once, validate it once, share it (``dataclasses.replace``
     derives variants), and hand it to ``DeltaPipeline(config)``.
     ``PipelineConfig()`` reproduces ``DeltaPipeline()`` exactly.
@@ -480,10 +351,9 @@ class PipelineConfig:
     * ``algorithm``/``policy``/``ordering``/``scratch_budget``/
       ``varint_pricing`` — what to compute: the differencing algorithm
       and the in-place conversion strategy.
-    * ``executor``/``diff_workers``/``convert_workers``/``cache``/
-      ``cache_bytes`` — where to compute it: pool shape and cache
-      budget (``diff_workers``/``convert_workers`` of ``None`` mean one
-      per CPU).
+    * ``executor``/``workers``/``cache``/``cache_bytes`` — where to
+      compute it: pool shape and cache budget (``workers`` of ``None``
+      means one per CPU).
     * ``retries``/``fallback``/``stage_timeout``/``backoff_*``/
       ``fault_plan`` — the resilience plane (see :class:`DeltaPipeline`).
     """
@@ -494,8 +364,7 @@ class PipelineConfig:
     scratch_budget: int = 0
     varint_pricing: bool = True
     executor: str = "thread"
-    diff_workers: Optional[int] = None
-    convert_workers: Optional[int] = None
+    workers: Optional[int] = None
     cache: Optional[ReferenceIndexCache] = None
     cache_bytes: int = 128 << 20
     retries: int = 0
@@ -535,27 +404,277 @@ class PipelineConfig:
         return (self.algorithm,) + tuple(self.fallback or ())
 
 
-def _raw_rewrite_script(version: bytes) -> DeltaScript:
-    """A full-rewrite delta: one add covering the whole version.
+# -- one job, end to end -----------------------------------------------
 
-    Trivially in-place safe (it reads nothing), so it survives any
-    differencing failure — the floor of the degradation chain.
+
+def _check_budget(config: PipelineConfig, stage: str, t0: float) -> None:
+    """Fail the attempt if ``stage``, started at ``t0``, overran
+    ``stage_timeout``: checked after it returns, as nothing preempts it."""
+    if (config.stage_timeout is not None
+            and time.perf_counter() - t0 > config.stage_timeout):
+        raise StageTimeoutError("%s stage exceeded %gs budget"
+                                % (stage, config.stage_timeout))
+
+
+def _diff(job: PipelineJob, algorithm: str, config: PipelineConfig,
+          cache: Optional[ReferenceIndexCache], index: int,
+          digest: Optional[str]) -> Tuple[DeltaScript, float, bool, List[str]]:
+    """One diff attempt; returns ``(script, diff_s, cache_hit, bypassed)``.
+
+    Fault sites: ``diff.worker`` fails the attempt; ``cache.lookup``
+    degrades it to cache-less differencing (the fault lands in
+    ``bypassed`` and the attempt proceeds).  ``index`` is the job's
+    1-based diff call count, so fault decisions do not depend on where
+    the job runs.
+
+    ``"raw"`` builds a full-rewrite script instead: one add covering the
+    whole version, in-place safe as it reads nothing, with no fault site.
+
+    ``digest`` is the reference's precomputed content digest (shipped in
+    a shared-memory descriptor): when given, cache lookups key on it
+    directly and the cached artifact is passed to the differ prebuilt,
+    so the worker never re-hashes the reference bytes.
     """
-    if not version:
-        return DeltaScript([], 0)
-    return DeltaScript([AddCommand(0, bytes(version))], len(version))
+    t0 = time.perf_counter()
+    if algorithm == RAW_REWRITE:
+        adds = [AddCommand(0, bytes(job.version))] if job.version else []
+        script = DeltaScript(adds, len(job.version))
+        return script, time.perf_counter() - t0, False, []
+    plan = config.fault_plan
+    if plan is not None:
+        plan.check("diff.worker", scope=job.name, index=index)
+    bypassed: List[str] = []
+    if algorithm not in ALGORITHM_KINDS:
+        cache = None
+    if cache is not None and plan is not None:
+        try:
+            plan.check("cache.lookup", scope=job.name, index=index)
+        except ReproError as exc:
+            bypassed.append(describe_failure(exc))
+            cache = None  # degrade: diff without the shared index
+    cache_hit = cache is not None and cache.has(algorithm, job.reference,
+                                                digest=digest)
+    kwargs: Dict[str, object] = {}
+    t_diff = time.perf_counter()
+    if cache is not None and digest is None:
+        kwargs["cache"] = cache
+    elif cache is not None:
+        # Fetched inside the timed window so diff_seconds accounts the
+        # artifact build exactly like the cache-inside-the-differ path.
+        kwargs[_ARTIFACT_KWARGS[ALGORITHM_KINDS[algorithm]]] = cache.artifact(
+            algorithm, job.reference, digest=digest)
+    script = ALGORITHMS[algorithm](job.reference, job.version, **kwargs)
+    diff_seconds = time.perf_counter() - t_diff
+    perf.add("pipeline.diff.seconds", diff_seconds)
+    perf.add("pipeline.diff.jobs")
+    _check_budget(config, "diff", t0)
+    return script, diff_seconds, cache_hit, bypassed
+
+
+def _encode(job: PipelineJob, script: DeltaScript, config: PipelineConfig,
+            index: int) -> Tuple[InPlaceResult, bytes, float, float]:
+    """Convert ``script`` in place, encode it and decode it back; returns
+    ``(converted, payload, convert_s, encode_s)``.  ``convert.evict``
+    fails the attempt at the job's ``index``-th conversion."""
+    t0 = time.perf_counter()
+    if config.fault_plan is not None:
+        config.fault_plan.check("convert.evict", scope=job.name, index=index)
+    t_convert = time.perf_counter()
+    converted = make_in_place(
+        script,
+        job.reference,
+        policy=config.policy,
+        ordering=config.ordering,
+        scratch_budget=config.scratch_budget,
+        offset_encoding_size=varint_size if config.varint_pricing else 4,
+    )
+    convert_seconds = time.perf_counter() - t_convert
+    perf.add("pipeline.convert.seconds", convert_seconds)
+    t_encode = time.perf_counter()
+    payload = encode_delta(
+        converted.script,
+        FORMAT_INPLACE,
+        version_crc32=version_checksum(job.version),
+        reference=job.reference,
+    )
+    encode_seconds = time.perf_counter() - t_encode
+    perf.add("pipeline.encode.seconds", encode_seconds)
+    # Decode the bytes we are about to hand out: this re-checks the
+    # trailer and every segment CRC, then the reference digest against
+    # the job's own reference.  Any mismatch fails the attempt instead
+    # of shipping a payload that would brick an in-place device.
+    _script, header = decode_delta(payload)
+    verify_reference(header, job.reference)
+    _check_budget(config, "convert", t0)
+    return converted, payload, convert_seconds, encode_seconds
+
+
+def _run_job(job: PipelineJob, config: PipelineConfig,
+             cache: Optional[ReferenceIndexCache], submitted_at: float,
+             digest: Optional[str] = None, lost: str = "") -> PipelineResult:
+    """Run one job's whole life and return its result; never raises.
+
+    Walks the degradation chain (primary, then each ``fallback`` link),
+    giving every link ``retries + 1`` attempts.  An attempt diffs,
+    converts, encodes and decodes the payload back; a failure in any of
+    them, or a stage that overran ``stage_timeout``, fails the attempt
+    and backs off before the next.  Exhausting the chain quarantines
+    the job into a structured failure result.
+
+    ``cache`` serves the diffs (``None`` diffs cold) and ``digest``
+    keys it without hashing the reference (see :func:`_diff`).
+    ``lost`` is the failure of a first attempt that a process pool lost
+    with its worker: it is recorded as attempt 1 and the walk goes on
+    from attempt 2.
+    """
+    # Monotonic, not wall clock: submitted_at crosses process boundaries,
+    # and CLOCK_MONOTONIC is system-wide on the supported platforms, so
+    # queue/total durations stay immune to wall-clock jumps (NTP steps
+    # were skewing the section-7 runtime benches).
+    queue_seconds = max(0.0, time.perf_counter() - submitted_at)
+    plan = config.fault_plan
+    chain = config.chain()
+    trace: List[str] = []
+    faults: List[str] = []
+    attempts = diff_calls = convert_calls = 0
+    failure = ""
+    for link_no, algo in enumerate(chain):
+        if link_no:
+            trace.append("%s: falling back %s -> %s"
+                         % (job.name, chain[link_no - 1], algo))
+        for _retry in range(config.retries + 1):
+            attempts += 1
+            if algo != RAW_REWRITE:
+                diff_calls += 1
+            stage, failure, lost = "diff", lost, ""
+            if not failure:
+                try:
+                    script, diff_s, hit, bypassed = _diff(
+                        job, algo, config, cache, diff_calls, digest)
+                    for fault in bypassed:
+                        faults.append(fault)
+                        trace.append("%s: cache bypassed: %s"
+                                     % (job.name, fault))
+                    stage = "convert"
+                    convert_calls += 1
+                    converted, payload, convert_s, encode_s = _encode(
+                        job, script, config, convert_calls)
+                except Exception as exc:
+                    failure = describe_failure(exc)
+            if failure:
+                faults.append(failure)
+                trace.append("%s: %s attempt %d %s failed: %s"
+                             % (job.name, algo, attempts, stage, failure))
+                if config.backoff_base > 0.0:
+                    # Jitter is a pure function of (seed, job, attempt),
+                    # with no shared RNG, so a job's retry schedule is the
+                    # same on every executor and beside any sibling jobs.
+                    time.sleep(backoff_delay(
+                        attempts, config.backoff_base, config.backoff_factor,
+                        cap=BACKOFF_CAP, jitter=config.backoff_jitter,
+                        seed=plan.seed if plan is not None else 0,
+                        scope=job.name))
+                continue
+            trace.append("%s: ok via %s (attempt %d)"
+                         % (job.name, algo, attempts))
+            report = PipelineReport(
+                job.name, config.algorithm, config.policy, config.executor,
+                cache_hit=hit, queue_seconds=queue_seconds,
+                diff_seconds=diff_s, convert_seconds=convert_s,
+                encode_seconds=encode_s,
+                total_seconds=max(0.0, time.perf_counter() - submitted_at),
+                version_bytes=len(job.version), delta_bytes=len(payload),
+                conversion=converted.report, attempts=attempts, faults=faults,
+                fallback=algo if link_no else "", integrity="verified",
+                trace=trace)
+            return PipelineResult(payload, converted.script, report)
+    reason = classify_failure(failure) or "transient"
+    trace.append("%s: quarantined (%s) after %d attempts: %s"
+                 % (job.name, reason, attempts, failure))
+    report = PipelineReport(
+        job.name, config.algorithm, config.policy, config.executor,
+        version_bytes=len(job.version), attempts=attempts, faults=faults,
+        quarantined=True, failure=failure, quarantine_reason=reason,
+        trace=trace)
+    return PipelineResult(b"", DeltaScript(), report)
+
+
+# -- process-pool workers ----------------------------------------------
+#
+# Worker processes keep a module-global cache so repeated jobs against
+# one reference amortize index construction exactly like threads do,
+# just per-process.  The pool persists across run() calls, so the
+# caches stay warm for a pipeline's whole lifetime.
+
+_PROCESS_CACHE: Optional[ReferenceIndexCache] = None
+
+
+def _process_initializer(cache_bytes: int) -> None:
+    global _PROCESS_CACHE
+    _PROCESS_CACHE = ReferenceIndexCache(cache_bytes)
+
+
+def _process_job(job: PipelineJob, config: PipelineConfig,
+                 submitted_at: float, digest: Optional[str] = None
+                 ) -> Tuple[PipelineResult, Dict[str, float]]:
+    """Process-pool entry for ``"process"``: run :func:`_run_job` with the
+    worker-global cache; returns the result and the worker's counters."""
+    recorder = perf.PerfRecorder()
+    with perf.recording(recorder):
+        result = _run_job(job, config, _PROCESS_CACHE, submitted_at, digest)
+    return result, recorder.counters
+
+
+# Worker-side zero-copy mappings of *reference* segments, keyed by
+# content digest.  Kept for the worker's lifetime: the cached reference
+# artifacts (e.g. a FullSeedIndex) hold views into these mappings, and
+# keying by digest lets a re-published identical reference (new segment
+# name, same bytes) reuse the existing mapping instead of re-attaching.
+# Version segments are mapped transiently per job and closed in the
+# entry point's ``finally``.
+_SHM_RETAINED: Dict[str, SegmentMapping] = {}
+
+
+def _shm_job(name: str, ref_desc: SharedBufferDescriptor,
+             ver_desc: SharedBufferDescriptor, config: PipelineConfig,
+             submitted_at: float) -> Tuple[PipelineResult, Dict[str, float]]:
+    """Process-pool entry for ``"process-shm"``: map the job's buffers
+    zero-copy from their shared-memory descriptors and run it.
+
+    The descriptors replace the pickled buffers of ``"process"``; the
+    reference digest they carry keys the worker cache, so N versions
+    against one reference build the index once per worker.  The result
+    carries only materialized ``bytes`` (the differs copy add data and
+    the converter copies evicted reference bytes), so it pickles back to
+    the parent without referencing the mapping.
+    """
+    mapping = _SHM_RETAINED.get(ref_desc.digest)
+    if mapping is None:
+        mapping = _SHM_RETAINED[ref_desc.digest] = SegmentMapping(ref_desc)
+    # The version is scanned byte-by-byte by the differ hot loops,
+    # which run measurably faster on bytes than on a memoryview — one
+    # memcpy out of the segment beats paying slice-object overhead
+    # across the whole scan.  The multi-megabyte buffer worth keeping
+    # zero-copy is the reference.
+    version_mapping = SegmentMapping(ver_desc)
+    try:
+        version = bytes(version_mapping.buf)
+    finally:
+        version_mapping.close()
+    return _process_job(PipelineJob(mapping.buf, version, name), config,
+                        submitted_at, ref_desc.digest)
 
 
 class DeltaPipeline:
-    """Fans batches of delta jobs across differencing/conversion pools.
+    """Runs batches of delta jobs, one task per job, on at most one pool.
 
     Construction takes a :class:`PipelineConfig` fixing the serving
     configuration (algorithm, cycle policy, ordering, scratch budget,
     pricing, pool shape, resilience plane); each :meth:`run` call
-    processes one batch under it.  The pipeline owns its pools,
-    cache and (for ``"process-shm"``) shared-memory arena: reuse one
-    instance across batches to keep the cache warm, and close it (or
-    use it as a context manager) when done.
+    processes one batch under it.  The pipeline owns its pool, cache
+    and (for ``"process-shm"``) shared-memory arena: reuse one instance
+    across batches to keep the cache warm, and close it (or use it as a
+    context manager) when done.
 
     ``varint_pricing`` (default True) prices evictions with
     :func:`~repro.delta.varint.varint_size`, matching the varint wire
@@ -570,16 +689,15 @@ class DeltaPipeline:
       exhausts its retries; the sentinel ``"raw"`` (see
       :data:`RAW_REWRITE`) emits a full-rewrite delta and cannot fail at
       the differencing stage.
-    * ``stage_timeout`` — wall-clock budget per stage; an overrunning
-      stage counts as a failed attempt (pooled stages abandon the wait,
-      the serial watchdog flags the overrun after the fact).
+    * ``stage_timeout`` — wall-clock budget per stage; a stage that
+      overran it counts as a failed attempt.  The check runs where the
+      stage ran, after it returns, on every executor.
     * ``backoff_base``/``backoff_factor``/``backoff_jitter`` —
       exponential backoff between a job's attempts, capped at
       :data:`BACKOFF_CAP` seconds; ``backoff_base=0`` (default) disables
-      sleeping.  Jitter is a pure function of ``(seed, job name,
-      attempt)`` via :func:`~repro.faults.backoff_delay` — the seed is
-      the fault plan's when one is installed, else 0 — never shared
-      mutable RNG state, so a job's retry timing is identical whichever
+      sleeping.  Jitter is drawn by :func:`~repro.faults.backoff_delay`
+      from the fault plan's seed (0 without a plan), the job name and
+      the attempt, so a job's retry timing is identical whichever
       executor (or worker) drives it.
     * ``fault_plan`` — a :class:`~repro.faults.FaultPlan` checked at the
       ``diff.worker``, ``cache.lookup`` and ``convert.evict`` sites.
@@ -588,9 +706,8 @@ class DeltaPipeline:
     trailer, segment CRCs and reference digest — before it is handed
     out, recording ``report.integrity == "verified"``; a mismatch fails
     the attempt into the retry machinery.  Quarantined jobs carry
-    ``report.quarantine_reason``
-    (``"corruption"`` vs ``"transient"``) so operators can tell bad
-    data from bad luck.
+    ``report.quarantine_reason`` (``"corruption"`` vs ``"transient"``)
+    so operators can tell bad data from bad luck.
 
     Whatever happens, :meth:`run` returns one result per job: failures
     are quarantined into structured results, never raised.
@@ -600,70 +717,19 @@ class DeltaPipeline:
         config = config if config is not None else PipelineConfig()
         config.validate()
         self.config = config
-        self.algorithm = config.algorithm
-        self.policy = config.policy
-        self.ordering = config.ordering
-        self.scratch_budget = config.scratch_budget
-        self.varint_pricing = config.varint_pricing
         self.executor = config.executor
-        cpus = os.cpu_count() or 1
-        self.diff_workers = config.diff_workers or max(1, cpus)
-        self.convert_workers = config.convert_workers or max(1, cpus)
-        self.cache_bytes = config.cache_bytes
+        self.workers = config.workers or os.cpu_count() or 1
         self.cache = (config.cache if config.cache is not None
                       else ReferenceIndexCache(config.cache_bytes))
-        self.retries = config.retries
-        self._chain: Tuple[str, ...] = config.chain()
-        self.fallback_chain: Tuple[str, ...] = self._chain[1:]
-        self.stage_timeout = config.stage_timeout
-        self.backoff_base = config.backoff_base
-        self.backoff_factor = config.backoff_factor
-        self.backoff_jitter = config.backoff_jitter
-        # Jitter derives from the fault plan's seed when one is set, so
-        # a seeded fault scenario reproduces its retry timing exactly.
-        self._backoff_seed = (config.fault_plan.seed
-                              if config.fault_plan is not None else 0)
-        self.fault_plan = config.fault_plan
-        self._diff_pool: Optional[Executor] = None
-        self._convert_pool: Optional[ThreadPoolExecutor] = None
+        self._pool: Optional[Executor] = None
         self._arena: Optional[SharedBufferArena] = None
 
-    # -- pool lifecycle ------------------------------------------------
-
-    def _pools(self) -> Tuple[Executor, ThreadPoolExecutor]:
-        if self._diff_pool is None:
-            if self.executor in PROCESS_EXECUTORS:
-                self._diff_pool = ProcessPoolExecutor(
-                    max_workers=self.diff_workers,
-                    initializer=_process_initializer,
-                    initargs=(self.cache_bytes,),
-                )
-            else:
-                self._diff_pool = ThreadPoolExecutor(
-                    max_workers=self.diff_workers,
-                    thread_name_prefix="repro-diff",
-                )
-        if self._convert_pool is None:
-            self._convert_pool = ThreadPoolExecutor(
-                max_workers=self.convert_workers,
-                thread_name_prefix="repro-convert",
-            )
-        return self._diff_pool, self._convert_pool
-
-    def _ensure_arena(self) -> SharedBufferArena:
-        if self._arena is None or self._arena.closed:
-            self._arena = SharedBufferArena()
-        return self._arena
-
     def close(self) -> None:
-        """Shut down the worker pools and unlink any shared-memory
+        """Shut down the worker pool and unlink any shared-memory
         segments still published (idempotent)."""
-        if self._diff_pool is not None:
-            self._diff_pool.shutdown(wait=True)
-            self._diff_pool = None
-        if self._convert_pool is not None:
-            self._convert_pool.shutdown(wait=True)
-            self._convert_pool = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
         if self._arena is not None:
             self._arena.close()
             self._arena = None
@@ -673,8 +739,6 @@ class DeltaPipeline:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-    # -- warming -------------------------------------------------------
 
     def warm(self, references: Iterable[Buffer]) -> int:
         """Pre-build the in-process cache for ``references``.
@@ -686,302 +750,116 @@ class DeltaPipeline:
         """
         count = 0
         for reference in references:
-            if self.cache.warm(self.algorithm, bytes(reference)):
+            if self.cache.warm(self.config.algorithm, bytes(reference)):
                 count += 1
         return count
-
-    # -- execution -----------------------------------------------------
-
-    def _convert_stage(
-        self,
-        job: PipelineJob,
-        script: DeltaScript,
-        queue_seconds: float,
-        diff_seconds: float,
-        cache_hit: bool,
-        submitted_at: float,
-    ) -> PipelineResult:
-        pricing = varint_size if self.varint_pricing else 4
-        t0 = time.perf_counter()
-        converted = make_in_place(
-            script,
-            job.reference,
-            policy=self.policy,
-            ordering=self.ordering,
-            scratch_budget=self.scratch_budget,
-            offset_encoding_size=pricing,
-        )
-        convert_seconds = time.perf_counter() - t0
-        perf.add("pipeline.convert.seconds", convert_seconds)
-        t0 = time.perf_counter()
-        payload = encode_delta(
-            converted.script,
-            FORMAT_INPLACE,
-            version_crc32=version_checksum(job.version),
-            reference=job.reference,
-        )
-        encode_seconds = time.perf_counter() - t0
-        perf.add("pipeline.encode.seconds", encode_seconds)
-        # Decode the bytes we are about to hand out: this re-checks the
-        # trailer and every segment CRC, then the reference digest
-        # against the job's own reference.  Any mismatch raises into the
-        # retry machinery instead of shipping a payload that would brick
-        # an in-place device.
-        _script, header = decode_delta(payload)
-        verify_reference(header, job.reference)
-        report = PipelineReport(
-            name=job.name,
-            algorithm=self.algorithm,
-            policy=self.policy,
-            executor=self.executor,
-            cache_hit=cache_hit,
-            queue_seconds=queue_seconds,
-            diff_seconds=diff_seconds,
-            convert_seconds=convert_seconds,
-            encode_seconds=encode_seconds,
-            total_seconds=max(0.0, time.perf_counter() - submitted_at),
-            version_bytes=len(job.version),
-            delta_bytes=len(payload),
-            conversion=converted.report,
-            integrity="verified",
-        )
-        return PipelineResult(payload=payload, script=converted.script,
-                              report=report)
-
-    # -- resilience machinery ------------------------------------------
-
-    def _overran(self, t0: float) -> bool:
-        return (self.stage_timeout is not None
-                and (time.perf_counter() - t0) > self.stage_timeout)
-
-    def _timeout_failure(self, stage: str) -> str:
-        return ("StageTimeoutError: %s stage exceeded %gs budget"
-                % (stage, self.stage_timeout))
-
-    def _backoff(self, attempt: int, scope: str) -> None:
-        """Sleep before the next attempt (exponential, jittered).
-
-        :func:`~repro.faults.backoff_delay` draws the jitter over
-        ``(seed, scope, attempt)`` — a pure function, no shared RNG — so
-        a job's retry schedule is byte-reproducible from its fault seed
-        regardless of executor mode or sibling jobs' retries.
-        """
-        if self.backoff_base > 0.0:
-            time.sleep(backoff_delay(
-                attempt, self.backoff_base, self.backoff_factor,
-                cap=BACKOFF_CAP, jitter=self.backoff_jitter,
-                seed=self._backoff_seed, scope=scope))
-
-    def _diff_attempt(self, job: PipelineJob, algorithm: str, index: int) -> Tuple:
-        """One inline diff attempt; ``("ok", stage_tuple)`` or
-        ``("error", failure_string)`` — never raises."""
-        submitted = time.perf_counter()
-        if algorithm == RAW_REWRITE:
-            t0 = time.perf_counter()
-            script = _raw_rewrite_script(job.version)
-            return ("ok", (script, 0.0, time.perf_counter() - t0, False,
-                           submitted, [], {}))
-        t0 = time.perf_counter()
-        try:
-            out = _diff_stage(job, algorithm, self.cache, submitted,
-                              self.fault_plan, index)
-        except Exception as exc:
-            return ("error", describe_failure(exc))
-        if self._overran(t0):
-            return ("error", self._timeout_failure("diff"))
-        return ("ok", out)
-
-    def _await_diff(self, fut) -> Tuple:
-        """Resolve a pooled attempt-1 diff future into an outcome tuple."""
-        try:
-            if self.stage_timeout is not None:
-                out = fut.result(timeout=self.stage_timeout)
-            else:
-                out = fut.result()
-        except FuturesTimeoutError:
-            return ("error", self._timeout_failure("diff"))
-        except Exception as exc:
-            return ("error", describe_failure(exc))
-        return ("ok", out)
-
-    def _drive_job(self, job: PipelineJob, first: Tuple) -> PipelineResult:
-        """Take one job from its attempt-1 diff outcome to a result.
-
-        Walks the degradation chain (primary, then each ``fallback``
-        link), giving every link ``retries + 1`` attempts; each attempt
-        re-diffs (except ``"raw"``, which is rebuilt for free) and then
-        converts + encodes.  Exhausting the chain quarantines the job
-        into a structured failure result.  Never raises.
-        """
-        trace: List[str] = []
-        faults: List[str] = []
-        attempts = 0
-        diff_calls = 1  # attempt 1 of the primary was already issued
-        convert_calls = 0
-        last_failure = ""
-        outcome: Optional[Tuple] = first
-        for link_no, algo in enumerate(self._chain):
-            if link_no:
-                trace.append("%s: falling back %s -> %s"
-                             % (job.name, self._chain[link_no - 1], algo))
-            for _retry in range(self.retries + 1):
-                attempts += 1
-                if outcome is None:
-                    if algo != RAW_REWRITE:
-                        diff_calls += 1
-                    outcome = self._diff_attempt(job, algo, diff_calls)
-                kind, payload = outcome
-                outcome = None
-                if kind == "error":
-                    last_failure = payload
-                    faults.append(payload)
-                    trace.append("%s: %s attempt %d diff failed: %s"
-                                 % (job.name, algo, attempts, payload))
-                    self._backoff(attempts, job.name)
-                    continue
-                (script, queue_s, diff_s, hit, submitted, stage_faults,
-                 worker_counters) = payload
-                perf.merge(worker_counters)
-                for fault in stage_faults:
-                    faults.append(fault)
-                    trace.append("%s: cache bypassed: %s" % (job.name, fault))
-                failure: Optional[str] = None
-                result: Optional[PipelineResult] = None
-                convert_calls += 1
-                t0 = time.perf_counter()
-                try:
-                    if self.fault_plan is not None:
-                        self.fault_plan.check("convert.evict", scope=job.name,
-                                              index=convert_calls)
-                    result = self._convert_stage(job, script, queue_s, diff_s,
-                                                 hit, submitted)
-                except Exception as exc:
-                    failure = describe_failure(exc)
-                if failure is None and self._overran(t0):
-                    failure = self._timeout_failure("convert")
-                if failure is not None:
-                    last_failure = failure
-                    faults.append(failure)
-                    trace.append("%s: %s attempt %d convert failed: %s"
-                                 % (job.name, algo, attempts, failure))
-                    self._backoff(attempts, job.name)
-                    continue
-                trace.append("%s: ok via %s (attempt %d)"
-                             % (job.name, algo, attempts))
-                report = result.report
-                report.attempts = attempts
-                report.faults = faults
-                report.fallback = algo if link_no else ""
-                report.trace = trace
-                return result
-        reason = classify_failure(last_failure) or "transient"
-        trace.append("%s: quarantined (%s) after %d attempts: %s"
-                     % (job.name, reason, attempts, last_failure))
-        report = PipelineReport(
-            name=job.name,
-            algorithm=self.algorithm,
-            policy=self.policy,
-            executor=self.executor,
-            version_bytes=len(job.version),
-            attempts=attempts,
-            faults=faults,
-            quarantined=True,
-            failure=last_failure,
-            quarantine_reason=reason,
-            trace=trace,
-        )
-        return PipelineResult(payload=b"", script=DeltaScript(), report=report)
 
     def run(self, jobs: Sequence[PipelineJob]) -> BatchReport:
         """Process ``jobs`` and return per-job results plus batch stats.
 
         Results are returned in submission order regardless of
         completion order, one per job *unconditionally*: failing jobs
-        come back quarantined, not raised.  Jobs flow diff -> convert ->
-        encode with no barrier between stages: a job converts as soon as
-        its own diff finishes.  Retry and fallback attempts run where
-        the job's conversion runs (inline for the serial executor, in
-        the conversion pool otherwise), so one poison job never stalls
-        the rest of the batch's differencing.
+        come back quarantined, not raised.  Each job runs end to end —
+        diff, convert, encode, self-check, every retry and fallback — as
+        one task (see :func:`_run_job`), so a poison job holds one
+        worker and never stalls the rest of the batch.
         """
         jobs = list(jobs)
         batch = BatchReport()
         wall_start = time.perf_counter()
-        pending: List = []
-        published: List[SharedBufferDescriptor] = []
-        arena: Optional[SharedBufferArena] = None
-        try:
-            if self.executor == "serial":
-                for job in jobs:
-                    first = self._diff_attempt(job, self.algorithm, 1)
-                    batch.results.append(self._drive_job(job, first))
+        if self.executor == "serial":
+            batch.results = [
+                _run_job(job, self.config, self.cache, time.perf_counter())
+                for job in jobs
+            ]
+        else:
+            batch.results = self._run_pooled(jobs)
+        batch.wall_seconds = time.perf_counter() - wall_start
+        batch.cache_hits = sum(1 for r in batch.results if r.report.cache_hit)
+        if self.executor not in PROCESS_EXECUTORS:
+            batch.cache_stats = self.cache.stats
+        return batch
+
+    def _run_pooled(self, jobs: List[PipelineJob]) -> List[PipelineResult]:
+        """Submit every job as one task, then collect in submission order.
+
+        A job the pool loses (refused at submit or failed at result, as
+        when its worker process dies) counts the loss as its failed first
+        attempt and finishes inline; the next batch replaces a broken pool.
+        """
+        if self._pool is None:
+            if self.executor in PROCESS_EXECUTORS:
+                self._pool = ProcessPoolExecutor(
+                    self.workers, initializer=_process_initializer,
+                    initargs=(self.config.cache_bytes,))
             else:
-                diff_pool, convert_pool = self._pools()
-                in_process = self.executor in PROCESS_EXECUTORS
-                shared_cache = None if in_process else self.cache
-                if self.executor == "process-shm":
-                    arena = self._ensure_arena()
-                first_futs = []
-                for job in jobs:
-                    submitted = time.perf_counter()
-                    if self.executor == "process-shm":
+                self._pool = ThreadPoolExecutor(
+                    self.workers, thread_name_prefix="repro-pipeline")
+        pool = self._pool
+        if self.executor == "process-shm" and (
+                self._arena is None or self._arena.closed):
+            self._arena = SharedBufferArena()
+        # Threads share self.cache; workers hold their own, and a cache
+        # does not pickle.
+        config = replace(self.config, cache=None)
+        tasks: List[Tuple[PipelineJob, float, Future]] = []
+        published: List[SharedBufferDescriptor] = []
+        results: List[PipelineResult] = []
+        broken = False
+        try:
+            for job in jobs:
+                submitted = time.perf_counter()
+                try:
+                    if self.executor == "thread":
+                        fut = pool.submit(_run_job, job, config, self.cache,
+                                          submitted)
+                    elif self.executor == "process":
+                        fut = pool.submit(_process_job, job, config, submitted)
+                    else:
                         # Publish once per distinct reference (the arena
                         # dedupes by content digest and refcounts), once
                         # per version; workers get tiny descriptors
                         # instead of the pickled buffers.
-                        ref_desc = arena.publish(job.reference)
+                        ref_desc = self._arena.publish(job.reference)
                         published.append(ref_desc)
-                        ver_desc = arena.publish(job.version, dedupe=False)
+                        ver_desc = self._arena.publish(job.version,
+                                                       dedupe=False)
                         published.append(ver_desc)
-                        fut = diff_pool.submit(
-                            _shm_diff_stage,
-                            (job.name, ref_desc, ver_desc, self.algorithm,
-                             submitted, self.fault_plan, 1),
-                        )
-                    elif self.executor == "process":
-                        fut = diff_pool.submit(
-                            _process_diff_stage,
-                            (job, self.algorithm, submitted,
-                             self.fault_plan, 1),
-                        )
-                    else:
-                        fut = diff_pool.submit(
-                            _diff_stage, job, self.algorithm,
-                            shared_cache, submitted, self.fault_plan, 1,
-                        )
-                    pending.append(fut)
-                    first_futs.append((job, fut))
-                # Chain each diff into a driver task as it completes;
-                # waiting on the diff future here (in submission order)
-                # still lets later diffs and earlier conversions overlap
-                # freely.
-                drive_futs = []
-                for job, fut in first_futs:
-                    first = self._await_diff(fut)
-                    dfut = convert_pool.submit(self._drive_job, job, first)
-                    pending.append(dfut)
-                    drive_futs.append(dfut)
-                for dfut in drive_futs:
-                    batch.results.append(dfut.result())
+                        fut = pool.submit(_shm_job, job.name, ref_desc,
+                                          ver_desc, config, submitted)
+                except Exception as exc:
+                    fut = Future()
+                    fut.set_exception(exc)
+                tasks.append((job, submitted, fut))
+            for job, submitted, fut in tasks:
+                try:
+                    result = fut.result()
+                except Exception as exc:
+                    broken = broken or isinstance(exc, BrokenExecutor)
+                    result = _run_job(job, self.config, self.cache, submitted,
+                                      lost=describe_failure(exc))
+                else:
+                    if self.executor in PROCESS_EXECUTORS:
+                        result, counters = result
+                        perf.merge(counters)
+                results.append(result)
         finally:
             # A failure (or KeyboardInterrupt) mid-batch must not leave
-            # orphaned work queued in the pools: cancel whatever has not
+            # orphaned work queued in the pool: cancel whatever has not
             # started so a subsequent close() cannot hang on it.
-            for fut in pending:
+            for _job, _submitted, fut in tasks:
                 fut.cancel()
             # Drop every segment this batch published, whatever happened
             # above — quarantines, timeouts and injected faults included.
             # Workers only hold mappings, never names, so releasing to
             # refcount zero unlinks the segment; nothing survives in
             # /dev/shm past the batch.
-            if arena is not None:
-                for desc in published:
-                    arena.release(desc)
-        batch.wall_seconds = time.perf_counter() - wall_start
-        batch.cache_hits = sum(1 for r in batch.results if r.report.cache_hit)
-        if self.executor not in PROCESS_EXECUTORS:
-            batch.cache_stats = self.cache.stats
-        return batch
+            for desc in published:
+                self._arena.release(desc)
+            if broken:
+                self._pool = None
+                pool.shutdown(wait=True)
+        return results
 
     def run_pairs(
         self,

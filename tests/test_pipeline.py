@@ -341,8 +341,7 @@ class TestDeltaPipeline:
         reference, versions = batch_pair
         jobs = [PipelineJob(reference, v, "v%d" % i)
                 for i, v in enumerate(versions)]
-        with DeltaPipeline(PipelineConfig(executor=executor, diff_workers=3,
-                                          convert_workers=3)) as pipe:
+        with DeltaPipeline(PipelineConfig(executor=executor, workers=3)) as pipe:
             batch = pipe.run(jobs)
         self._check_batch(batch, reference, versions, executor)
 
@@ -350,8 +349,7 @@ class TestDeltaPipeline:
         reference, versions = batch_pair
         jobs = [PipelineJob(reference, v, "v%d" % i)
                 for i, v in enumerate(versions)]
-        with DeltaPipeline(PipelineConfig(executor="process", diff_workers=2,
-                                          convert_workers=2)) as pipe:
+        with DeltaPipeline(PipelineConfig(executor="process", workers=2)) as pipe:
             batch = pipe.run(jobs)
             self._check_batch(batch, reference, versions, "process")
             # The worker-local caches persist across run() calls, so a
@@ -453,9 +451,9 @@ class TestPipelineConfig:
         jobs = [PipelineJob(reference, v, "v%d" % i)
                 for i, v in enumerate(versions)]
         with DeltaPipeline(PipelineConfig()) as pipe:
-            assert pipe.algorithm == "correcting"
-            assert pipe.executor == "thread"
-            assert pipe.retries == 0
+            assert pipe.config.algorithm == "correcting"
+            assert pipe.config.executor == "thread"
+            assert pipe.config.retries == 0
             assert pipe.config == PipelineConfig()
             batch = pipe.run(jobs)
         # Every emitted payload is decoded and checked before it ships.

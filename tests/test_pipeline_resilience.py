@@ -6,9 +6,11 @@ The contract under test (ISSUE 2 acceptance criteria):
   ``PipelineResult`` objects — failures come back structured
   (quarantined), never raised;
 * the same fault seed reproduces byte-identical failure/retry traces
-  across runs *and* across the serial, thread and process executors.
+  across runs *and* across all four executors.
 """
 
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -19,7 +21,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.pipeline import DeltaPipeline, PipelineConfig, PipelineJob
 from repro.workloads import make_source_file, mutate
 
-EXECUTORS_UNDER_TEST = ("serial", "thread", "process")
+EXECUTORS_UNDER_TEST = ("serial", "thread", "process", "process-shm")
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +41,7 @@ def _jobs(small_batch):
 
 def _run(small_batch, executor, specs, seed=0, **kwargs):
     """One pipeline run under a fresh plan built from ``specs``."""
-    kwargs.setdefault("diff_workers", 2)
-    kwargs.setdefault("convert_workers", 2)
+    kwargs.setdefault("workers", 2)
     plan = FaultPlan([FaultSpec(**spec) for spec in specs], seed=seed)
     config = PipelineConfig(executor=executor, fault_plan=plan, **kwargs)
     with DeltaPipeline(config) as pipe:
@@ -180,13 +181,13 @@ class TestTimeouts:
             assert result.report.attempts == 2
             assert any("StageTimeoutError" in f for f in result.report.faults)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", EXECUTORS_UNDER_TEST)
     def test_watchdog_flags_real_overruns(self, executor, small_batch):
         # A budget no real diff can meet: every attempt times out and the
         # job quarantines instead of raising or hanging.
         with DeltaPipeline(PipelineConfig(
                 executor=executor, stage_timeout=1e-9,
-                diff_workers=2, convert_workers=2)) as pipe:
+                workers=2)) as pipe:
             batch = pipe.run(_jobs(small_batch))
         assert len(batch.results) == 3
         for result in batch.results:
@@ -215,7 +216,7 @@ class TestFaultIsolationBugfixes:
 
         monkeypatch.setitem(ALGORITHMS, "correcting", flaky)
         pipe = DeltaPipeline(PipelineConfig(
-            executor=executor, diff_workers=2, convert_workers=2))
+            executor=executor, workers=2))
         batch = pipe.run(_jobs(small_batch))  # must not raise
         assert len(batch.results) == 3
         failed = [r for r in batch.results if not r.ok]
@@ -236,9 +237,49 @@ class TestFaultIsolationBugfixes:
 
         monkeypatch.setitem(ALGORITHMS, "correcting", always_boom)
         pipe = DeltaPipeline(PipelineConfig(
-            executor="thread", diff_workers=2, convert_workers=2))
+            executor="thread", workers=2))
         batch = pipe.run(_jobs(small_batch))
         assert len(batch.results) == 3
         assert batch.ok_jobs == 0
         pipe.close()  # would hang if queued work leaked
-        assert pipe._diff_pool is None and pipe._convert_pool is None
+        assert pipe._pool is None
+
+
+class TestDeadWorker:
+    """A worker process that dies loses its jobs' first attempt, not the
+    pipeline: the jobs finish in the parent and the next batch gets a
+    fresh pool."""
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the killing differ reaches workers by fork")
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_dead_worker_never_breaks_the_pipeline(self, retries, small_batch,
+                                                   monkeypatch):
+        parent = os.getpid()
+        real = ALGORITHMS["correcting"]
+
+        def killer(reference, version, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(reference, version, **kwargs)
+
+        monkeypatch.setitem(ALGORITHMS, "correcting", killer)
+        pipe = DeltaPipeline(PipelineConfig(executor="process", workers=2,
+                                            retries=retries))
+        for _batch in range(2):
+            batch = pipe.run(_jobs(small_batch))  # must not raise
+            assert batch.jobs == 3
+            for result in batch.results:
+                name = result.report.name
+                lost = result.report.faults[0]
+                assert lost.startswith("BrokenProcessPool: ")
+                # The loss is attempt 1; a retry runs in the parent.
+                last = ("%s: ok via correcting (attempt 2)" % name if retries
+                        else "%s: quarantined (transient) after 1 attempts: %s"
+                        % (name, lost))
+                assert result.report.trace == [
+                    "%s: correcting attempt 1 diff failed: %s" % (name, lost),
+                    last,
+                ]
+                assert result.ok == bool(retries)
+        pipe.close()

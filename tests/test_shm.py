@@ -227,7 +227,7 @@ class TestPipelineSegmentHygiene:
     def test_batch_releases_every_segment(self, batch):
         _reference, _versions, jobs = batch
         with DeltaPipeline(PipelineConfig(executor="process-shm",
-                                          diff_workers=2)) as pipe:
+                                          workers=2)) as pipe:
             result = pipe.run(jobs)
             assert result.ok_jobs == len(jobs)
             arena = pipe._arena
@@ -240,7 +240,7 @@ class TestPipelineSegmentHygiene:
         _reference, _versions, jobs = batch
         plan = FaultPlan([FaultSpec(site="diff.worker", count=99)])
         with DeltaPipeline(PipelineConfig(executor="process-shm",
-                                          diff_workers=2,
+                                          workers=2,
                                           fault_plan=plan)) as pipe:
             result = pipe.run(jobs)
             assert len(result.quarantined) == len(jobs)
@@ -252,7 +252,7 @@ class TestPipelineSegmentHygiene:
     def test_close_sweeps_arena(self, batch):
         _reference, _versions, jobs = batch
         pipe = DeltaPipeline(PipelineConfig(executor="process-shm",
-                                            diff_workers=2))
+                                            workers=2))
         pipe.run(jobs)
         prefix = pipe._arena._prefix
         pipe.close()
@@ -266,8 +266,7 @@ class TestExecutorMatrix:
         payloads = {}
         for executor in EXECUTORS:
             with DeltaPipeline(PipelineConfig(executor=executor,
-                                              diff_workers=2,
-                                              convert_workers=2)) as pipe:
+                                              workers=2)) as pipe:
                 result = pipe.run(jobs)
             assert result.ok_jobs == len(jobs), (executor,
                                                  result.quarantined)
@@ -281,9 +280,9 @@ class TestExecutorMatrix:
 
     def test_process_shm_cache_hits_across_batches(self, batch):
         _reference, _versions, jobs = batch
-        # One diff worker so every job lands on the same worker cache.
+        # One worker so every job lands on the same worker cache.
         with DeltaPipeline(PipelineConfig(executor="process-shm",
-                                          diff_workers=1)) as pipe:
+                                          workers=1)) as pipe:
             pipe.run(jobs)
             # Worker caches key on the descriptor digest, which is
             # stable across batches even though the segment is new.
@@ -296,7 +295,7 @@ class TestWorkerCounterAggregation:
     def test_worker_counters_reach_parent_recorder(self, executor, batch):
         _reference, _versions, jobs = batch
         with DeltaPipeline(PipelineConfig(executor=executor,
-                                          diff_workers=2)) as pipe:
+                                          workers=2)) as pipe:
             with perf.recording() as recorder:
                 result = pipe.run(jobs)
         assert result.ok_jobs == len(jobs)
@@ -306,13 +305,15 @@ class TestWorkerCounterAggregation:
         assert counters["pipeline.diff.jobs"] == len(jobs)
         assert counters["diff.correcting.calls"] == len(jobs)
         assert counters["pipeline.diff.seconds"] > 0
-        # Parent-side stages still record directly.
+        # So must those of conversion and encode, which run there too.
+        assert counters["convert.calls"] == len(jobs)
         assert counters["pipeline.convert.seconds"] > 0
+        assert counters["pipeline.encode.seconds"] > 0
 
     def test_thread_executor_unchanged(self, batch):
         _reference, _versions, jobs = batch
         with DeltaPipeline(PipelineConfig(executor="thread",
-                                          diff_workers=2)) as pipe:
+                                          workers=2)) as pipe:
             with perf.recording() as recorder:
                 pipe.run(jobs)
         assert recorder.counters["pipeline.diff.jobs"] == len(jobs)
