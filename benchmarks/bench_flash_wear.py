@@ -32,7 +32,7 @@ from repro.analysis.tables import render_table
 from repro.core.apply import apply_in_place
 from repro.core.convert import make_in_place
 from repro.delta import correcting_delta
-from repro.device.flash import FlashArray, full_reprogram
+from repro.device.flash import FlashArray, full_reprogram, measure_update_wear
 from repro.workloads import MutationProfile, make_binary_blob, mutate
 
 BLOCK_SIZE = 4096
@@ -48,14 +48,8 @@ REPLACE_ONLY = MutationProfile(
 
 def _wear_rows(ref: bytes, ver: bytes):
     script = make_in_place(correcting_delta(ref, ver), ref).script
-    flash = FlashArray(ref, block_size=BLOCK_SIZE)
-    apply_in_place(script, flash, strict=False)
-    assert flash.image() == ver
-    delta_wear = flash.wear()
-
-    smart = FlashArray(ref, block_size=BLOCK_SIZE)
-    full_reprogram(smart, ver)
-    smart_wear = smart.wear()
+    delta_wear, smart_wear = measure_update_wear(ref, ver, script,
+                                                 block_size=BLOCK_SIZE)
 
     naive = FlashArray(ref, block_size=BLOCK_SIZE, compare_before_write=False)
     full_reprogram(naive, ver)

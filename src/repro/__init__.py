@@ -54,7 +54,6 @@ from .core import (
     apply_in_place,
     build_crwi_digraph,
     check_in_place_safe,
-    compare_policies,
     compose_chain,
     compose_scripts,
     diff_in_place_integrated,
@@ -183,7 +182,6 @@ __all__ = [
     "apply_in_place",
     "build_crwi_digraph",
     "check_in_place_safe",
-    "compare_policies",
     "compose_chain",
     "compose_scripts",
     "core",

@@ -17,16 +17,9 @@ from .metrics import (
     compression_factor,
     measure_pair,
 )
-from .stats import (
-    ConfidenceInterval,
-    PowerLawFit,
-    SignTestResult,
-    bootstrap_ci,
-    fit_power_law,
-    paired_sign_test,
-)
+from .stats import ConfidenceInterval, PowerLawFit, bootstrap_ci, fit_power_law
 from .tables import format_bytes, format_seconds, render_kv, render_table
-from .timing import RatioStats, ratio_stats, stopwatch, time_call, weighted_time_ratio
+from .timing import RatioStats, ratio_stats, weighted_time_ratio
 
 __all__ = [
     "AdversarialCase",
@@ -34,10 +27,8 @@ __all__ = [
     "generate_report",
     "ConfidenceInterval",
     "PowerLawFit",
-    "SignTestResult",
     "bootstrap_ci",
     "fit_power_law",
-    "paired_sign_test",
     "PairMeasurement",
     "RatioStats",
     "Table1Summary",
@@ -55,7 +46,5 @@ __all__ = [
     "render_table",
     "rotation_medley",
     "rotation_script",
-    "stopwatch",
-    "time_call",
     "weighted_time_ratio",
 ]

@@ -1,18 +1,18 @@
 """One-shot evaluation report: every headline experiment, no pytest needed.
 
-``ipdelta report`` (or ``python -m repro.analysis.report``) reruns the
-paper's headline measurements at a chosen corpus scale and prints a
-single paper-vs-measured document.  The pytest benchmarks remain the
-canonical, asserted versions; this generator exists so a user can
-regenerate the whole story with one command and tune the corpus size
-for their patience.
+``ipdelta report`` reruns the paper's headline measurements at a chosen
+corpus scale and prints a single paper-vs-measured document.  The
+pytest benchmarks remain the canonical, asserted versions; this
+generator exists so a user can regenerate the whole story with one
+command and tune the corpus size for their patience.  The Table 1
+confidence interval needs numpy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.convert import make_in_place
 from ..core.crwi import build_crwi_digraph
@@ -170,25 +170,3 @@ def generate_report(
     report.seconds = time.perf_counter() - started
     return report
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point for ``python -m repro.analysis.report``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's evaluation on the synthetic corpus."
-    )
-    parser.add_argument("--scale", type=float, default=0.3,
-                        help="corpus file-size multiplier (default 0.3)")
-    parser.add_argument("--packages", type=int, default=8)
-    parser.add_argument("--releases", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=19980601)
-    args = parser.parse_args(argv)
-    report = generate_report(scale=args.scale, packages=args.packages,
-                             releases=args.releases, seed=args.seed)
-    print(report.render())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - module CLI
-    raise SystemExit(main())

@@ -1,32 +1,26 @@
-"""Statistical support for the experiments: intervals, fits, comparisons.
+"""Statistical support for the experiments: intervals and fits.
 
 The paper reports point estimates ("15.3%", "56%"); a reproduction on a
 *synthetic* corpus owes its reader uncertainty estimates, since the
 corpus seed is one draw from a distribution.  This module provides the
-three tools the benches use:
+two tools the report and the benches use:
 
 * :func:`bootstrap_ci` — percentile-bootstrap confidence intervals for
   ratio-of-totals statistics (the corpus compression percentages are
   ratios of sums, so per-file resampling is the right model);
 * :func:`fit_power_law` — log-log least-squares exponent fits, used to
   confirm the Figure 3 construction's edge count grows quadratically in
-  the command count while staying linear in the file length;
-* :func:`paired_sign_test` — a distribution-free check that one policy
-  beats another across corpus files more often than chance explains
-  (the local-min vs constant comparison).
+  the command count while staying linear in the file length.
 
-numpy supplies the array arithmetic; scipy.stats the regression and the
-binomial tail.
+:func:`bootstrap_ci` needs numpy and imports it when called; the fit is
+plain Python, so importing this module needs only the standard library.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
-from scipy import stats as sps
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -62,6 +56,8 @@ def bootstrap_ci(
     models "had the corpus contained different files drawn from the same
     population".  Deterministic given ``seed``.
     """
+    import numpy as np
+
     if len(numerators) != len(denominators) or not numerators:
         raise ValueError("need equal, non-empty numerator/denominator lists")
     num = np.asarray(numerators, dtype=float)
@@ -95,51 +91,26 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> PowerLawFit:
     """Least-squares exponent of ``y`` against ``x`` on log-log axes.
 
     Requires strictly positive data (edge counts, file lengths are).
-    ``r_squared`` near 1 means the power law explains the scaling.
+    ``r_squared`` near 1 means the power law explains the scaling; it
+    is nan when ``y`` is constant, and identical ``x`` values leave the
+    slope undefined (``ValueError``).
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if len(xa) < 2:
+    if len(x) != len(y):
+        raise ValueError("need as many y values as x values")
+    if len(x) < 2:
         raise ValueError("need at least two points to fit")
-    if (xa <= 0).any() or (ya <= 0).any():
+    if min(x) <= 0 or min(y) <= 0:
         raise ValueError("power-law fits need strictly positive data")
-    result = sps.linregress(np.log(xa), np.log(ya))
-    return PowerLawFit(
-        exponent=float(result.slope),
-        scale=float(np.exp(result.intercept)),
-        r_squared=float(result.rvalue ** 2),
-    )
-
-
-@dataclass(frozen=True)
-class SignTestResult:
-    """Outcome of a paired sign test."""
-
-    wins: int
-    losses: int
-    ties: int
-    p_value: float
-
-    @property
-    def n(self) -> int:
-        """Decisive (non-tied) pairs."""
-        return self.wins + self.losses
-
-
-def paired_sign_test(a: Sequence[float], b: Sequence[float]) -> SignTestResult:
-    """Sign test for ``a_i < b_i`` (a "wins" when strictly smaller).
-
-    Two-sided p-value from the binomial distribution under the null
-    hypothesis that wins and losses are equally likely.  Ties are
-    discarded, the standard treatment.
-    """
-    if len(a) != len(b) or not a:
-        raise ValueError("need equal, non-empty paired samples")
-    wins = sum(1 for x, y in zip(a, b) if x < y)
-    losses = sum(1 for x, y in zip(a, b) if x > y)
-    ties = len(a) - wins - losses
-    n = wins + losses
-    if n == 0:
-        return SignTestResult(wins, losses, ties, 1.0)
-    p_value = float(sps.binomtest(min(wins, losses), n, 0.5).pvalue)
-    return SignTestResult(wins, losses, ties, p_value)
+    lx = [math.log(v) for v in x]
+    ly = [math.log(v) for v in y]
+    if max(lx) == min(lx):
+        raise ValueError("cannot fit a slope: all x values are identical")
+    mx = sum(lx) / len(lx)
+    my = sum(ly) / len(ly)
+    sxx = sum((a - mx) ** 2 for a in lx)
+    syy = sum((b - my) ** 2 for b in ly)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    slope = sxy / sxx
+    r_squared = math.nan if syy == 0.0 else min(1.0, sxy * sxy / (sxx * syy))
+    return PowerLawFit(exponent=slope, scale=math.exp(my - slope * mx),
+                       r_squared=r_squared)

@@ -1,43 +1,15 @@
-"""Timing helpers for the runtime experiments.
+"""Timing summaries for the runtime experiments.
 
 The section 7 runtime claims are *ratios* (conversion time over
 compression time) and *distributions* (exceeded on 0.1% of inputs, never
-more than twice).  These helpers time callables with best-of-N
-repetition to damp scheduler noise and compute the summary statistics
-the benches report.
+more than twice).  These helpers compute the summary statistics the
+report and the benches print from per-input timings.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, TypeVar
-
-T = TypeVar("T")
-
-
-@contextmanager
-def stopwatch() -> Iterator[List[float]]:
-    """Context manager yielding a one-slot list filled with elapsed seconds."""
-    box: List[float] = [0.0]
-    started = time.perf_counter()
-    try:
-        yield box
-    finally:
-        box[0] = time.perf_counter() - started
-
-
-def time_call(fn: Callable[[], T], *, repeat: int = 3) -> float:
-    """Best-of-``repeat`` wall-clock seconds for ``fn()``."""
-    if repeat < 1:
-        raise ValueError("repeat must be at least 1")
-    best = float("inf")
-    for _ in range(repeat):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+from typing import Sequence
 
 
 @dataclass

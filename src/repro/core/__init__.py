@@ -21,7 +21,6 @@ from .commands import (
 from .convert import (
     ConversionReport,
     InPlaceResult,
-    compare_policies,
     make_in_place,
 )
 from .crwi import CRWIDigraph, build_crwi_digraph, lemma1_bound, read_bytes_bound
@@ -79,7 +78,6 @@ __all__ = [
     "preflight_in_place",
     "build_crwi_digraph",
     "check_in_place_safe",
-    "compare_policies",
     "compose_chain",
     "compose_scripts",
     "count_wr_conflicts",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from .. import perf
 from ..exceptions import ReproError
@@ -349,21 +349,3 @@ def make_in_place(
         started=started,
     )
 
-
-def compare_policies(
-    script: DeltaScript,
-    reference: Optional[Union[bytes, bytearray, memoryview]] = None,
-    policies: Sequence[Union[str, CyclePolicy]] = ("constant", "local-min"),
-    *,
-    offset_encoding_size: OffsetPricing = 4,
-) -> List[InPlaceResult]:
-    """Convert ``script`` once per policy; used by the policy benches."""
-    return [
-        make_in_place(
-            script,
-            reference,
-            policy=p,
-            offset_encoding_size=offset_encoding_size,
-        )
-        for p in policies
-    ]

@@ -278,8 +278,7 @@ class JournaledApplier:
         self._script = script
         self._journal = journal
 
-    def run(self, storage: CrashingStorage, *, chunk_size: int = 4096,
-            verify_resume: bool = True) -> None:
+    def run(self, storage: CrashingStorage, *, chunk_size: int = 4096) -> None:
         """Execute (or resume) the script against ``storage``.
 
         On a resume (the journal shows progress), the storage regions
@@ -288,8 +287,7 @@ class JournaledApplier:
         write: replay after a clean power cut passes, but storage that
         rotted while the device was down raises
         :class:`~repro.exceptions.IntegrityError` with ``kind="resume"``
-        instead of silently building a corrupt image on top.  Pass
-        ``verify_resume=False`` to skip (trusted storage).
+        instead of silently building a corrupt image on top.
         """
         journal = self._journal
         script = self._script
@@ -302,7 +300,7 @@ class JournaledApplier:
         needed = max(script.version_length, len(storage))
         if needed > len(storage):
             storage.resize(needed)
-        if verify_resume and journal.next_index > 0:
+        if journal.next_index > 0:
             self._verify_applied(storage)
 
         commands = script.commands

@@ -22,10 +22,10 @@ update-time bench sweeps:
 
 Corrupted deliveries are detected by checksum and retransmitted, up to
 ``max_retries``; a :class:`~repro.faults.FaultPlan` can inject
-deterministic link failures (``channel.transmit``) that the session
-survives with exponential backoff, and power cuts (``device.power``)
-that :func:`run_journaled_update` rides out by resuming from the
-journal.
+deterministic link failures (``channel.transmit``) that every session
+survives by retransmitting (the journaled one after an exponential
+backoff), and power cuts (``device.power``) that
+:func:`run_journaled_update` rides out by resuming from the journal.
 """
 
 from __future__ import annotations
@@ -156,8 +156,6 @@ def run_update(
     max_retries: int = 3,
     rng: Optional[random.Random] = None,
     fault_plan: Optional[FaultPlan] = None,
-    backoff_base: float = 0.0,
-    backoff_factor: float = 2.0,
 ) -> UpdateOutcome:
     """Run one update session end to end and report what happened.
 
@@ -169,9 +167,7 @@ def run_update(
     A :class:`~repro.faults.FaultPlan` is checked at the
     ``channel.transmit`` site once per attempt (scope = package name):
     an injected :class:`TransmissionError` — like one raised by the
-    channel itself — costs an attempt and backs off exponentially
-    (``backoff_base`` seconds, default 0 = no sleeping) before the
-    retransmission.
+    channel itself — costs an attempt and is retransmitted.
     """
     if want is None:
         want = server.latest_release(package)
@@ -201,12 +197,9 @@ def run_update(
             delivery: Delivery = channel.transmit(payload, rng)
         except TransmissionError as exc:
             # The link dropped the payload outright (injected or real):
-            # back off and retransmit — the device saw nothing, so every
-            # strategy survives this.
+            # retransmit — the device saw nothing, so every strategy
+            # survives this.
             outcome.faults.append(describe_failure(exc))
-            if backoff_base > 0.0:
-                time.sleep(backoff_delay(attempt, backoff_base,
-                                         backoff_factor))
             continue
         outcome.transfer_seconds += delivery.seconds
         try:
@@ -222,9 +215,6 @@ def run_update(
                 # strategies verify it before mutating anything, so a
                 # retransmission is safe (and the only cure).
                 outcome.faults.append(describe_failure(exc))
-                if backoff_base > 0.0:
-                    time.sleep(backoff_delay(attempt, backoff_base,
-                                             backoff_factor))
                 continue
             # A reference digest mismatch is deterministic — the device
             # holds the wrong (or already corrupted) base image and no
@@ -496,8 +486,8 @@ def run_journaled_update(
     """One in-place update that survives both link faults and power cuts.
 
     The session transfers an in-place payload (retrying
-    :class:`TransmissionError` and corrupt deliveries with backoff, like
-    :func:`run_update`), then applies it through the crash-safe
+    :class:`TransmissionError` and corrupt deliveries with backoff),
+    then applies it through the crash-safe
     :class:`~repro.device.journal.JournaledApplier`.  A
     :class:`~repro.faults.FaultPlan` drives the adversity
     deterministically: the ``channel.transmit`` site is checked once per

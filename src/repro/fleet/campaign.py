@@ -71,6 +71,10 @@ from .report import CampaignReport, DeviceOutcome, StageReport
 #: pure functions of ``(plan seed, site, device name, index)``.
 CAMPAIGN_EXECUTORS = ("serial", "thread", "process")
 
+#: Devices per executor task: a wave's cohort is sliced into chunks of
+#: at most this many devices, each run by one :func:`_run_chunk`.
+CHUNK_DEVICES = 64
+
 ENCODE_POLICIES = ("compose", "direct")
 
 
@@ -332,7 +336,6 @@ def run_campaign(
     executor: str = "serial",
     workers: Optional[int] = None,
     algorithm: str = "correcting",
-    chunk_devices: int = 64,
     store: Optional[VersionStore] = None,
 ) -> CampaignReport:
     """Update every device in ``fleet`` to its package's latest release.
@@ -419,8 +422,8 @@ def run_campaign(
                 by_cohort.setdefault(cohort.key, (cohort, []))[1].append(device)
             tasks: List[Tuple] = []
             for cohort, members in by_cohort.values():
-                for i in range(0, len(members), chunk_devices):
-                    tasks.append((cohort, tuple(members[i:i + chunk_devices]),
+                for i in range(0, len(members), CHUNK_DEVICES):
+                    tasks.append((cohort, tuple(members[i:i + CHUNK_DEVICES]),
                                   fault_plan, policy, seed, stage_no))
             if executor == "serial" or len(tasks) == 1:
                 results = [_run_chunk(task) for task in tasks]

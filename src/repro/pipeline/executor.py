@@ -860,15 +860,3 @@ class DeltaPipeline:
                 self._pool = None
                 pool.shutdown(wait=True)
         return results
-
-    def run_pairs(
-        self,
-        pairs: Iterable[Tuple[Buffer, Buffer]],
-        names: Optional[Sequence[str]] = None,
-    ) -> BatchReport:
-        """Convenience wrapper: run a batch of (reference, version) tuples."""
-        jobs = []
-        for i, (reference, version) in enumerate(pairs):
-            name = names[i] if names else "job-%d" % i
-            jobs.append(PipelineJob(bytes(reference), bytes(version), name))
-        return self.run(jobs)

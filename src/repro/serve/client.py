@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,6 +98,43 @@ class _ServerError(Exception):
         super().__init__("%s: %s" % (code, message))
         self.code = code
         self.message = message
+
+
+def _count(value: object) -> bool:
+    """A non-negative JSON integer (``true`` is not one)."""
+    return type(value) is int and value >= 0
+
+
+def _seconds(value: object) -> bool:
+    """A non-negative JSON number a float holds (not NaN, not infinite)."""
+    return type(value) in (int, float) and 0 <= value <= sys.float_info.max
+
+
+#: The fields the pull acts on in each control record, with the check
+#: each must pass before it is used.
+_CONTROL_FIELDS = {
+    "META": {"length": _count, "crc32": _count, "offset": _count,
+             "want": lambda value: type(value) is str},
+    "RETRY": {"retry_after": _seconds},
+}
+
+
+def _control(record: str, msg: object) -> Dict[str, object]:
+    """``msg`` once every field the pull reads from a ``record`` passes.
+
+    A missing or mistyped field is a peer speaking another dialect:
+    :class:`IntegrityError` with ``kind="frame"``, which the download
+    loop retries like a damaged frame and reports once retries run out.
+    """
+    if not isinstance(msg, dict):
+        raise IntegrityError("%s record is %s, not an object"
+                             % (record, type(msg).__name__), kind="frame")
+    for name, valid in _CONTROL_FIELDS[record].items():
+        if not valid(msg.get(name)):
+            raise IntegrityError("%s field %r is %r"
+                                 % (record, name, msg.get(name)),
+                                 kind="frame")
+    return msg
 
 
 @dataclass
@@ -250,8 +288,12 @@ async def pull_async(
     if state is not None:
         buf, meta = state.load_payload()
         saved_storage, saved_journal = state.load_apply()
-        if meta is not None and buf:
-            outcome.want = str(meta.get("want", ""))
+        if meta is not None:
+            try:
+                outcome.want = _control("META", meta)["want"]
+            except IntegrityError:
+                # Discarded like unparsable JSON: the download starts over.
+                buf, meta = bytearray(), None
 
     # A counter shared by every receive across every attempt: the
     # ``client.recv`` fault site indexes its pure draws by frames
@@ -285,8 +327,8 @@ async def pull_async(
             }))
             ftype, payload = await recv(reader)
             if ftype == T_RETRY:
-                hint = decode_msg(payload)
-                raise _Refused(float(hint.get("retry_after", 0.0)))
+                hint = _control("RETRY", decode_msg(payload))
+                raise _Refused(float(hint["retry_after"]))
             if ftype == T_ERROR:
                 err = decode_msg(payload)
                 raise _ServerError(str(err.get("code", "")),
@@ -295,7 +337,7 @@ async def pull_async(
                 raise IntegrityError(
                     "expected META, got frame type 0x%02x" % ftype,
                     kind="frame")
-            got = decode_msg(payload)
+            got = _control("META", decode_msg(payload))
             if meta is not None and (got["want"] != meta["want"]
                                      or got["crc32"] != meta["crc32"]):
                 # The target moved (or re-encoded differently) since the
@@ -416,7 +458,7 @@ async def pull_async(
             state.save_payload(bytes(buf), meta)
     outcome.payload_bytes = len(buf)
     outcome.payload_crc32 = zlib.crc32(bytes(buf)) & 0xFFFFFFFF
-    outcome.want = str(meta["want"])
+    outcome.want = meta["want"]
 
     # -- apply phase: journaled, resumable across power cuts ------------
     payload = bytes(buf)

@@ -49,9 +49,9 @@ HEADER_SIZE = 6
 #: Trailing CRC32.
 CRC_SIZE = 4
 
-#: Default ceiling on a frame's payload.  Oversize lengths are rejected
-#: *before* allocation, so a bit flip in the length field can never make
-#: the reader try to buffer gigabytes.
+#: Ceiling on a frame's payload.  Oversize lengths are rejected *before*
+#: allocation, so a bit flip in the length field can never make the
+#: reader try to buffer gigabytes.
 MAX_PAYLOAD = 1 << 24
 
 _HEADER = struct.Struct("<BBI")
@@ -97,8 +97,7 @@ def encode_frame(ftype: int, payload: bytes = b"") -> bytes:
     return body + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def parse_frame(data: bytes, *, max_payload: int = MAX_PAYLOAD
-                ) -> Tuple[int, bytes]:
+def parse_frame(data: bytes) -> Tuple[int, bytes]:
     """Strict one-frame parser: ``(type, payload)`` or ``IntegrityError``.
 
     Consumes exactly the whole buffer — trailing bytes are an error, so
@@ -114,11 +113,11 @@ def parse_frame(data: bytes, *, max_payload: int = MAX_PAYLOAD
     if magic != FRAME_MAGIC:
         raise _frame_error("bad frame magic 0x%02x" % magic, offset=0,
                            expected=FRAME_MAGIC, actual=magic)
-    if length > max_payload:
+    if length > MAX_PAYLOAD:
         raise _frame_error(
             "frame declares %d payload bytes, over the %d-byte ceiling"
-            % (length, max_payload), offset=2,
-            expected=max_payload, actual=length)
+            % (length, MAX_PAYLOAD), offset=2,
+            expected=MAX_PAYLOAD, actual=length)
     total = HEADER_SIZE + length + CRC_SIZE
     if len(data) < total:
         raise _frame_error(
@@ -142,8 +141,7 @@ def parse_frame(data: bytes, *, max_payload: int = MAX_PAYLOAD
     return ftype, data[HEADER_SIZE:HEADER_SIZE + length]
 
 
-async def read_frame(reader: "asyncio.StreamReader", *,
-                     max_payload: int = MAX_PAYLOAD) -> Tuple[int, bytes]:
+async def read_frame(reader: "asyncio.StreamReader") -> Tuple[int, bytes]:
     """Read exactly one frame off a stream, or raise ``kind="frame"``.
 
     EOF mid-frame (the peer vanished, or a fault site cut the
@@ -158,11 +156,11 @@ async def read_frame(reader: "asyncio.StreamReader", *,
         if magic != FRAME_MAGIC:
             raise _frame_error("bad frame magic 0x%02x" % magic, offset=0,
                                expected=FRAME_MAGIC, actual=magic)
-        if length > max_payload:
+        if length > MAX_PAYLOAD:
             raise _frame_error(
                 "frame declares %d payload bytes, over the %d-byte ceiling"
-                % (length, max_payload), offset=2,
-                expected=max_payload, actual=length)
+                % (length, MAX_PAYLOAD), offset=2,
+                expected=MAX_PAYLOAD, actual=length)
         rest = await reader.readexactly(length + CRC_SIZE)
     except asyncio.IncompleteReadError as exc:
         raise _frame_error(
@@ -171,7 +169,7 @@ async def read_frame(reader: "asyncio.StreamReader", *,
             offset=len(exc.partial)) from None
     except ConnectionError as exc:
         raise _frame_error("connection lost mid-frame: %s" % exc) from None
-    return parse_frame(header + rest, max_payload=max_payload)
+    return parse_frame(header + rest)
 
 
 async def write_frame(writer: "asyncio.StreamWriter", ftype: int,

@@ -6,9 +6,7 @@ from .corpus import (
     Corpus,
     PackageSpec,
     VersionPair,
-    benchmark_corpus,
     default_package_specs,
-    small_corpus,
 )
 from .indel import (
     ADVERSARIAL_GENERATORS,
@@ -42,7 +40,6 @@ __all__ = [
     "STABLE_PROFILE",
     "VersionPair",
     "WebSite",
-    "benchmark_corpus",
     "fetch_sequence",
     "default_package_specs",
     "edit_distance_estimate",
@@ -53,5 +50,4 @@ __all__ = [
     "make_source_file",
     "mutate",
     "replica_sync",
-    "small_corpus",
 ]

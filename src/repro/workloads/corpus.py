@@ -146,12 +146,3 @@ class Corpus:
         """Sum of version-file sizes over all pairs (the corpus 'weight')."""
         return sum(len(p.version) for p in self.pairs())
 
-
-def small_corpus(seed: int = 7) -> Corpus:
-    """A fast corpus for tests: few packages, small files."""
-    return Corpus(seed=seed, packages=3, releases=2, scale=0.15)
-
-
-def benchmark_corpus(seed: int = 19980601, scale: float = 1.0) -> Corpus:
-    """The corpus the Table 1 and runtime benches use by default."""
-    return Corpus(seed=seed, packages=12, releases=3, scale=scale)

@@ -1,7 +1,10 @@
 """Tests for the top-level public API (repro/__init__.py)."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,52 @@ class TestSurface:
         assert repro.EXECUTORS == ("serial", "thread", "process",
                                    "process-shm")
         assert set(repro.pipeline.PROCESS_EXECUTORS) <= set(repro.EXECUTORS)
+
+
+#: Imports the library with numpy and scipy unimportable, then
+#: round-trips one update (diff, convert, apply in place) on the scalar
+#: paths.  CI's tier-1 job runs the same check before the suite.
+NO_NUMPY_ROUND_TRIP = '''
+import sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+import random
+import repro, repro.cli, repro.fleet, repro.serve, repro.store
+from repro.delta import _kernels
+from repro.workloads import make_binary_blob, mutate
+assert not _kernels.HAVE_NUMPY
+rng = random.Random(19980601)
+old = make_binary_blob(rng, 20000)
+new = mutate(old, rng)
+result = repro.make_in_place(repro.diff(old, new), old)
+buf = bytearray(old)
+repro.apply_in_place(result.script, buf)
+assert bytes(buf) == new
+'''
+
+
+def _python(code):
+    """Run ``python -c code`` on this checkout; returns the process."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+class TestDependencies:
+    """The library needs only the standard library; numpy speeds it up."""
+
+    def test_round_trip_without_numpy_or_scipy(self):
+        proc = _python(NO_NUMPY_ROUND_TRIP)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = _python("import sys, repro.cli\n"
+                       "print([m for m in sys.modules if m == 'scipy'"
+                       " or m.startswith('scipy.')])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDocsMatchSurface:

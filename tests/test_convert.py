@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.adversarial import figure2_case, figure3_case, rotation_script
 from repro.core.apply import apply_delta, apply_in_place
 from repro.core.commands import AddCommand, CopyCommand, DeltaScript
-from repro.core.convert import compare_policies, make_in_place
+from repro.core.convert import make_in_place
 from repro.core.verify import adds_are_last, is_in_place_safe
 from repro.delta import correcting_delta, greedy_delta, onepass_delta
 from repro.exceptions import ReproError
@@ -116,10 +116,6 @@ class TestMakeInPlace:
 
 
 class TestPolicyComparison:
-    def test_compare_policies_runs_all(self):
-        results = compare_policies(swap_script(), b"01234567")
-        assert [r.report.policy for r in results] == ["constant", "local-min"]
-
     def test_local_min_beats_constant_on_figure2(self):
         # On the Figure 2 adversary both per-cycle policies evict all the
         # leaves, but on a simple asymmetric 2-cycle local-min must win.
@@ -130,7 +126,8 @@ class TestPolicyComparison:
         # vertex 0 writes [0,99], reads [100,199]; vertex 1 writes
         # [100,109], reads [0,9]: mutual conflict, costs 96 vs 6.
         ref = bytes(200)
-        constant, local = compare_policies(script, ref)
+        constant = make_in_place(script, ref, policy="constant")
+        local = make_in_place(script, ref, policy="local-min")
         assert local.report.eviction_cost <= constant.report.eviction_cost
         assert local.report.eviction_cost == 6
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workloads.corpus import Corpus, PackageSpec, small_corpus
+from repro.workloads.corpus import Corpus, PackageSpec
 
 
 class TestCorpus:
@@ -58,11 +58,6 @@ class TestCorpus:
     def test_total_version_bytes(self, tiny_corpus):
         assert tiny_corpus.total_version_bytes() == \
             sum(len(p.version) for p in tiny_corpus.pairs())
-
-    def test_small_corpus_is_fast_shape(self):
-        corpus = small_corpus()
-        assert corpus.release_count == 2
-        assert corpus.pair_count() >= 4
 
     def test_compression_lands_in_paper_band(self):
         # The corpus's raison d'etre: plain deltas compress versions into

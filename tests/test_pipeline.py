@@ -400,13 +400,6 @@ class TestDeltaPipeline:
         for result in batch.results:
             assert result.report.conversion.scratch_used <= 256
 
-    def test_run_pairs_names_jobs(self, batch_pair):
-        reference, versions = batch_pair
-        with DeltaPipeline(PipelineConfig(executor="serial")) as pipe:
-            batch = pipe.run_pairs([(reference, v) for v in versions[:2]],
-                                   names=["alpha", "beta"])
-        assert [r.report.name for r in batch.results] == ["alpha", "beta"]
-
     def test_batch_report_aggregates(self, batch_pair):
         reference, versions = batch_pair
         jobs = [PipelineJob(reference, v, "v%d" % i)

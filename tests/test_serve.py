@@ -10,7 +10,9 @@ pulls completing, download resume under injected frame corruption and
 connection drops, power-cut resume via the journal, crash-safe resume
 from a :class:`~repro.serve.PullState` directory, and the
 ``backoff_delay`` retry backoff (byte-reproducible, shared with the
-pipeline and the updater).
+pipeline and the updater).  Control frames the client cannot use come
+from a throwaway server that speaks the framing but not the daemon's
+fields.
 """
 
 import asyncio
@@ -29,6 +31,15 @@ from repro.serve import (
     PullState,
     ServeConfig,
     pull_async,
+)
+from repro.serve.protocol import (
+    T_DATA,
+    T_END,
+    T_META,
+    T_RETRY,
+    encode_msg,
+    read_frame,
+    write_frame,
 )
 import repro.serve.client as client_module
 from repro.store import MemoryStore
@@ -399,6 +410,81 @@ class TestJitterBackoff:
         ]
         assert first == pytest.approx(expected)
         assert self._delays(monkeypatch, seed=7) != first
+
+
+#: A META the client can act on; the cases below break one field.
+GOOD_META = {"length": 7, "crc32": zlib.crc32(b"payload"), "offset": 0,
+             "want": "w" * 40}
+
+
+async def _pull_from_stub(frames):
+    """Pull from a server that answers every PULL with ``frames``."""
+    async def answer(reader, writer):
+        await read_frame(reader)
+        for ftype, payload in frames:
+            await write_frame(writer, ftype, payload)
+        writer.close()
+
+    server = await asyncio.start_server(answer, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    try:
+        return await pull_async("127.0.0.1", port, "pkg", b"image",
+                                max_attempts=2, io_timeout=5.0)
+    finally:
+        server.close()
+        await server.wait_closed()
+
+
+class TestMalformedControl:
+    """A CRC-valid control frame with an unusable field ends the pull
+    "failed" with a reason; it never escapes as a raw exception."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("length", None), ("length", "7"), ("crc32", -1),
+        ("offset", True), ("want", 5),
+    ])
+    def test_bad_meta_field_fails_the_pull(self, field, value):
+        meta = dict(GOOD_META)
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        outcome = asyncio.run(_pull_from_stub([
+            (T_META, encode_msg(meta)), (T_DATA, b"payload"),
+            (T_END, b"")]))
+        assert outcome.status == "failed"
+        assert outcome.attempts == 2
+        assert "IntegrityError: META field %r" % field in outcome.reason
+
+    @pytest.mark.parametrize("hint", [{"retry_after": "soon"}, {},
+                                      {"retry_after": -1.0}])
+    def test_bad_retry_hint_fails_the_pull(self, hint):
+        outcome = asyncio.run(_pull_from_stub([(T_RETRY, encode_msg(hint))]))
+        assert outcome.status == "failed"
+        assert "IntegrityError: RETRY field 'retry_after'" in outcome.reason
+
+    @pytest.mark.parametrize("saved", [
+        b"[1, 2]", b'{"want": "w"}',
+        b'{"crc32": 0, "length": "7", "offset": 0, "want": "w"}',
+    ])
+    def test_unusable_saved_meta_is_discarded(self, tmp_path, saved):
+        store, chain = _corpus(size=4096)
+        state = PullState(tmp_path / "pull-state")
+        state.save_payload(b"stale payload", dict(GOOD_META))
+        (state.root / "meta.json").write_bytes(saved)
+
+        async def go(server):
+            await server.start()
+            try:
+                return await pull_async(server.host, server.port, "pkg",
+                                        chain[0], state=state)
+            finally:
+                await server.drain()
+
+        outcome = asyncio.run(go(_server(store)))
+        assert outcome.status == "applied"
+        assert outcome.image == chain[-1]
+        assert outcome.resumes == 0
 
 
 class TestDrain:

@@ -1,16 +1,9 @@
 """Unit tests for rendering and timing helpers (repro.analysis.tables/timing)."""
 
-import time
-
 import pytest
 
 from repro.analysis.tables import format_bytes, format_seconds, render_kv, render_table
-from repro.analysis.timing import (
-    ratio_stats,
-    stopwatch,
-    time_call,
-    weighted_time_ratio,
-)
+from repro.analysis.timing import ratio_stats, weighted_time_ratio
 
 
 class TestRenderTable:
@@ -48,25 +41,6 @@ class TestFormatters:
 
 
 class TestTiming:
-    def test_stopwatch(self):
-        with stopwatch() as box:
-            time.sleep(0.01)
-        assert box[0] >= 0.009
-
-    def test_time_call_returns_best(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-
-        elapsed = time_call(fn, repeat=4)
-        assert len(calls) == 4
-        assert elapsed >= 0.0
-
-    def test_time_call_bad_repeat(self):
-        with pytest.raises(ValueError):
-            time_call(lambda: None, repeat=0)
-
     def test_ratio_stats(self):
         stats = ratio_stats([0.5, 0.6, 0.7, 1.5])
         assert stats.count == 4
