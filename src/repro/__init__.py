@@ -66,6 +66,7 @@ from .core import (
     preflight_in_place,
     storage_crc32,
     verify_reference,
+    verify_version,
 )
 from .delta import (
     ALGORITHMS,
@@ -128,11 +129,15 @@ def patch(reference: Buffer, payload: bytes) -> bytes:
     """Apply a serialized delta file to ``reference`` (two-space).
 
     ``IPD2`` payloads are integrity-checked (trailer, segment CRCs,
-    reference digest) before any reconstruction happens.
+    reference digest) before any reconstruction happens, and the
+    rebuilt version against the version checksum the payload carries
+    (:func:`~repro.core.verify_version`) before it is returned.
     """
     script, header = decode_delta(payload)
     verify_reference(header, reference)
-    return apply_delta(script, reference)
+    version = apply_delta(script, reference)
+    verify_version(header, version)
+    return version
 
 
 def patch_in_place(buffer: bytearray, payload: bytes) -> bytearray:
@@ -142,11 +147,17 @@ def patch_in_place(buffer: bytearray, payload: bytes) -> bytearray:
     integrity is checked by :func:`~repro.delta.decode_delta`, then
     :func:`~repro.core.preflight_in_place` verifies the reference
     digest and all command bounds — ``buffer`` is untouched unless
-    every check passes.
+    every check passes.  After the apply, the rebuilt buffer is checked
+    against the version checksum the payload carries
+    (:func:`~repro.core.verify_version`); a mismatch raises
+    :class:`~repro.exceptions.VerificationError`, leaving ``buffer``
+    holding the bad rebuild.
     """
     script, header = decode_delta(payload)
     preflight_in_place(script, header, buffer)
-    return apply_in_place(script, buffer, strict=True)
+    apply_in_place(script, buffer, strict=True)
+    verify_version(header, buffer)
+    return buffer
 
 
 __all__ = [
@@ -210,5 +221,6 @@ __all__ = [
     "storage_crc32",
     "store",
     "verify_reference",
+    "verify_version",
     "workloads",
 ]

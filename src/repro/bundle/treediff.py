@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, MutableMapping, Union
 
-from ..core.apply import apply_in_place, preflight_in_place
+from ..core.apply import apply_in_place, preflight_in_place, verify_version
 from ..core.convert import make_in_place
 from ..delta import ALGORITHMS
 from ..delta.encode import FORMAT_INPLACE, decode_delta, encode_delta, version_checksum
@@ -102,26 +102,26 @@ def build_bundle(
     return bundle
 
 
-def _patch(path: str, data: Union[bytes, bytearray], payload: bytes,
-           chunk_size: int) -> bytes:
+def _patch(path: str, data: Union[bytes, bytearray], payload: bytes) -> bytes:
     """One file's new version, built in place in a copy of ``data``.
 
     The reference digest and every command's bounds are checked before
     the first write (:func:`~repro.core.apply.preflight_in_place`; a
-    no-op digest check for ``IPD1`` payloads, which carry none).
+    no-op digest check for ``IPD1`` payloads, which carry none), and the
+    result against the version checksum the payload carries.
     """
     buffer = bytearray(data)
     script, header = decode_delta(payload)
     preflight_in_place(script, header, buffer)
-    apply_in_place(script, buffer, strict=True, chunk_size=chunk_size)
-    if header.version_crc32 and \
-            version_checksum(buffer) != header.version_crc32:
-        raise VerificationError(
-            "%s: reconstructed content fails its checksum" % path)
+    apply_in_place(script, buffer, strict=True)
+    try:
+        verify_version(header, buffer)
+    except VerificationError as exc:
+        raise VerificationError("%s: %s" % (path, exc)) from None
     return bytes(buffer)
 
 
-def apply_bundle(tree: Tree, bundle: Bundle, *, chunk_size: int = 4096) -> None:
+def apply_bundle(tree: Tree, bundle: Bundle) -> None:
     """Upgrade ``tree`` in place per the bundle's directives.
 
     Each file's new version is materialized in the buffer its old
@@ -137,7 +137,7 @@ def apply_bundle(tree: Tree, bundle: Bundle, *, chunk_size: int = 4096) -> None:
             if entry.path not in tree:
                 raise ReproError("bundle patches missing file %r" % entry.path)
             tree[entry.path] = _patch(entry.path, tree[entry.path],
-                                      entry.payload, chunk_size)
+                                      entry.payload)
         elif entry.op == OP_ADD:
             tree[entry.path] = entry.content
         elif entry.op == OP_RENAME:
@@ -147,7 +147,7 @@ def apply_bundle(tree: Tree, bundle: Bundle, *, chunk_size: int = 4096) -> None:
                 )
             data = tree[entry.from_path]
             if entry.payload:
-                data = _patch(entry.path, data, entry.payload, chunk_size)
+                data = _patch(entry.path, data, entry.payload)
             del tree[entry.from_path]
             tree[entry.path] = bytes(data)
         elif entry.op == OP_REMOVE:
@@ -158,15 +158,10 @@ def apply_bundle(tree: Tree, bundle: Bundle, *, chunk_size: int = 4096) -> None:
             raise ReproError("unknown bundle op 0x%02x" % entry.op)
 
 
-def upgrade_and_verify(
-    tree: Tree,
-    bundle: Bundle,
-    new_manifest: Manifest,
-    *,
-    chunk_size: int = 4096,
-) -> None:
+def upgrade_and_verify(tree: Tree, bundle: Bundle,
+                       new_manifest: Manifest) -> None:
     """Apply a bundle, then verify the whole tree against the target manifest."""
-    apply_bundle(tree, bundle, chunk_size=chunk_size)
+    apply_bundle(tree, bundle)
     problems = new_manifest.verify_tree({p: bytes(d) for p, d in tree.items()})
     if problems:
         raise VerificationError(

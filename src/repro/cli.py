@@ -51,6 +51,7 @@ from .core.apply import (
     apply_in_place,
     preflight_in_place,
     verify_reference,
+    verify_version,
 )
 from .bundle import (
     Manifest,
@@ -132,15 +133,12 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         # Everything checkable runs before the first destructive write:
         # reference digest, read/write bounds, scratch bounds.
         preflight_in_place(script, header, buf)
-        apply_in_place(script, buf, strict=not args.unsafe)
-        output = bytes(buf)
+        output = apply_in_place(script, buf, strict=True)
     else:
         reference = _read(args.reference)
         verify_reference(header, reference)
         output = apply_delta(script, reference)
-    if header.has_checksum and version_checksum(output) != header.version_crc32:
-        print("error: reconstructed file fails its checksum", file=sys.stderr)
-        return 1
+    verify_version(header, output)
     _write(args.output, output)
     print("wrote %s (%s)" % (args.output, format_bytes(len(output))))
     return 0
@@ -740,8 +738,6 @@ def _cmd_pull(args: argparse.Namespace) -> int:
         max_attempts=args.retries,
         max_boots=args.max_boots,
         backoff_base=args.backoff,
-        backoff_factor=args.backoff_factor,
-        backoff_jitter=args.backoff_jitter,
         state=state,
     )
     for fault in outcome.faults:
@@ -841,8 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--in-place", action="store_true",
                    help="apply through the in-place engine")
-    p.add_argument("--unsafe", action="store_true",
-                   help="skip the write-before-read safety check")
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("convert", help="make an existing delta in-place safe")
@@ -1127,9 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="download attempts (default %(default)s)")
     p.add_argument("--max-boots", type=int, default=16)
     p.add_argument("--backoff", type=float, default=0.05,
-                   help="base retry backoff seconds (default %(default)s)")
-    p.add_argument("--backoff-factor", type=float, default=2.0)
-    p.add_argument("--backoff-jitter", type=float, default=0.25)
+                   help="first retry backoff seconds, doubling per attempt "
+                        "up to 5 s (default %(default)s)")
     p.add_argument("--fault-plan", default="", metavar="SPECS",
                    help="client-side fault injection, e.g. "
                         "'client.recv:nth=2;device.power:nth=1:fuel=600'")

@@ -7,6 +7,7 @@ from .apply import (
     reconstruct,
     storage_crc32,
     verify_reference,
+    verify_version,
 )
 from .compose import compose_chain, compose_scripts
 from .commands import (
@@ -100,4 +101,5 @@ __all__ = [
     "reconstruct",
     "storage_crc32",
     "verify_reference",
+    "verify_version",
 ]

@@ -117,25 +117,6 @@ def rows_from_csr(indptr: "np.ndarray", indices: "np.ndarray") -> list:
     return [flat[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
-def subgraph_csr(indptr: "np.ndarray", indices: "np.ndarray",
-                 keep: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-    """CSR of the induced subgraph on ``keep`` (bool mask), renumbered.
-
-    Within-row edge order is preserved, so the result matches the scalar
-    rebuild that replays surviving successor lists in order.
-    """
-    n = int(keep.shape[0])
-    renumber = np.cumsum(keep) - 1
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    keep_edge = keep[rows] & keep[indices]
-    new_rows = renumber[rows[keep_edge]]
-    new_cols = renumber[indices[keep_edge]]
-    m = int(keep.sum())
-    new_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(new_rows, minlength=m), out=new_indptr[1:])
-    return new_indptr, new_cols.astype(np.int64, copy=False)
-
-
 # --------------------------------------------------------------------------
 # Eviction pricing
 

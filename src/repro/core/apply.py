@@ -29,7 +29,12 @@ from time import perf_counter
 from typing import Iterable, Optional, Union
 
 from .. import perf
-from ..exceptions import DeltaRangeError, IntegrityError, WriteBeforeReadError
+from ..exceptions import (
+    DeltaRangeError,
+    IntegrityError,
+    VerificationError,
+    WriteBeforeReadError,
+)
 from .commands import (
     AddCommand,
     Command,
@@ -104,6 +109,25 @@ def verify_reference(header, storage, *, length: Optional[int] = None) -> None:
             kind="reference",
             expected=header.reference_crc32, actual=actual,
         )
+
+
+def verify_version(header, image) -> None:
+    """Check a rebuilt ``image`` against the version CRC ``header`` carries.
+
+    The post-apply twin of :func:`verify_reference`: no-op when the
+    header records no version checksum (``has_checksum`` false: an
+    ``IPD2`` without the flag, or an ``IPD1`` whose CRC field is 0).
+    Raises :class:`~repro.exceptions.VerificationError` on a mismatch.
+    ``image`` is a buffer or any sliceable storage, as for
+    :func:`storage_crc32`.
+    """
+    if not header.has_checksum:
+        return
+    actual = storage_crc32(image)
+    if actual != header.version_crc32:
+        raise VerificationError(
+            "reconstructed image checksum 0x%08x != delta's 0x%08x"
+            % (actual, header.version_crc32))
 
 
 def preflight_in_place(script: DeltaScript, header, storage, *,

@@ -106,7 +106,6 @@ class CRWIDigraph:
         self._pred_indptr = None
         self._pred_indices = None
         # Derived scalar caches.
-        self._succ_sets: Optional[List[set]] = None
         self._edge_count: Optional[int] = None
         self._flat_succ: Optional[Tuple[List[int], List[int]]] = None
         self._flat_pred: Optional[Tuple[List[int], List[int]]] = None
@@ -164,7 +163,6 @@ class CRWIDigraph:
         too and rebuilt on demand; a CSR-only graph cannot have been
         mutated and keeps its arrays.
         """
-        self._succ_sets = None
         self._edge_count = None
         self._flat_succ = None
         self._flat_pred = None
@@ -339,16 +337,6 @@ class CRWIDigraph:
         return [self.cost(v, offset_encoding_size)
                 for v in range(self.vertex_count)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """True when the conflict edge ``u -> v`` exists.
-
-        O(1) via a successor-set view built on first use (the adjacency
-        lists stay the canonical representation).
-        """
-        if self._succ_sets is None:
-            self._succ_sets = [set(adj) for adj in self.successors]
-        return v in self._succ_sets[u]
-
     def edges(self) -> Iterable[Tuple[int, int]]:
         """Iterate all directed edges as ``(u, v)`` pairs.
 
@@ -366,74 +354,6 @@ class CRWIDigraph:
         for u, adj in enumerate(self._successors):
             for v in adj:
                 yield (u, v)
-
-    def without_vertices(self, removed: Iterable[int]) -> "CRWIDigraph":
-        """A copy of the digraph with ``removed`` vertices (and their edges) deleted.
-
-        Vertex numbering is compacted; used by the whole-graph eviction
-        solvers and by tests that check feedback-vertex-set properties.
-        """
-        dead = set(removed)
-        if _k.fast_enabled() and self.vertex_count:
-            csr = self.csr()
-            if csr is not None:
-                np = _k.np
-                keep_mask = np.ones(self.vertex_count, dtype=bool)
-                if dead:
-                    keep_mask[np.array(sorted(dead), dtype=np.int64)] = False
-                indptr, indices = _k.subgraph_csr(csr[0], csr[1], keep_mask)
-                pred_indptr, pred_indices = _k.csr_transpose(
-                    indptr, indices, int(keep_mask.sum()))
-                kept = [self.vertices[v] for v in range(self.vertex_count)
-                        if v not in dead]
-                arrays = self._command_arrays()
-                sub_arrays = (tuple(a[keep_mask] for a in arrays)
-                              if arrays is not None else None)
-                return CRWIDigraph._from_csr(
-                    kept, indptr, indices, pred_indptr, pred_indices,
-                    cmd_arrays=sub_arrays)
-        return self._without_vertices_reference(dead)
-
-    def _without_vertices_reference(self, dead: set) -> "CRWIDigraph":
-        """Scalar subgraph rebuild; the oracle for the CSR masking kernel."""
-        keep = [v for v in range(self.vertex_count) if v not in dead]
-        renumber = {old: new for new, old in enumerate(keep)}
-        sub = CRWIDigraph(
-            vertices=[self.vertices[v] for v in keep],
-            successors=[[] for _ in keep],
-            predecessors=[[] for _ in keep],
-        )
-        for old in keep:
-            for succ in self.successors[old]:
-                if succ in renumber:
-                    sub.successors[renumber[old]].append(renumber[succ])
-                    sub.predecessors[renumber[succ]].append(renumber[old])
-        sub.invalidate_caches()
-        return sub
-
-    def is_acyclic(self) -> bool:
-        """Kahn's-algorithm acyclicity check (independent of the DFS sorter)."""
-        if _k.fast_enabled() and self.vertex_count >= _k.ARRAY_PEEL_MIN:
-            csr = self.csr()
-            pred = self.pred_csr()
-            if csr is not None and pred is not None:
-                flat, bounds = self.flat_successors()
-                prefix, _core, _suffix = _k.toposort_peel(
-                    csr[0], csr[1], pred[0], pred[1],
-                    lambda u: flat[bounds[u]:bounds[u + 1]],
-                    lambda u: pred[1][pred[0][u]:pred[0][u + 1]])
-                return int(prefix.shape[0]) == self.vertex_count
-        indegree = self.indegrees()
-        frontier = [v for v, d in enumerate(indegree) if d == 0]
-        seen = 0
-        while frontier:
-            u = frontier.pop()
-            seen += 1
-            for v in self.successors[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    frontier.append(v)
-        return seen == self.vertex_count
 
 
 def _iter_copies(script: DeltaScript) -> List[CopyCommand]:

@@ -28,15 +28,12 @@ from ..core.apply import (
     apply_in_place,
     preflight_in_place,
     verify_reference,
+    verify_version,
 )
 from ..core.commands import DeltaScript
 from ..delta.encode import decode_delta
 from ..delta.wrapper import INFLATE_RAM, SealedReader, is_sealed, unseal
-from ..exceptions import (
-    OutOfMemoryError,
-    StorageBoundsError,
-    VerificationError,
-)
+from ..exceptions import OutOfMemoryError, StorageBoundsError
 
 
 @dataclass
@@ -144,7 +141,7 @@ class ConstrainedDevice:
             self.ram.allocate("version-scratch", script.version_length)
             try:
                 new_image = apply_delta(script, self._storage)
-                self._verify(new_image, header)
+                verify_version(header, new_image)
                 self._commit(new_image)
             finally:
                 self.ram.free("version-scratch")
@@ -186,7 +183,7 @@ class ConstrainedDevice:
             apply_in_place(
                 script, self._storage, strict=True, chunk_size=self.copy_window
             )
-            self._verify(self._storage, header)
+            verify_version(header, self._storage)
             self.updates_applied += 1
         finally:
             if unsealed:
@@ -235,7 +232,7 @@ class ConstrainedDevice:
             apply_delta_stream(
                 source, self._storage, strict=True, chunk_size=self.copy_window
             )
-            self._verify(self._storage, header)
+            verify_version(header, self._storage)
             self.updates_applied += 1
         finally:
             if inflater_allocated:
@@ -277,13 +274,3 @@ class ConstrainedDevice:
         self._storage = bytearray(new_image)
         self.updates_applied += 1
 
-    def _verify(self, image: bytes, header) -> None:
-        if not header.has_checksum:
-            return  # producer recorded no checksum (explicit flag in
-            # IPD2; for IPD1 the legacy zero-CRC heuristic applies)
-        actual = zlib.crc32(image) & 0xFFFFFFFF
-        if actual != header.version_crc32:
-            raise VerificationError(
-                "reconstructed image checksum 0x%08x != expected 0x%08x"
-                % (actual, header.version_crc32)
-            )

@@ -23,19 +23,20 @@ update-time bench sweeps:
 Corrupted deliveries are detected by checksum and retransmitted, up to
 ``max_retries``; a :class:`~repro.faults.FaultPlan` can inject
 deterministic link failures (``channel.transmit``) that every session
-survives by retransmitting (the journaled one after an exponential
-backoff), and power cuts (``device.power``) that
+survives by retransmitting, and power cuts (``device.power``) that
 :func:`run_journaled_update` rides out by resuming from the journal.
+The sessions retransmit at once: the channel is simulated, so there is
+nothing real to wait on (the loops that do wait, the batch pipeline and
+the pull client, sleep by :func:`repro.faults.backoff_delay`).
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.apply import preflight_in_place, storage_crc32
+from ..core.apply import preflight_in_place, verify_version
 from ..core.convert import make_in_place
 from ..delta import ALGORITHMS
 from ..delta.encode import (
@@ -56,7 +57,7 @@ from ..exceptions import (
     TransmissionError,
     VerificationError,
 )
-from ..faults import FaultPlan, backoff_delay, describe_failure
+from ..faults import FaultPlan, describe_failure
 from .channel import Channel, Delivery
 from .journal import CrashingStorage, Journal, JournaledApplier, PowerFailureError
 from .memory import ConstrainedDevice
@@ -286,9 +287,6 @@ def run_journaled_session(
     max_boots: int = 16,
     rng: Optional[random.Random] = None,
     fault_plan: Optional[FaultPlan] = None,
-    backoff_base: float = 0.0,
-    backoff_factor: float = 2.0,
-    backoff_jitter: float = 0.0,
     chunk_size: int = 4096,
 ) -> JournaledUpdateOutcome:
     """Drive one pre-built in-place payload through transfer and
@@ -307,10 +305,8 @@ def run_journaled_session(
     ``reference`` seeds the device's storage (the bytes the stale device
     holds); ``expected`` — when given — is the oracle the reconstructed
     image is compared against after the delta's own checksum passes.
-    Backoff jitter is drawn from the fault seed (see
-    :func:`repro.faults.backoff_delay`), never from global randomness.
+    A failed transmission is retransmitted at once, without a sleep.
     """
-    seed = fault_plan.seed if fault_plan is not None else 0
     outcome = JournaledUpdateOutcome(
         payload_bytes=len(payload),
         image_bytes=len(expected) if expected is not None else 0,
@@ -328,10 +324,6 @@ def run_journaled_session(
             delivery = channel.transmit(payload, rng)
         except TransmissionError as exc:
             outcome.faults.append(describe_failure(exc))
-            if backoff_base > 0.0:
-                time.sleep(backoff_delay(
-                    attempt, backoff_base, backoff_factor,
-                    jitter=backoff_jitter, seed=seed, scope=scope))
             continue
         outcome.transfer_seconds += delivery.seconds
         received = delivery.payload
@@ -347,15 +339,12 @@ def run_journaled_session(
                     "TruncatedDelivery: delta cut to %d of %d bytes "
                     "(attempt %d)" % (cut, outcome.payload_bytes, attempt)
                 )
-            spec = fault_plan.corruption("delta.bitflip", scope, attempt)
-            if spec is not None and received:
+            offset = fault_plan.flip_offset("delta.bitflip", scope,
+                                            attempt, len(received))
+            if offset is not None:
                 # A corrupted download: one bit of the delivered delta
                 # flipped in flight.  The IPD2 trailer/segment CRCs must
                 # catch this at parse time, before any image byte moves.
-                offset = spec.offset if spec.offset is not None else \
-                    fault_plan.draw_offset("delta.bitflip", scope,
-                                           attempt, len(received))
-                offset = min(offset, len(received) - 1)
                 flipped = bytearray(received)
                 flipped[offset] ^= 0x01
                 received = bytes(flipped)
@@ -372,10 +361,6 @@ def run_journaled_session(
             # CRC is checked before a single command is even parsed:
             # nothing applied yet, so a retransmission is always safe.
             outcome.faults.append(describe_failure(exc))
-            if backoff_base > 0.0:
-                time.sleep(backoff_delay(
-                    attempt, backoff_base, backoff_factor,
-                    jitter=backoff_jitter, seed=seed, scope=scope))
             continue
         break
     if script is None:
@@ -390,15 +375,13 @@ def run_journaled_session(
         if fault_plan is not None:
             # Simulated flash rot: flips happen silently while the
             # device is down; detection is the integrity plane's job.
-            spec = fault_plan.corruption("storage.bitflip", scope, boot)
-            if spec is not None and len(storage):
-                offset = spec.offset if spec.offset is not None else \
-                    fault_plan.draw_offset("storage.bitflip", scope,
-                                           boot, len(storage))
-                storage.flip(min(offset, len(storage) - 1))
+            offset = fault_plan.flip_offset("storage.bitflip", scope,
+                                            boot, len(storage))
+            if offset is not None:
+                storage.flip(offset)
                 outcome.faults.append(
                     "BitFlip: storage bit flipped at offset %d (boot %d)"
-                    % (min(offset, len(storage) - 1), boot)
+                    % (offset, boot)
                 )
         if boot > 1:
             # Reboot: the journal is reread from its durable sector.
@@ -448,18 +431,15 @@ def run_journaled_session(
         outcome.failure = ("power failed on every one of %d boots"
                            % outcome.boots)
         return outcome
-    if header.has_checksum:
+    try:
         # The device-real final gate: the version checksum carried in
         # the delta.  (Bit flips in not-yet-applied regions propagate
         # into the image and are caught here if nowhere earlier.)
-        actual = storage_crc32(storage)
-        if actual != header.version_crc32:
-            outcome.corruption = True
-            outcome.failure = (
-                "reconstructed image checksum 0x%08x != delta's 0x%08x"
-                % (actual, header.version_crc32)
-            )
-            return outcome
+        verify_version(header, storage)
+    except VerificationError as exc:
+        outcome.corruption = True
+        outcome.failure = str(exc)
+        return outcome
     if expected is not None and storage.snapshot() != expected:
         outcome.failure = "reconstructed image differs from expected bytes"
         return outcome
@@ -478,15 +458,12 @@ def run_journaled_update(
     max_boots: int = 16,
     rng: Optional[random.Random] = None,
     fault_plan: Optional[FaultPlan] = None,
-    backoff_base: float = 0.0,
-    backoff_factor: float = 2.0,
-    backoff_jitter: float = 0.0,
     chunk_size: int = 4096,
 ) -> JournaledUpdateOutcome:
     """One in-place update that survives both link faults and power cuts.
 
-    The session transfers an in-place payload (retrying
-    :class:`TransmissionError` and corrupt deliveries with backoff),
+    The session transfers an in-place payload (retransmitting after
+    :class:`TransmissionError` and corrupt deliveries),
     then applies it through the crash-safe
     :class:`~repro.device.journal.JournaledApplier`.  A
     :class:`~repro.faults.FaultPlan` drives the adversity
@@ -516,9 +493,6 @@ def run_journaled_update(
         max_boots=max_boots,
         rng=rng,
         fault_plan=fault_plan,
-        backoff_base=backoff_base,
-        backoff_factor=backoff_factor,
-        backoff_jitter=backoff_jitter,
         chunk_size=chunk_size,
     )
     if outcome.failure == "reconstructed image differs from expected bytes":

@@ -8,11 +8,16 @@ See :mod:`repro.faults.plan` for the design.  The short version: a
 nth-call/count/probability triggers, and every
 decision is a pure function of ``(seed, site, scope, call index)`` so
 the same plan reproduces the same faults across runs, threads and
-worker processes.  :func:`backoff_delay` is the one retry backoff every
-retry loop waits by, its jitter drawn the same pure way.
+worker processes.  :func:`backoff_delay` is the one retry rule: a
+base delay grown by :data:`BACKOFF_FACTOR` up to a cap, plus up to
+:data:`BACKOFF_JITTER` of jitter drawn the same pure way.  Only the
+loops that wait on something real sleep it (the batch pipeline and the
+pull client); the simulated update sessions retry without sleeping.
 """
 
 from .plan import (
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
     ERROR_KINDS,
     KNOWN_SITES,
     MUTATION_KINDS,
@@ -25,6 +30,8 @@ from .plan import (
 )
 
 __all__ = [
+    "BACKOFF_FACTOR",
+    "BACKOFF_JITTER",
     "ERROR_KINDS",
     "MUTATION_KINDS",
     "FaultPlan",

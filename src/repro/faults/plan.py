@@ -29,8 +29,10 @@ Sites wired into the library:
 ``convert.evict``
     In the conversion stage, before in-place post-processing.
 ``channel.transmit``
-    In :func:`~repro.device.updater.run_update`, before each simulated
-    transfer (error kind ``transmission`` retries with backoff).
+    In :func:`~repro.device.updater.run_update` and
+    :func:`~repro.device.updater.run_journaled_session`, before each
+    simulated transfer (error kind ``transmission`` is retransmitted at
+    once: nothing real is waited on).
 ``device.power``
     In :func:`~repro.device.updater.run_journaled_update`, where a
     firing spec's ``fuel`` bounds the bytes written before the
@@ -68,10 +70,19 @@ Sites wired into the library:
     offset on the next attempt.
 
 ``storage.bitflip``/``delta.truncate``/``delta.bitflip``/``serve.frame``
-are *mutation* sites: :meth:`FaultPlan.corruption` returns
-the firing spec (with a deterministic :meth:`FaultPlan.draw_offset`)
-instead of raising, and the caller corrupts its own state.  Detection —
-not avoidance — is what is under test.
+are *mutation* sites: instead of raising, the plan tells the caller
+where to corrupt its own state.  The three bit-flip sites ask
+:meth:`FaultPlan.flip_offset` for the byte to flip; ``delta.truncate``
+asks :meth:`FaultPlan.corruption` for the firing spec and cuts at a
+length of its own choosing.  Detection — not avoidance — is what is
+under test.
+
+Retries wait by one rule, :func:`backoff_delay`: exponential growth by
+:data:`BACKOFF_FACTOR` from a caller's base delay up to its cap, plus
+up to :data:`BACKOFF_JITTER` of itself again, drawn from the plan's
+seed.  Only loops that wait on something real sleep it: the batch
+pipeline between a job's attempts and the pull client between
+downloads.  The simulated update sessions retry without sleeping.
 """
 
 from __future__ import annotations
@@ -280,11 +291,9 @@ class FaultPlan:
     def corruption(self, site: str, scope: str, index: int) -> Optional[FaultSpec]:
         """Firing mutation spec at a corruption site, recorded, else ``None``.
 
-        Unlike :meth:`check` this never raises: mutation sites
-        (``storage.bitflip``, ``delta.truncate``) model silent
-        corruption, so the caller applies the damage itself — typically
-        at the spec's ``offset``, or one drawn via :meth:`draw_offset`
-        — and the system under test must *detect* it.
+        Unlike :meth:`check` this never raises: mutation sites model
+        silent corruption, so the caller applies the damage itself and
+        the system under test must *detect* it.
         """
         spec = self.firing_spec(site, scope, index)
         if spec is None:
@@ -292,6 +301,24 @@ class FaultPlan:
         with self._lock:
             self.records.append(FaultRecord(site, scope, index, spec.error))
         return spec
+
+    def flip_offset(self, site: str, scope: str, index: int,
+                    size: int) -> Optional[int]:
+        """Byte of a ``size``-byte target a bit-flip site corrupts, else ``None``.
+
+        The one strike rule of the bit-flip sites (``delta.bitflip``,
+        ``storage.bitflip``, ``serve.frame``): the firing spec's pinned
+        ``offset``, or one drawn by :meth:`draw_offset`, clamped to the
+        last byte.  A firing spec is recorded exactly as
+        :meth:`corruption` records it, even when the target is empty
+        and there is no byte to flip (``None``).
+        """
+        spec = self.corruption(site, scope, index)
+        if spec is None or size <= 0:
+            return None
+        offset = spec.offset if spec.offset is not None else \
+            self.draw_offset(site, scope, index, size)
+        return min(offset, size - 1)
 
     def draw_offset(self, site: str, scope: str, index: int, size: int) -> int:
         """Deterministic corruption offset in ``[0, size)``.
@@ -416,6 +443,13 @@ class FaultPlan:
         return cls(specs, seed=seed)
 
 
+#: Growth of the retry backoff per attempt.
+BACKOFF_FACTOR = 2.0
+
+#: Largest share of a backoff delay its jitter adds on top.
+BACKOFF_JITTER = 0.25
+
+
 def jitter_draw(seed: int, scope: str, attempt: int) -> float:
     """Deterministic uniform ``[0, 1)`` draw for retry-backoff jitter.
 
@@ -431,21 +465,18 @@ def jitter_draw(seed: int, scope: str, attempt: int) -> float:
     ).random()
 
 
-def backoff_delay(attempt: int, base: float, factor: float = 2.0,
-                  cap: float = 5.0, jitter: float = 0.0, seed: int = 0,
+def backoff_delay(attempt: int, base: float, cap: float, *, seed: int = 0,
                   scope: str = "") -> float:
-    """Seconds to wait before retry ``attempt + 1``.
+    """Seconds to wait before retry ``attempt + 1``: the one retry rule.
 
-    Exponential and capped, ``min(cap, base * factor ** (attempt - 1))``,
-    plus up to ``jitter`` of itself again, drawn by :func:`jitter_draw`
-    from ``(seed, scope, attempt)``.  The updater, the pipeline and the
-    pull client all wait this long; each keeps its own sleep and skips
-    it when ``base`` is 0.
+    ``min(cap, base * BACKOFF_FACTOR ** (attempt - 1))``, plus up to
+    :data:`BACKOFF_JITTER` of itself again, drawn by :func:`jitter_draw`
+    from ``(seed, scope, attempt)``.  The pipeline (capped at its
+    ``BACKOFF_CAP``) and the pull client (capped at its own) wait this
+    long; each skips the sleep when ``base`` is 0.
     """
-    delay = min(cap, base * (factor ** (attempt - 1)))
-    if jitter > 0.0:
-        delay += delay * jitter * jitter_draw(seed, scope, attempt)
-    return delay
+    delay = min(cap, base * (BACKOFF_FACTOR ** (attempt - 1)))
+    return delay + delay * BACKOFF_JITTER * jitter_draw(seed, scope, attempt)
 
 
 def describe_failure(exc: BaseException) -> str:
@@ -459,6 +490,8 @@ def describe_failure(exc: BaseException) -> str:
 
 
 __all__ = [
+    "BACKOFF_FACTOR",
+    "BACKOFF_JITTER",
     "ERROR_KINDS",
     "MUTATION_KINDS",
     "FaultPlan",

@@ -98,9 +98,6 @@ class RolloutPolicy:
     #: Per-session transmission attempts and boot budget.
     max_retries: int = 3
     max_boots: int = 16
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
 
     def validate(self) -> None:
         if not self.stages or sorted(self.stages) != list(self.stages) \
@@ -167,9 +164,6 @@ def _run_device(
             channel=channel, scope=scope,
             max_retries=policy.max_retries, max_boots=policy.max_boots,
             rng=rng, fault_plan=plan,
-            backoff_base=policy.backoff_base,
-            backoff_factor=policy.backoff_factor,
-            backoff_jitter=policy.backoff_jitter,
             chunk_size=device.chunk_size,
         )
         outcome.sessions = session + 1

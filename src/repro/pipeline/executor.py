@@ -343,7 +343,7 @@ class BatchReport:
 class PipelineConfig:
     """The full serving configuration of a :class:`DeltaPipeline`.
 
-    One frozen value object instead of sixteen keyword arguments:
+    One frozen value object instead of fourteen keyword arguments:
     build it once, validate it once, share it (``dataclasses.replace``
     derives variants), and hand it to ``DeltaPipeline(config)``.
     ``PipelineConfig()`` reproduces ``DeltaPipeline()`` exactly.
@@ -354,7 +354,7 @@ class PipelineConfig:
     * ``executor``/``workers``/``cache``/``cache_bytes`` — where to
       compute it: pool shape and cache budget (``workers`` of ``None``
       means one per CPU).
-    * ``retries``/``fallback``/``stage_timeout``/``backoff_*``/
+    * ``retries``/``fallback``/``stage_timeout``/``backoff_base``/
       ``fault_plan`` — the resilience plane (see :class:`DeltaPipeline`).
     """
 
@@ -371,8 +371,6 @@ class PipelineConfig:
     fallback: Tuple[str, ...] = ()
     stage_timeout: Optional[float] = None
     backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.25
     fault_plan: Optional[FaultPlan] = None
 
     def validate(self) -> None:
@@ -570,8 +568,7 @@ def _run_job(job: PipelineJob, config: PipelineConfig,
                     # with no shared RNG, so a job's retry schedule is the
                     # same on every executor and beside any sibling jobs.
                     time.sleep(backoff_delay(
-                        attempts, config.backoff_base, config.backoff_factor,
-                        cap=BACKOFF_CAP, jitter=config.backoff_jitter,
+                        attempts, config.backoff_base, BACKOFF_CAP,
                         seed=plan.seed if plan is not None else 0,
                         scope=job.name))
                 continue
@@ -692,13 +689,13 @@ class DeltaPipeline:
     * ``stage_timeout`` — wall-clock budget per stage; a stage that
       overran it counts as a failed attempt.  The check runs where the
       stage ran, after it returns, on every executor.
-    * ``backoff_base``/``backoff_factor``/``backoff_jitter`` —
-      exponential backoff between a job's attempts, capped at
-      :data:`BACKOFF_CAP` seconds; ``backoff_base=0`` (default) disables
-      sleeping.  Jitter is drawn by :func:`~repro.faults.backoff_delay`
-      from the fault plan's seed (0 without a plan), the job name and
-      the attempt, so a job's retry timing is identical whichever
-      executor (or worker) drives it.
+    * ``backoff_base`` — first delay of the retry rule
+      (:func:`~repro.faults.backoff_delay`) between a job's attempts,
+      capped at :data:`BACKOFF_CAP` seconds; ``backoff_base=0``
+      (default) disables sleeping.  Jitter is drawn from the fault
+      plan's seed (0 without a plan), the job name and the attempt, so
+      a job's retry timing is identical whichever executor (or worker)
+      drives it.
     * ``fault_plan`` — a :class:`~repro.faults.FaultPlan` checked at the
       ``diff.worker``, ``cache.lookup`` and ``convert.evict`` sites.
 

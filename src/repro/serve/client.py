@@ -14,8 +14,10 @@ in exactly one of three structured states —
     A structured reason explains what went wrong (exhausted retries, a
     corrupt payload, a server-side error, power failed on every boot).
 ``"refused"``
-    The daemon's backpressure said come back later (RETRY frame);
-    ``retry_after`` carries the server's hint.
+    The daemon's backpressure said come back later (RETRY frame) on
+    every attempt, or once with a hint longer than :data:`BACKOFF_CAP`;
+    ``retry_after`` carries the server's hint, and the caller decides
+    when to come back.
 
 Resume works at both planes.  *Download* resume: an interrupted
 transfer retries with ``offset=<verified bytes>``, so a connection
@@ -29,9 +31,13 @@ written.  With a :class:`PullState` directory both planes survive
 process death too: a re-invoked pull picks up the saved payload,
 journal, and partially-mutated storage and completes byte-exact.
 
-Retry backoff is :func:`repro.faults.backoff_delay`, the one the
-updater and the pipeline wait by, so a pull's retry timing is
-byte-reproducible from its fault seed.
+Between attempts the pull waits by the one retry rule,
+:func:`repro.faults.backoff_delay` from ``backoff_base`` up to
+:data:`BACKOFF_CAP`, with jitter drawn from its fault seed, so a pull's
+retry timing is byte-reproducible.  A RETRY hint up to the same cap is
+waited out before the next attempt; a longer one ends the pull
+``"refused"`` at once, so a RETRY delays the next attempt by at most
+the cap, on top of the backoff.
 """
 
 from __future__ import annotations
@@ -77,8 +83,12 @@ from .protocol import (
 )
 
 #: Module-level alias so tests can monkeypatch the client's sleeps the
-#: same way tests/test_fleet.py patches the updater's ``time.sleep``.
+#: same way tests/test_fleet.py patches the pipeline's ``time.sleep``.
 _async_sleep = asyncio.sleep
+
+#: Longest wait, in seconds, between two download attempts (before
+#: jitter), and the longest RETRY hint a pull waits out.
+BACKOFF_CAP = 5.0
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -255,9 +265,6 @@ async def pull_async(
     max_attempts: int = 5,
     max_boots: int = 16,
     backoff_base: float = 0.0,
-    backoff_factor: float = 2.0,
-    backoff_jitter: float = 0.0,
-    backoff_cap: float = 5.0,
     chunk_size: int = 4096,
     state: Optional[PullState] = None,
     io_timeout: Optional[float] = 30.0,
@@ -277,8 +284,7 @@ async def pull_async(
     async def backoff(attempt: int) -> None:
         if backoff_base > 0.0:
             await _async_sleep(backoff_delay(
-                attempt, backoff_base, backoff_factor, cap=backoff_cap,
-                jitter=backoff_jitter, seed=seed, scope=scope))
+                attempt, backoff_base, BACKOFF_CAP, seed=seed, scope=scope))
 
     # -- resume artifacts from a previous (crashed) pull ----------------
     buf = bytearray()
@@ -414,14 +420,20 @@ async def pull_async(
                 done = True
                 break
             except _Refused as exc:
-                # Backpressure: honor the server's hint, then try again.
-                # Only *sustained* refusal — every attempt refused
-                # through the last — terminates the pull as "refused".
+                # Backpressure: wait out a hint within the cap, then try
+                # again; a longer hint is the caller's to schedule.
+                # Otherwise only *sustained* refusal — every attempt
+                # refused through the last — ends the pull "refused".
                 refused_last = True
                 outcome.retry_after = exc.retry_after
                 outcome.faults.append(
                     "Refused: backpressure (retry after %.3gs)"
                     % exc.retry_after)
+                if exc.retry_after > BACKOFF_CAP:
+                    outcome.status = "refused"
+                    outcome.reason = ("refused by backpressure: hint "
+                                      "beyond the %gs cap" % BACKOFF_CAP)
+                    return outcome
                 if attempt < max_attempts and exc.retry_after > 0.0:
                     await _async_sleep(exc.retry_after)
                 await backoff(attempt)

@@ -501,13 +501,11 @@ class DeltaServer:
         if plan is not None:
             index = self._frame_indices.get(scope, 0) + 1
             self._frame_indices[scope] = index
-            spec = plan.corruption("serve.frame", scope, index)
-            if spec is not None and data:
+            offset = plan.flip_offset("serve.frame", scope, index,
+                                      len(data))
+            if offset is not None:
                 # One bit flipped on the wire; the client's frame CRC
                 # must report it as IntegrityError(kind="frame").
-                offset = spec.offset if spec.offset is not None else \
-                    plan.draw_offset("serve.frame", scope, index, len(data))
-                offset = min(offset, len(data) - 1)
                 corrupt = bytearray(data)
                 corrupt[offset] ^= 0x01
                 data = bytes(corrupt)

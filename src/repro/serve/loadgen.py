@@ -166,7 +166,6 @@ async def run_load_async(
     request_timeout: Optional[float] = 30.0,
     max_attempts: int = 6,
     backoff_base: float = 0.0,
-    backoff_jitter: float = 0.0,
     chunk_size: int = 1 << 14,
     io_timeout: Optional[float] = 30.0,
     #: Per-client start delay (seconds x client index); a small stagger
@@ -226,7 +225,6 @@ async def run_load_async(
                 fault_plan=plan,
                 max_attempts=max_attempts,
                 backoff_base=backoff_base,
-                backoff_jitter=backoff_jitter,
                 chunk_size=chunk_size,
                 io_timeout=io_timeout,
             )

@@ -252,6 +252,19 @@ class TestBuildApply:
         apply_bundle(working, decode_bundle(encode_bundle(bundle)))
         assert working == {"f": new}
 
+    def test_ipd2_zero_crc_is_checked(self, rng):
+        # IPD2 says whether a CRC was recorded; a recorded 0 is a claim
+        # about the version, not "no checksum".
+        old = make_source_file(rng, 4_000)
+        new = mutate(old, rng)
+        assert version_checksum(new) != 0
+        script = make_in_place(diff(old, new), old).script
+        bundle = Bundle("pkg", 0, 1)
+        bundle.entries.append(BundleEntry(OP_DELTA, "f", payload=encode_delta(
+            script, FORMAT_INPLACE, version_crc32=0, reference=old)))
+        with pytest.raises(VerificationError, match="f: .* != delta's"):
+            apply_bundle({"f": old}, bundle)
+
     def test_scratch_budget_propagates(self, rng):
         content = rng.randbytes(6_000)
         old = {"img": content}

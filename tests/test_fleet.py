@@ -11,7 +11,12 @@ import repro.fleet.campaign as campaign_module
 from repro import diff, make_in_place, perf
 from repro.core.apply import apply_delta
 from repro.exceptions import StoreError
-from repro.faults import FaultPlan, jitter_draw
+from repro.faults import (
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    FaultPlan,
+    jitter_draw,
+)
 from repro.fleet import (
     CAMPAIGN_SCHEMA,
     CampaignReport,
@@ -556,7 +561,6 @@ class TestDeterministicJitter:
             monkeypatch.setattr(executor_module.time, "sleep", delays.append)
             config = PipelineConfig(
                 executor=executor, retries=3, backoff_base=0.25,
-                backoff_factor=2.0, backoff_jitter=0.5,
                 fault_plan=FaultPlan.parse(plan_text, seed=99),
             )
             with DeltaPipeline(config) as pipeline:
@@ -571,14 +575,18 @@ class TestDeterministicJitter:
         assert serial and serial == threaded
         # The delays are exactly the pure-function schedule.
         expected = [
-            min(1.0, 0.25 * (2.0 ** (attempt - 1)))
-            * (1.0 + 0.5 * jitter_draw(99, "job-a", attempt))
+            min(executor_module.BACKOFF_CAP,
+                0.25 * (BACKOFF_FACTOR ** (attempt - 1)))
+            * (1.0 + BACKOFF_JITTER * jitter_draw(99, "job-a", attempt))
             for attempt in (1, 2)
         ]
         assert serial == pytest.approx(expected)
 
     def test_updater_backoff_derives_from_fault_seed(self, monkeypatch):
-        import repro.device.updater as updater_module
+        """The simulated session retransmits at once: nothing real to
+        wait on, so surviving two link faults never sleeps."""
+        import time
+
         from repro.device import UpdateServer, get_channel, \
             run_journaled_update
 
@@ -589,23 +597,13 @@ class TestDeterministicJitter:
         server.publish("pkg", old)
         server.publish("pkg", new)
 
-        def run_once():
-            delays = []
-            monkeypatch.setattr(updater_module.time, "sleep", delays.append)
-            outcome = run_journaled_update(
-                server, get_channel("modem-56k"), "pkg", have=0,
-                fault_plan=FaultPlan.parse(
-                    "channel.transmit:count=2", seed=5),
-                backoff_base=0.1, backoff_jitter=1.0,
-            )
-            assert outcome.succeeded
-            return delays
-
-        first = run_once()
-        assert first == run_once()
-        expected = [
-            0.1 * (2.0 ** (attempt - 1))
-            * (1.0 + 1.0 * jitter_draw(5, "pkg", attempt))
-            for attempt in (1, 2)
-        ]
-        assert first == pytest.approx(expected)
+        delays = []
+        monkeypatch.setattr(time, "sleep", delays.append)
+        outcome = run_journaled_update(
+            server, get_channel("modem-56k"), "pkg", have=0,
+            fault_plan=FaultPlan.parse("channel.transmit:count=2", seed=5),
+        )
+        assert outcome.succeeded
+        assert outcome.attempts == 3
+        assert len(outcome.faults) == 2
+        assert delays == []

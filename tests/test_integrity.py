@@ -33,7 +33,12 @@ from repro.device.flash import FlashArray
 from repro.device.journal import CrashingStorage, Journal, JournaledApplier
 from repro.device.memory import ConstrainedDevice
 from repro.device.updater import UpdateServer, run_journaled_update
-from repro.exceptions import DeltaFormatError, DeltaRangeError, IntegrityError
+from repro.exceptions import (
+    DeltaFormatError,
+    DeltaRangeError,
+    IntegrityError,
+    VerificationError,
+)
 from repro.faults import FaultPlan, FaultSpec
 from repro.workloads import make_binary_blob, mutate
 
@@ -226,6 +231,26 @@ class TestAbortBeforeMutate:
         with pytest.raises(DeltaRangeError):
             preflight_in_place(script, header, buf)
         assert buf.writes == 0
+
+
+class TestVersionCheck:
+    """Every consumer checks the rebuilt image against the version CRC
+    the payload carries, as the device and the journaled session do."""
+
+    @pytest.mark.parametrize("apply", [
+        patch,
+        lambda old, payload: patch_in_place(bytearray(old), payload),
+    ], ids=["patch", "patch_in_place"])
+    def test_wrong_recorded_crc_is_refused(self, apply):
+        old, new = _pair(seed=25)
+        script = make_in_place(correcting_delta(old, new), old).script
+        payload = encode_delta(script, FORMAT_INPLACE, reference=old,
+                               version_crc32=version_checksum(new) ^ 1)
+        with pytest.raises(VerificationError, match="!= delta's"):
+            apply(old, payload)
+        device = ConstrainedDevice(old, ram=64 * 1024)
+        with pytest.raises(VerificationError, match="!= delta's"):
+            device.apply_delta_in_place(payload)
 
 
 class TestVerifyHelpers:

@@ -10,9 +10,9 @@ pulls completing, download resume under injected frame corruption and
 connection drops, power-cut resume via the journal, crash-safe resume
 from a :class:`~repro.serve.PullState` directory, and the
 ``backoff_delay`` retry backoff (byte-reproducible, shared with the
-pipeline and the updater).  Control frames the client cannot use come
-from a throwaway server that speaks the framing but not the daemon's
-fields.
+pipeline).  Control frames the client cannot use, and RETRY hints
+longer than the client waits, come from a throwaway server that speaks
+the framing but not the daemon's fields.
 """
 
 import asyncio
@@ -24,7 +24,7 @@ import zlib
 import pytest
 
 from repro import perf
-from repro.faults import FaultPlan, jitter_draw
+from repro.faults import BACKOFF_FACTOR, BACKOFF_JITTER, FaultPlan, jitter_draw
 from repro.pipeline import ReferenceIndexCache
 from repro.serve import (
     DeltaServer,
@@ -384,9 +384,7 @@ class TestJitterBackoff:
                 return await pull_async(
                     server.host, server.port, "pkg", chain[0],
                     scope="dev-jitter", fault_plan=plan,
-                    max_attempts=4, backoff_base=0.25,
-                    backoff_factor=2.0, backoff_jitter=0.5,
-                    backoff_cap=1.0)
+                    max_attempts=4, backoff_base=0.25)
             finally:
                 await server.drain()
 
@@ -404,8 +402,9 @@ class TestJitterBackoff:
         second = self._delays(monkeypatch, seed=99)
         assert first and first == second
         expected = [
-            min(1.0, 0.25 * (2.0 ** (attempt - 1)))
-            * (1.0 + 0.5 * jitter_draw(99, "dev-jitter", attempt))
+            min(client_module.BACKOFF_CAP,
+                0.25 * (BACKOFF_FACTOR ** (attempt - 1)))
+            * (1.0 + BACKOFF_JITTER * jitter_draw(99, "dev-jitter", attempt))
             for attempt in (1, 2)
         ]
         assert first == pytest.approx(expected)
@@ -417,7 +416,7 @@ GOOD_META = {"length": 7, "crc32": zlib.crc32(b"payload"), "offset": 0,
              "want": "w" * 40}
 
 
-async def _pull_from_stub(frames):
+async def _pull_from_stub(frames, max_attempts=2, io_timeout=5.0, **kwargs):
     """Pull from a server that answers every PULL with ``frames``."""
     async def answer(reader, writer):
         await read_frame(reader)
@@ -429,10 +428,31 @@ async def _pull_from_stub(frames):
     port = server.sockets[0].getsockname()[1]
     try:
         return await pull_async("127.0.0.1", port, "pkg", b"image",
-                                max_attempts=2, io_timeout=5.0)
+                                max_attempts=max_attempts,
+                                io_timeout=io_timeout, **kwargs)
     finally:
         server.close()
         await server.wait_closed()
+
+
+class TestRetryHint:
+    """A RETRY hint longer than the client's cap ends the pull at once."""
+
+    def test_hint_beyond_cap_refuses_without_sleeping_it(self, monkeypatch):
+        delays = []
+
+        async def fake_sleep(delay):
+            delays.append(delay)
+
+        monkeypatch.setattr(client_module, "_async_sleep", fake_sleep)
+        outcome = asyncio.run(_pull_from_stub(
+            [(T_RETRY, encode_msg({"retry_after": 1e9}))],
+            max_attempts=3, io_timeout=1.0, backoff_base=0.01))
+        assert outcome.status == "refused"
+        assert outcome.retry_after == 1e9
+        assert outcome.attempts == 1
+        assert "backpressure" in outcome.reason
+        assert all(delay <= client_module.BACKOFF_CAP for delay in delays)
 
 
 class TestMalformedControl:
