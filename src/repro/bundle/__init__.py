@@ -11,7 +11,7 @@ from .archive import (
     encode_bundle,
 )
 from .manifest import FileEntry, Manifest, TreeChange, classify_changes
-from .treediff import apply_bundle, build_bundle, upgrade_and_verify
+from .treediff import apply_bundle, build_bundle
 
 __all__ = [
     "Bundle",
@@ -28,5 +28,4 @@ __all__ = [
     "classify_changes",
     "decode_bundle",
     "encode_bundle",
-    "upgrade_and_verify",
 ]

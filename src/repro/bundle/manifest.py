@@ -4,8 +4,7 @@ The paper distributes *software packages* — trees of files — while its
 algorithm works on single files.  The bundle layer bridges that gap,
 and the manifest is its unit of identity: per-file sizes and checksums
 for one release of one package.  Manifests decide which files changed
-(diff at all?), detect renames (same content under a new path), and let
-a device verify a finished upgrade file by file.
+(diff at all?) and detect renames (same content under a new path).
 """
 
 from __future__ import annotations
@@ -60,23 +59,6 @@ class Manifest:
     def paths(self) -> List[str]:
         """All file paths, sorted."""
         return sorted(self.files)
-
-    def verify_tree(self, tree: Mapping[str, bytes]) -> List[str]:
-        """Paths whose content does not match this manifest (or are missing).
-
-        Empty list means ``tree`` is exactly this release.
-        """
-        problems: List[str] = []
-        for path, entry in self.files.items():
-            data = tree.get(path)
-            if data is None:
-                problems.append("%s: missing" % path)
-            elif FileEntry.of(path, data) != entry:
-                problems.append("%s: content mismatch" % path)
-        for path in tree:
-            if path not in self.files:
-                problems.append("%s: unexpected file" % path)
-        return sorted(problems)
 
 
 @dataclass(frozen=True)

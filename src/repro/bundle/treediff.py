@@ -156,15 +156,3 @@ def apply_bundle(tree: Tree, bundle: Bundle) -> None:
             del tree[entry.path]
         else:
             raise ReproError("unknown bundle op 0x%02x" % entry.op)
-
-
-def upgrade_and_verify(tree: Tree, bundle: Bundle,
-                       new_manifest: Manifest) -> None:
-    """Apply a bundle, then verify the whole tree against the target manifest."""
-    apply_bundle(tree, bundle)
-    problems = new_manifest.verify_tree({p: bytes(d) for p, d in tree.items()})
-    if problems:
-        raise VerificationError(
-            "upgraded tree does not match release %d: %s"
-            % (new_manifest.release, "; ".join(problems[:5]))
-        )

@@ -53,13 +53,7 @@ from .core.apply import (
     verify_reference,
     verify_version,
 )
-from .bundle import (
-    Manifest,
-    build_bundle,
-    decode_bundle,
-    encode_bundle,
-    upgrade_and_verify,
-)
+from .bundle import build_bundle, decode_bundle, encode_bundle
 from .core.compose import compose_chain
 from .core.convert import make_in_place
 from .core.crwi import build_crwi_digraph

@@ -142,7 +142,9 @@ def preflight_in_place(script: DeltaScript, header, storage, *,
       matches the target image (:func:`verify_reference`);
     * every command's reads fall inside the reference and its writes
       inside the version region;
-    * spill/fill scratch accesses fall inside the declared scratch.
+    * spill/fill scratch accesses fall inside the scratch the header
+      declares (``header.scratch_length``), the buffer every applier
+      allocates or charges RAM for.
 
     Raises :class:`~repro.exceptions.IntegrityError` or
     :class:`~repro.exceptions.DeltaRangeError` with ``storage``
@@ -155,7 +157,7 @@ def preflight_in_place(script: DeltaScript, header, storage, *,
     reference_length = length if length is not None else len(storage)
     version_length = script.version_length
     write_bound = max(version_length, reference_length)
-    scratch_length = script.scratch_length
+    scratch_length = header.scratch_length
     for i, cmd in enumerate(script.commands):
         if isinstance(cmd, (CopyCommand, SpillCommand)) and \
                 cmd.src + cmd.length > reference_length:

@@ -468,6 +468,8 @@ class _CodewordParser:
         cut by the window's end, and returns where the next one starts.
         """
         fixed = self.fixed
+        varints = not fixed
+        size = len(data)
         with_offsets = self.with_offsets
         segment_crcs = self.segment_crcs
         base = self.base
@@ -514,38 +516,55 @@ class _CodewordParser:
                 self.seg_crc = 0
                 continue
             if op == OP_COPY:
-                src, pos = _get_int(data, pos, fixed)
+                count = 3 if with_offsets else 2
+            elif op == OP_ADD:
+                count = 1 if with_offsets else 0
+            elif op == OP_SPILL or op == OP_FILL:
+                if not with_offsets:
+                    raise DeltaFormatError(
+                        "opcode 0x%02x not valid in a sequential delta" % op)
+                count = 3
+            else:
+                raise DeltaFormatError(
+                    "unknown opcode 0x%02x at byte %d" % (op, base + pos - 1))
+            # The codeword's offset/length fields.  Varints of up to three
+            # bytes (values below 2 MiB, nearly every field) are decoded
+            # here; longer, fixed-width and truncated fields go through
+            # _get_int.
+            fields = []
+            for _ in range(count):
+                if varints and pos + 2 < size:
+                    low = data[pos]
+                    if low < 0x80:
+                        fields.append(low)
+                        pos += 1
+                        continue
+                    mid = data[pos + 1]
+                    if mid < 0x80:
+                        fields.append(low & 0x7F | mid << 7)
+                        pos += 2
+                        continue
+                    high = data[pos + 2]
+                    if high < 0x80:
+                        fields.append(low & 0x7F | (mid & 0x7F) << 7
+                                      | high << 14)
+                        pos += 3
+                        continue
+                value, pos = _get_int(data, pos, fixed)
+                fields.append(value)
+            if op == OP_COPY:
                 if with_offsets:
-                    dst, pos = _get_int(data, pos, fixed)
+                    src, dst, length = fields
                 else:
+                    src, length = fields
                     dst = cursor
-                length, pos = _get_int(data, pos, fixed)
                 if length == 0:
                     raise DeltaFormatError(
                         "zero-length copy at byte %d" % (base + pos - 1))
                 commands.append(CopyCommand(src, dst, length))
                 cursor = dst + length
-            elif op in (OP_SPILL, OP_FILL):
-                if not with_offsets:
-                    raise DeltaFormatError(
-                        "opcode 0x%02x not valid in a sequential delta" % op)
-                a, pos = _get_int(data, pos, fixed)
-                b, pos = _get_int(data, pos, fixed)
-                length, pos = _get_int(data, pos, fixed)
-                if length == 0:
-                    raise DeltaFormatError(
-                        "zero-length scratch command at byte %d"
-                        % (base + pos - 1))
-                if op == OP_SPILL:
-                    commands.append(SpillCommand(a, b, length))
-                else:
-                    commands.append(FillCommand(a, b, length))
-                    cursor = b + length
             elif op == OP_ADD:
-                if with_offsets:
-                    dst, pos = _get_int(data, pos, fixed)
-                else:
-                    dst = cursor
+                dst = fields[0] if with_offsets else cursor
                 if pos >= bound:
                     raise DeltaFormatError(
                         "truncated add length at byte %d" % (base + pos))
@@ -561,8 +580,16 @@ class _CodewordParser:
                 pos += length
                 cursor = dst + length
             else:
-                raise DeltaFormatError(
-                    "unknown opcode 0x%02x at byte %d" % (op, base + pos - 1))
+                a, b, length = fields
+                if length == 0:
+                    raise DeltaFormatError(
+                        "zero-length scratch command at byte %d"
+                        % (base + pos - 1))
+                if op == OP_SPILL:
+                    commands.append(SpillCommand(a, b, length))
+                else:
+                    commands.append(FillCommand(a, b, length))
+                    cursor = b + length
             if segment_crcs and pos - seg_start > SEGMENT_LIMIT_BYTES:
                 raise DeltaFormatError(
                     "segment checkpoint overdue at byte %d" % (base + pos))

@@ -79,6 +79,12 @@ class CrashingStorage:
         return self._data[key]
 
     def __setitem__(self, key, value) -> None:
+        if self.fuel is None and type(key) is slice and key.step is None:
+            # The common case, an unfueled contiguous write: same
+            # accounting as below, without the bounds arithmetic.
+            self._data[key] = value
+            self.bytes_written += len(value)
+            return
         if isinstance(key, slice):
             start, stop, stride = key.indices(len(self._data))
             if stride != 1:
@@ -293,9 +299,10 @@ class JournaledApplier:
         script = self._script
         if journal.complete:
             return
-        if len(journal.scratch) < script.scratch_length:
+        scratch_length = script.scratch_length
+        if len(journal.scratch) < scratch_length:
             journal.scratch.extend(
-                b"\x00" * (script.scratch_length - len(journal.scratch))
+                b"\x00" * (scratch_length - len(journal.scratch))
             )
         needed = max(script.version_length, len(storage))
         if needed > len(storage):
@@ -304,59 +311,69 @@ class JournaledApplier:
             self._verify_applied(storage)
 
         commands = script.commands
-        while journal.next_index < len(commands):
-            index = journal.next_index
+        scratch = journal.scratch
+        crc = journal.applied_crc
+        index = journal.next_index
+        while index < len(commands):
             cmd = commands[index]
-            if isinstance(cmd, CopyCommand):
-                self._run_copy(storage, cmd, chunk_size)
-            elif isinstance(cmd, SpillCommand):
+            kind = type(cmd)
+            if kind is CopyCommand:
+                src, dst, length = cmd.src, cmd.dst, cmd.length
+                # A copy re-reads an untouched source, so re-running it
+                # after a crash is safe, unless it overlaps itself and
+                # clobbers its own source mid-flight.  So the pre-image of
+                # its read∩write overlap [lo, hi) is journaled before the
+                # first byte is written; a resume restores it first,
+                # returning the region to its pristine state, and the
+                # copy re-runs.
+                lo = src if src > dst else dst
+                hi = (dst if src > dst else src) + length
+                if lo < hi:
+                    if journal.backup_offset == lo and \
+                            len(journal.backup_data) == hi - lo:
+                        storage[lo:hi] = journal.backup_data
+                    else:
+                        journal.backup_offset = lo
+                        journal.backup_data = bytes(storage[lo:hi])
+                # Storage may be a CrashingStorage; _directional_copy only
+                # uses the subscript protocol, so it works on either.
+                _directional_copy(storage, src, dst, length, chunk_size)
+            elif kind is AddCommand:
+                dst, length = cmd.dst, len(cmd.data)
+                storage[dst:dst + length] = cmd.data
+            elif kind is FillCommand:
+                dst, length = cmd.dst, cmd.length
+                storage[dst:dst + length] = \
+                    scratch[cmd.scratch:cmd.scratch + length]
+            elif kind is SpillCommand:
                 # Scratch lives in the journal so it survives reboots; by
                 # Equation 2 the source region is still pristine, so
                 # re-execution after a crash is a pure re-read.
-                journal.scratch[cmd.scratch:cmd.scratch + cmd.length] = \
+                scratch[cmd.scratch:cmd.scratch + cmd.length] = \
                     storage[cmd.src:cmd.src + cmd.length]
-            elif isinstance(cmd, FillCommand):
-                storage[cmd.dst:cmd.dst + cmd.length] = bytes(
-                    journal.scratch[cmd.scratch:cmd.scratch + cmd.length]
-                )
-            elif isinstance(cmd, AddCommand):
-                storage[cmd.dst:cmd.dst + cmd.length] = cmd.data
             else:  # pragma: no cover - exhaustive over command types
                 raise ReproError("unknown command type %r" % (cmd,))
             # Command finished: fold what it wrote into the applied
             # digest, then advance the journal (atomic by assumption)
             # and drop any overlap backup.
-            journal.applied_crc = self._fold_applied(
-                storage, cmd, journal.applied_crc
-            )
-            journal.backup_offset = -1
-            journal.backup_data = b""
-            journal.next_index = index + 1
+            if kind is not SpillCommand:
+                journal.applied_crc = crc = _fold_written(storage, dst,
+                                                          length, crc)
+            if journal.backup_offset >= 0:
+                journal.backup_offset = -1
+                journal.backup_data = b""
+            journal.next_index = index = index + 1
 
         storage.resize(script.version_length)
         journal.complete = True
-
-    @staticmethod
-    def _fold_applied(storage: CrashingStorage, cmd,
-                      crc: int) -> int:
-        """Fold one completed command's written storage bytes into ``crc``.
-
-        Spills write no storage, so they fold nothing — their durable
-        effect lives in the journal's scratch mirror, which has its own
-        record CRC.
-        """
-        if isinstance(cmd, SpillCommand):
-            return crc
-        start = cmd.write_interval.start
-        stop = cmd.write_interval.stop + 1
-        return zlib.crc32(bytes(storage[start:stop]), crc) & 0xFFFFFFFF
 
     def _verify_applied(self, storage: CrashingStorage) -> None:
         """Re-digest every completed command's written region on resume."""
         journal = self._journal
         crc = 0
         for cmd in self._script.commands[:journal.next_index]:
-            crc = self._fold_applied(storage, cmd, crc)
+            if type(cmd) is not SpillCommand:
+                crc = _fold_written(storage, cmd.dst, cmd.length, crc)
         if crc != journal.applied_crc:
             raise IntegrityError(
                 "resume verification failed: the %d already-applied "
@@ -367,33 +384,17 @@ class JournaledApplier:
                 kind="resume", expected=journal.applied_crc, actual=crc,
             )
 
-    def _run_copy(self, storage: CrashingStorage, cmd: CopyCommand,
-                  chunk_size: int) -> None:
-        """Execute one copy idempotently.
 
-        Non-overlapping copies re-read an untouched source, so naive
-        re-execution is safe.  A self-overlapping copy can clobber its
-        own source mid-flight, so the read∩write overlap's pre-image is
-        journaled *before* the first byte is written; on resume the
-        overlap is restored first, returning the region to its pristine
-        state, and the copy re-runs from scratch.
-        """
-        journal = self._journal
-        overlap = cmd.read_interval.intersection(cmd.write_interval)
-        if not overlap.empty:
-            if journal.backup_offset == overlap.start and \
-                    len(journal.backup_data) == overlap.length:
-                # Resuming an interrupted attempt: undo its partial writes
-                # inside the overlap so the source reads correctly again.
-                storage[overlap.start:overlap.stop + 1] = journal.backup_data
-            else:
-                journal.backup_offset = overlap.start
-                journal.backup_data = bytes(
-                    storage[overlap.start:overlap.stop + 1]
-                )
-        # Storage may be a CrashingStorage; _directional_copy only uses
-        # the subscript protocol, so it works on either buffer type.
-        _directional_copy(storage, cmd.src, cmd.dst, cmd.length, chunk_size)
+def _fold_written(storage: CrashingStorage, dst: int, length: int,
+                  crc: int) -> int:
+    """Fold the ``length`` storage bytes a command wrote at ``dst`` into
+    ``crc``: the one rule behind ``Journal.applied_crc``, used as each
+    command completes and again by the resume check.
+
+    Spills write no storage, so they fold nothing — their durable effect
+    lives in the journal's scratch mirror, which has its own record CRC.
+    """
+    return zlib.crc32(storage[dst:dst + length], crc)
 
 
 def apply_with_power_failures(

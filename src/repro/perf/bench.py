@@ -53,6 +53,7 @@ from ..delta.rolling import (
     use_fast_paths,
 )
 from ..delta.varint import varint_size
+from ..device.journal import CrashingStorage, Journal, JournaledApplier
 from ..pipeline import DeltaPipeline, PipelineConfig, PipelineJob
 from ..pipeline.cache import ReferenceIndexCache
 from ..workloads.mutators import MutationProfile, mutate
@@ -305,6 +306,12 @@ def build_suite(quick: bool) -> List[BenchOp]:
     def run_apply_in_place():
         return apply_in_place(converted.script, bytearray(small_ref))
 
+    def run_apply_journaled():
+        storage = CrashingStorage(small_ref)
+        journal = Journal()
+        JournaledApplier(converted.script, journal).run(storage)
+        return storage, journal
+
     small_sizes = {"reference": len(small_ref), "version": len(small_ver)}
     ops.append(_convert_op("256k", script, small_ref, small_sizes,
                            len(small_ver)))
@@ -323,8 +330,15 @@ def build_suite(quick: bool) -> List[BenchOp]:
                        oracle=lambda out: bytes(out) == bytes(small_ver)))
     ops.append(BenchOp("apply_in_place_256k", "apply.in_place",
                        run_apply_in_place, small_sizes, len(small_ver),
-                       quick=False, min_seconds=0.25,
+                       quick=True, min_seconds=0.25,
                        oracle=lambda out: bytes(out) == bytes(small_ver)))
+    # The crash-safe apply every device pull runs, over the same script:
+    # CI holds its throughput to a floor against the plain apply above.
+    ops.append(BenchOp("apply_journaled_256k", "apply.journaled",
+                       run_apply_journaled, small_sizes, len(small_ver),
+                       quick=True, min_seconds=0.25,
+                       oracle=lambda out: out[1].complete
+                       and out[0].snapshot() == bytes(small_ver)))
 
     # Batch-pipeline transport comparison: one reference serving a batch
     # of small chunk updates, through the "process" executor (the

@@ -516,8 +516,9 @@ def _run_job(job: PipelineJob, config: PipelineConfig,
     giving every link ``retries + 1`` attempts.  An attempt diffs,
     converts, encodes and decodes the payload back; a failure in any of
     them, or a stage that overran ``stage_timeout``, fails the attempt
-    and backs off before the next.  Exhausting the chain quarantines
-    the job into a structured failure result.
+    and backs off before the next; the last attempt waits for nothing.
+    Exhausting the chain quarantines the job into a structured failure
+    result.
 
     ``cache`` serves the diffs (``None`` diffs cold) and ``digest``
     keys it without hashing the reference (see :func:`_diff`).
@@ -535,6 +536,7 @@ def _run_job(job: PipelineJob, config: PipelineConfig,
     trace: List[str] = []
     faults: List[str] = []
     attempts = diff_calls = convert_calls = 0
+    last_attempt = len(chain) * (config.retries + 1)
     failure = ""
     for link_no, algo in enumerate(chain):
         if link_no:
@@ -563,10 +565,11 @@ def _run_job(job: PipelineJob, config: PipelineConfig,
                 faults.append(failure)
                 trace.append("%s: %s attempt %d %s failed: %s"
                              % (job.name, algo, attempts, stage, failure))
-                if config.backoff_base > 0.0:
-                    # Jitter is a pure function of (seed, job, attempt),
-                    # with no shared RNG, so a job's retry schedule is the
-                    # same on every executor and beside any sibling jobs.
+                if config.backoff_base > 0.0 and attempts < last_attempt:
+                    # Only a wait with an attempt after it.  Jitter is a
+                    # pure function of (seed, job, attempt), with no
+                    # shared RNG, so a job's retry schedule is the same
+                    # on every executor and beside any sibling jobs.
                     time.sleep(backoff_delay(
                         attempts, config.backoff_base, BACKOFF_CAP,
                         seed=plan.seed if plan is not None else 0,

@@ -434,9 +434,10 @@ async def pull_async(
                     outcome.reason = ("refused by backpressure: hint "
                                       "beyond the %gs cap" % BACKOFF_CAP)
                     return outcome
-                if attempt < max_attempts and exc.retry_after > 0.0:
-                    await _async_sleep(exc.retry_after)
-                await backoff(attempt)
+                if attempt < max_attempts:
+                    if exc.retry_after > 0.0:
+                        await _async_sleep(exc.retry_after)
+                    await backoff(attempt)
                 continue
             except _ServerError as exc:
                 if exc.code == ERR_UP_TO_DATE:
@@ -454,7 +455,8 @@ async def pull_async(
                     asyncio.TimeoutError) as exc:
                 refused_last = False
                 outcome.faults.append(describe_failure(exc))
-                await backoff(attempt)
+                if attempt < max_attempts:
+                    await backoff(attempt)
         if not done:
             if refused_last:
                 outcome.status = "refused"

@@ -18,7 +18,6 @@ from repro.bundle import (
     classify_changes,
     decode_bundle,
     encode_bundle,
-    upgrade_and_verify,
 )
 from repro import diff
 from repro.bundle.manifest import FileEntry
@@ -55,23 +54,13 @@ def trees(rng):
 
 
 class TestManifest:
-    def test_from_tree_and_verify(self, trees):
+    def test_from_tree(self, trees):
         old, _new = trees
         manifest = Manifest.from_tree("pkg", 0, old)
-        assert manifest.verify_tree(old) == []
+        assert manifest.paths() == sorted(old)
+        assert manifest.files["README"] == FileEntry.of("README",
+                                                        old["README"])
         assert manifest.total_bytes == sum(len(v) for v in old.values())
-
-    def test_verify_reports_each_problem(self, trees):
-        old, _new = trees
-        manifest = Manifest.from_tree("pkg", 0, old)
-        broken = dict(old)
-        broken["src/main.c"] = b"tampered"
-        del broken["README"]
-        broken["sneaky.bin"] = b"?"
-        problems = manifest.verify_tree(broken)
-        assert any("mismatch" in p for p in problems)
-        assert any("missing" in p for p in problems)
-        assert any("unexpected" in p for p in problems)
 
     def test_classify_changes(self, trees):
         old, new = trees
@@ -156,7 +145,7 @@ class TestBuildApply:
         old, new = trees
         bundle = build_bundle("pkg", 0, 1, old, new)
         working = dict(old)
-        upgrade_and_verify(working, bundle, Manifest.from_tree("pkg", 1, new))
+        apply_bundle(working, bundle)
         assert working == new
 
     def test_via_wire_format(self, trees):
@@ -208,15 +197,6 @@ class TestBuildApply:
         del working["src/main.c"]
         with pytest.raises(ReproError):
             apply_bundle(working, bundle)
-
-    def test_verify_catches_wrong_target(self, trees):
-        old, new = trees
-        bundle = build_bundle("pkg", 0, 1, old, new)
-        wrong = dict(new)
-        wrong["extra"] = b"!"
-        with pytest.raises(VerificationError):
-            upgrade_and_verify(dict(old), bundle,
-                               Manifest.from_tree("pkg", 1, wrong))
 
     def test_deltas_carry_reference_digest(self, trees):
         old, new = trees
@@ -288,8 +268,7 @@ class TestCorpusPackages:
             new = {path: r1[(spec.name, path)] for path, _, _ in spec.files}
             bundle = build_bundle(spec.name, 0, 1, old, new)
             working = dict(old)
-            upgrade_and_verify(working, bundle,
-                               Manifest.from_tree(spec.name, 1, new))
+            apply_bundle(working, bundle)
             assert working == new
 
 

@@ -582,6 +582,41 @@ class TestDeterministicJitter:
         ]
         assert serial == pytest.approx(expected)
 
+    def test_pipeline_never_sleeps_after_its_last_attempt(self,
+                                                          monkeypatch):
+        from repro.faults import backoff_delay
+        from repro.pipeline import DeltaPipeline, PipelineConfig, PipelineJob
+        import repro.pipeline.executor as executor_module
+
+        r = random.Random(0)
+        reference = r.randbytes(2048)
+        version = reference[:1000] + r.randbytes(64) + reference[1000:]
+
+        def sleeps(fallback):
+            delays = []
+            monkeypatch.setattr(executor_module.time, "sleep", delays.append)
+            config = PipelineConfig(
+                executor="serial", retries=1, backoff_base=0.25,
+                fallback=fallback,
+                fault_plan=FaultPlan.parse("diff.worker:count=99", seed=99),
+            )
+            with DeltaPipeline(config) as pipeline:
+                batch = pipeline.run(
+                    [PipelineJob(reference, version, "job-a")])
+            report = batch.results[0].report
+            assert report.quarantined
+            assert report.attempts == 2 * (1 + len(fallback))
+            return delays
+
+        def schedule(attempts):
+            return [backoff_delay(attempt, 0.25, executor_module.BACKOFF_CAP,
+                                  seed=99, scope="job-a")
+                    for attempt in attempts]
+
+        assert sleeps(()) == schedule([1])
+        # The wait between chain links stays.
+        assert sleeps(("onepass",)) == schedule([1, 2, 3])
+
     def test_updater_backoff_derives_from_fault_seed(self, monkeypatch):
         """The simulated session retransmits at once: nothing real to
         wait on, so surviving two link faults never sleeps."""

@@ -13,7 +13,13 @@ from repro.core.apply import (
     storage_crc32,
     verify_reference,
 )
-from repro.core.commands import AddCommand, CopyCommand, DeltaScript
+from repro.core.commands import (
+    AddCommand,
+    CopyCommand,
+    DeltaScript,
+    FillCommand,
+    SpillCommand,
+)
 from repro.core.convert import make_in_place
 from repro.delta import correcting_delta
 from repro.delta.encode import (
@@ -28,6 +34,7 @@ from repro.delta.encode import (
     encoded_size,
     version_checksum,
 )
+from repro.delta.varint import encode_varint
 from repro.device.channel import get_channel
 from repro.device.flash import FlashArray
 from repro.device.journal import CrashingStorage, Journal, JournaledApplier
@@ -231,6 +238,65 @@ class TestAbortBeforeMutate:
         with pytest.raises(DeltaRangeError):
             preflight_in_place(script, header, buf)
         assert buf.writes == 0
+
+
+def understated_scratch_payload():
+    """``(reference, version, payload)``: an ``IPD2`` payload, trailer and
+    segment CRCs intact, whose header declares 16 bytes of scratch while
+    its spill and fill use 512."""
+    rng = random.Random(512)
+    old = rng.randbytes(2048)
+    new = old[512:1024] + old[:512] + old[1024:]
+    script = DeltaScript([SpillCommand(0, 0, 512), CopyCommand(512, 0, 512),
+                          FillCommand(0, 512, 512),
+                          CopyCommand(1024, 1024, 1024)], len(new))
+    honest = encode_delta(script, FORMAT_INPLACE,
+                          version_crc32=version_checksum(new), reference=old)
+    head = honest[:6] + encode_varint(len(new))
+    assert honest.startswith(head + encode_varint(512))
+    body = head + encode_varint(16) + honest[len(head) + 2:-4]
+    return old, new, body + zlib.crc32(body).to_bytes(4, "little")
+
+
+class TestDeclaredScratch:
+    """Preflight holds spills and fills to the scratch the header
+    declares, the size every applier allocates or charges RAM for."""
+
+    def test_preflight_refuses(self):
+        old, _new, payload = understated_scratch_payload()
+        script, header = decode_delta(payload)
+        assert (header.scratch_length, script.scratch_length) == (16, 512)
+        buf = _GuardedBuffer(old)
+        with pytest.raises(DeltaRangeError,
+                           match="spill 0 writes beyond declared scratch "
+                                 "size 16"):
+            preflight_in_place(script, header, buf)
+        assert buf.writes == 0
+
+    def test_constrained_device_refuses_with_image_intact(self):
+        old, _new, payload = understated_scratch_payload()
+        device = ConstrainedDevice(old, ram=64 * 1024)
+        with pytest.raises(DeltaRangeError):
+            device.apply_delta_in_place(payload)
+        assert device.image == old
+
+    def test_pull_refuses(self):
+        import asyncio
+
+        from repro.serve.protocol import T_DATA, T_END, T_META, encode_msg
+
+        from .test_serve import _pull_from_stub
+
+        old, _new, payload = understated_scratch_payload()
+        meta = {"length": len(payload), "crc32": zlib.crc32(payload),
+                "offset": 0, "want": "w" * 40}
+        outcome = asyncio.run(_pull_from_stub(
+            [(T_META, encode_msg(meta)), (T_DATA, payload), (T_END, b"")],
+            reference=old))
+        assert outcome.status == "failed"
+        assert outcome.reason.startswith(
+            "preflight rejected payload: DeltaRangeError: spill 0 writes "
+            "beyond declared scratch size 16")
 
 
 class TestVersionCheck:

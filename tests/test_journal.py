@@ -7,13 +7,20 @@ in the suite: it sweeps thousands of crash points over scripts that
 exercise self-overlapping copies, spills, fills, growth, and shrinkage.
 """
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core.commands import AddCommand, CopyCommand, DeltaScript
+from repro.core.commands import (
+    AddCommand,
+    CopyCommand,
+    DeltaScript,
+    FillCommand,
+    SpillCommand,
+)
 from repro.device.journal import (
     CrashingStorage,
     Journal,
@@ -101,57 +108,80 @@ def crash_sweep(script, reference, expected, *, stride=1, chunk_size=7):
         assert image == expected, "crash at write %d of %d" % (crash_at, total)
 
 
-class TestCrashSweeps:
-    def test_plain_copies_and_adds(self):
-        ref = bytes(range(64))
-        script = DeltaScript(
+#: The hand-built crash-sweep scripts: name -> (reference, script,
+#: chunk_size).  Each exercises one shape of in-place step.
+SWEEP_SCRIPTS = {
+    "plain": (
+        bytes(range(64)),
+        DeltaScript(
             [CopyCommand(32, 0, 16), CopyCommand(48, 24, 16),
              AddCommand(16, b"Z" * 8), AddCommand(40, b"Q" * 8)],
             version_length=48,
-        )
-        assert repro.is_in_place_safe(script)
-        expected = repro.apply_delta(script, ref)
-        crash_sweep(script, ref, expected)
-
-    def test_self_overlapping_copies_both_directions(self):
-        ref = bytes(range(64))
-        script = DeltaScript(
+        ),
+        7,
+    ),
+    "self_overlap": (
+        bytes(range(64)),
+        DeltaScript(
             [CopyCommand(8, 0, 24),    # src > dst: left-to-right overlap
              CopyCommand(30, 34, 24),  # src < dst: right-to-left overlap
              AddCommand(24, b"." * 10), AddCommand(58, b"!" * 6)],
             version_length=64,
-        )
-        script.validate(reference_length=len(ref))
-        expected = repro.apply_delta(script, ref)
-        assert repro.is_in_place_safe(script)
-        crash_sweep(script, ref, expected, chunk_size=5)
-
-    def test_spill_fill_script(self):
-        ref = bytes(range(48))
+        ),
+        5,
+    ),
+    "spill_fill": (
+        bytes(range(48)),
         # Swap two blocks via scratch.
-        from repro.core.commands import FillCommand, SpillCommand
-
-        script = DeltaScript(
-            [SpillCommand(0, 0, 24), CopyCommand(24, 0, 24), FillCommand(0, 24, 24)],
+        DeltaScript(
+            [SpillCommand(0, 0, 24), CopyCommand(24, 0, 24),
+             FillCommand(0, 24, 24)],
             version_length=48,
-        )
-        expected = repro.apply_delta(script, ref)
-        crash_sweep(script, ref, expected)
-
-    def test_growing_version(self):
-        ref = bytes(range(40))
-        script = DeltaScript(
+        ),
+        7,
+    ),
+    "growing": (
+        bytes(range(40)),
+        DeltaScript(
             [CopyCommand(0, 0, 40), AddCommand(40, b"tail-bytes-here!")],
             version_length=56,
-        )
-        expected = repro.apply_delta(script, ref)
-        crash_sweep(script, ref, expected)
+        ),
+        7,
+    ),
+    "shrinking": (
+        bytes(range(64)),
+        DeltaScript([CopyCommand(32, 0, 20)], version_length=20),
+        7,
+    ),
+}
+
+
+def sweep(name):
+    """Crash-sweep one of :data:`SWEEP_SCRIPTS` against its two-space image."""
+    ref, script, chunk_size = SWEEP_SCRIPTS[name]
+    crash_sweep(script, ref, repro.apply_delta(script, ref),
+                chunk_size=chunk_size)
+
+
+class TestCrashSweeps:
+    def test_plain_copies_and_adds(self):
+        assert repro.is_in_place_safe(SWEEP_SCRIPTS["plain"][1])
+        sweep("plain")
+
+    def test_self_overlapping_copies_both_directions(self):
+        ref, script, _chunk_size = SWEEP_SCRIPTS["self_overlap"]
+        script.validate(reference_length=len(ref))
+        assert repro.is_in_place_safe(script)
+        sweep("self_overlap")
+
+    def test_spill_fill_script(self):
+        sweep("spill_fill")
+
+    def test_growing_version(self):
+        sweep("growing")
 
     def test_shrinking_version(self):
-        ref = bytes(range(64))
-        script = DeltaScript([CopyCommand(32, 0, 20)], version_length=20)
-        expected = repro.apply_delta(script, ref)
-        crash_sweep(script, ref, expected)
+        sweep("shrinking")
 
     def test_realistic_delta_sampled_crashes(self, rng):
         ref = rng.randbytes(4_000)
@@ -175,6 +205,53 @@ class TestCrashSweeps:
             result.script, ref, [50, 50, 50, 50, None]
         )
         assert image == ver
+
+
+class TestCrashPointDigest:
+    """Every crash point of :data:`SWEEP_SCRIPTS`, pinned byte for byte.
+
+    The sweeps check that each cut recovers.  This test pins what each
+    cut leaves behind: the bytes written before the power failed, the
+    journal's durable form and the storage image.  It also pins what
+    the resumed boot writes.  An applier change that still recovers but
+    moves, splits or reorders a write, or changes a journal state,
+    changes the digest.
+    """
+
+    #: SHA-256 over the states below, recorded from the applier whose
+    #: writes and journal states every later applier must keep.
+    DIGEST = ("dcc86a69adf8ce8d5d22a50faeb4b446"
+              "ab256878f88b5a8f394cd290470dd39e")
+
+    @staticmethod
+    def crash_point_digest() -> str:
+        digest = hashlib.sha256()
+        for name, (ref, script, chunk_size) in SWEEP_SCRIPTS.items():
+            probe = CrashingStorage(ref)
+            JournaledApplier(script, Journal()).run(probe,
+                                                    chunk_size=chunk_size)
+            for cut in range(probe.bytes_written):
+                storage = CrashingStorage(ref, fuel=cut)
+                journal = Journal()
+                with pytest.raises(PowerFailureError):
+                    JournaledApplier(script, journal).run(
+                        storage, chunk_size=chunk_size)
+                digest.update(repr((name, cut, storage.bytes_written,
+                                    journal.to_bytes(),
+                                    storage.snapshot())).encode())
+                # Reboot from the journal's durable form and finish.
+                journal = Journal.from_bytes(journal.to_bytes())
+                storage.fuel = None
+                JournaledApplier(script, journal).run(storage,
+                                                      chunk_size=chunk_size)
+                assert storage.snapshot() == repro.apply_delta(script, ref)
+                digest.update(repr((storage.bytes_written,
+                                    journal.to_bytes(),
+                                    storage.snapshot())).encode())
+        return digest.hexdigest()
+
+    def test_every_crash_point_is_unchanged(self):
+        assert self.crash_point_digest() == self.DIGEST
 
 
 class TestCrashResumeProperty:

@@ -92,9 +92,14 @@ def test_differs_report_counters():
 # ---------------------------------------------------------------------------
 
 def test_quick_suite_is_a_subset():
-    quick = {op.name for op in build_suite(quick=True)}
+    quick = {op.name: op for op in build_suite(quick=True)}
     full = {op.name for op in build_suite(quick=False)}
-    assert quick and quick < full
+    assert quick and set(quick) < full
+    # CI gates the journaled apply against the plain one within one
+    # quick run: same script, byte-exact version, complete journal.
+    journaled = quick["apply_journaled_256k"]
+    assert journaled.input_bytes == quick["apply_in_place_256k"].input_bytes
+    assert journaled.oracle(journaled.run())
 
 
 def test_run_op_artifact_shape():

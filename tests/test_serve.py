@@ -416,8 +416,10 @@ GOOD_META = {"length": 7, "crc32": zlib.crc32(b"payload"), "offset": 0,
              "want": "w" * 40}
 
 
-async def _pull_from_stub(frames, max_attempts=2, io_timeout=5.0, **kwargs):
-    """Pull from a server that answers every PULL with ``frames``."""
+async def _pull_from_stub(frames, max_attempts=2, io_timeout=5.0,
+                          reference=b"image", **kwargs):
+    """Pull ``reference``'s update from a server that answers every PULL
+    with ``frames``."""
     async def answer(reader, writer):
         await read_frame(reader)
         for ftype, payload in frames:
@@ -427,12 +429,42 @@ async def _pull_from_stub(frames, max_attempts=2, io_timeout=5.0, **kwargs):
     server = await asyncio.start_server(answer, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
     try:
-        return await pull_async("127.0.0.1", port, "pkg", b"image",
+        return await pull_async("127.0.0.1", port, "pkg", reference,
                                 max_attempts=max_attempts,
                                 io_timeout=io_timeout, **kwargs)
     finally:
         server.close()
         await server.wait_closed()
+
+
+class TestNoWaitAfterLastAttempt:
+    """The pull waits between attempts, never after the last one."""
+
+    def _sleeps(self, monkeypatch, frames):
+        delays = []
+
+        async def fake_sleep(delay):
+            delays.append(delay)
+
+        monkeypatch.setattr(client_module, "_async_sleep", fake_sleep)
+        outcome = asyncio.run(_pull_from_stub(
+            frames, max_attempts=3, io_timeout=1.0, backoff_base=0.01))
+        assert outcome.attempts == 3
+        return outcome, delays
+
+    def test_closed_connections(self, monkeypatch):
+        outcome, delays = self._sleeps(monkeypatch, [])
+        assert outcome.status == "failed"
+        assert len(delays) == 2
+
+    def test_sustained_refusal(self, monkeypatch):
+        # Each of the first two attempts waits out the hint, then backs
+        # off; the third waits for nothing.
+        outcome, delays = self._sleeps(
+            monkeypatch, [(T_RETRY, encode_msg({"retry_after": 0.5}))])
+        assert outcome.status == "refused"
+        assert len(delays) == 4
+        assert delays[0] == delays[2] == 0.5
 
 
 class TestRetryHint:

@@ -20,6 +20,7 @@ import zlib
 
 import pytest
 
+from repro import patch_in_place
 from repro.core.convert import make_in_place
 from repro.delta import correcting_delta
 from repro.delta.encode import (
@@ -35,8 +36,10 @@ from repro.delta.encode import (
 )
 from repro.delta.stream import apply_delta_stream, iter_delta_commands
 from repro.delta.wrapper import SealedReader, seal
-from repro.exceptions import DeltaFormatError, IntegrityError
+from repro.exceptions import DeltaFormatError, DeltaRangeError, IntegrityError
 from repro.workloads import make_binary_blob
+
+from .test_integrity import understated_scratch_payload
 
 SEED = 20261017
 OK_ERRORS = (DeltaFormatError, IntegrityError)
@@ -210,3 +213,18 @@ def test_reads_never_exceed_the_stream_buffer():
             _streamed(source)
         assert 0 < source.largest <= 512
 
+
+def test_declared_scratch_is_one_verdict():
+    # A header that declares less scratch than its spills and fills use:
+    # the buffered gate (decode, preflight) and the streamed applier
+    # refuse it alike, before the first write.
+    old, _new, payload = understated_scratch_payload()
+    messages = []
+    for apply in (lambda buf: patch_in_place(buf, payload),
+                  lambda buf: apply_delta_stream(payload, buf)):
+        buf = bytearray(old)
+        with pytest.raises(DeltaRangeError) as info:
+            apply(buf)
+        assert buf == old
+        messages.append(str(info.value))
+    assert messages == ["spill 0 writes beyond declared scratch size 16"] * 2
