@@ -63,6 +63,8 @@ from .core import (
     reconstruct,
 )
 from .core import (
+    patch,
+    patch_in_place,
     preflight_in_place,
     storage_crc32,
     verify_reference,
@@ -123,41 +125,6 @@ def diff_in_place(reference: Buffer, version: Buffer, *,
     """Diff and convert in one call: an in-place safe script for ``version``."""
     script = diff(reference, version, algorithm=algorithm, **kwargs)
     return make_in_place(script, reference, policy=policy)
-
-
-def patch(reference: Buffer, payload: bytes) -> bytes:
-    """Apply a serialized delta file to ``reference`` (two-space).
-
-    ``IPD2`` payloads are integrity-checked (trailer, segment CRCs,
-    reference digest) before any reconstruction happens, and the
-    rebuilt version against the version checksum the payload carries
-    (:func:`~repro.core.verify_version`) before it is returned.
-    """
-    script, header = decode_delta(payload)
-    verify_reference(header, reference)
-    version = apply_delta(script, reference)
-    verify_version(header, version)
-    return version
-
-
-def patch_in_place(buffer: bytearray, payload: bytes) -> bytearray:
-    """Apply a serialized in-place delta file to ``buffer``, mutating it.
-
-    Runs the full verify-then-mutate gate first: the payload's wire
-    integrity is checked by :func:`~repro.delta.decode_delta`, then
-    :func:`~repro.core.preflight_in_place` verifies the reference
-    digest and all command bounds — ``buffer`` is untouched unless
-    every check passes.  After the apply, the rebuilt buffer is checked
-    against the version checksum the payload carries
-    (:func:`~repro.core.verify_version`); a mismatch raises
-    :class:`~repro.exceptions.VerificationError`, leaving ``buffer``
-    holding the bad rebuild.
-    """
-    script, header = decode_delta(payload)
-    preflight_in_place(script, header, buffer)
-    apply_in_place(script, buffer, strict=True)
-    verify_version(header, buffer)
-    return buffer
 
 
 __all__ = [

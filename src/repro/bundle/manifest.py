@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,6 @@ class Manifest:
             release,
             {path: FileEntry.of(path, data) for path, data in tree.items()},
         )
-
-    @property
-    def total_bytes(self) -> int:
-        """Sum of all file sizes in the release."""
-        return sum(entry.size for entry in self.files.values())
 
     def paths(self) -> List[str]:
         """All file paths, sorted."""

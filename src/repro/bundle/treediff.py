@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, MutableMapping, Union
 
-from ..core.apply import apply_in_place, preflight_in_place, verify_version
+from ..core.apply import patch_in_place
 from ..core.convert import make_in_place
 from ..delta import ALGORITHMS
-from ..delta.encode import FORMAT_INPLACE, decode_delta, encode_delta, version_checksum
+from ..delta.encode import FORMAT_INPLACE, encode_delta, version_checksum
 from ..exceptions import ReproError, VerificationError
 from .archive import (
     OP_ADD,
@@ -105,20 +105,16 @@ def build_bundle(
 def _patch(path: str, data: Union[bytes, bytearray], payload: bytes) -> bytes:
     """One file's new version, built in place in a copy of ``data``.
 
-    The reference digest and every command's bounds are checked before
-    the first write (:func:`~repro.core.apply.preflight_in_place`; a
-    no-op digest check for ``IPD1`` payloads, which carry none), and the
-    result against the version checksum the payload carries.
+    :func:`~repro.core.apply.patch_in_place` checks the reference
+    digest and every command's bounds before the first write (a no-op
+    digest check for ``IPD1`` payloads, which carry none), and the
+    result against the version checksum the payload carries; a
+    checksum mismatch names ``path``.
     """
-    buffer = bytearray(data)
-    script, header = decode_delta(payload)
-    preflight_in_place(script, header, buffer)
-    apply_in_place(script, buffer, strict=True)
     try:
-        verify_version(header, buffer)
+        return bytes(patch_in_place(bytearray(data), payload))
     except VerificationError as exc:
         raise VerificationError("%s: %s" % (path, exc)) from None
-    return bytes(buffer)
 
 
 def apply_bundle(tree: Tree, bundle: Bundle) -> None:

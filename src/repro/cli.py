@@ -46,13 +46,7 @@ from typing import List, Optional
 
 from . import __version__, diff
 from .analysis.tables import format_bytes, render_kv, render_table
-from .core.apply import (
-    apply_delta,
-    apply_in_place,
-    preflight_in_place,
-    verify_reference,
-    verify_version,
-)
+from .core.apply import patch, patch_in_place, verify_reference
 from .bundle import build_bundle, decode_bundle, encode_bundle
 from .core.compose import compose_chain
 from .core.convert import make_in_place
@@ -121,18 +115,13 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_apply(args: argparse.Namespace) -> int:
     payload = _read(args.delta)
-    script, header = decode_delta(payload)
+    reference = _read(args.reference)
     if args.in_place:
-        buf = bytearray(_read(args.reference))
         # Everything checkable runs before the first destructive write:
-        # reference digest, read/write bounds, scratch bounds.
-        preflight_in_place(script, header, buf)
-        output = apply_in_place(script, buf, strict=True)
+        # wire integrity, reference digest, read/write and scratch bounds.
+        output = patch_in_place(bytearray(reference), payload)
     else:
-        reference = _read(args.reference)
-        verify_reference(header, reference)
-        output = apply_delta(script, reference)
-    verify_version(header, output)
+        output = patch(reference, payload)
     _write(args.output, output)
     print("wrote %s (%s)" % (args.output, format_bytes(len(output))))
     return 0
@@ -435,8 +424,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
            len(batch.quarantined), batch.fault_events, batch.verified)
     )
     if args.json:
-        # The repro.pipeline.batch/1 summary — the same schema the
-        # fleet campaign embeds for its encode phase.
+        # The machine-readable repro.pipeline.batch/1 summary.
         with open(args.json, "w") as fh:
             json.dump(batch.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -472,7 +460,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         stages=stages,
         abort_threshold=args.abort_threshold,
         retry_budget=args.retry_budget,
-        encode=args.encode,
         max_retries=args.retries,
         max_boots=args.max_boots,
     )
@@ -957,11 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None, metavar="N")
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS),
                    default="correcting")
-    p.add_argument("--encode", choices=["compose", "direct"],
-                   default="compose",
-                   help="stale-cohort payloads: 'compose' collapses the "
-                        "per-hop deltas, 'direct' re-diffs endpoints "
-                        "through the pipeline (default %(default)s)")
     p.add_argument("--stages", default="0.01,0.10,1.0", metavar="FRACTIONS",
                    help="staged-rollout fleet fractions "
                         "(default %(default)s)")
@@ -983,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=0)
     p.add_argument("--out", default="", metavar="FILE",
                    help="write the JSON report artifact "
-                        "(schema repro.fleet.campaign/1)")
+                        "(schema repro.fleet.campaign/2)")
     p.add_argument("--include-devices", action="store_true",
                    help="embed every per-device outcome in --out "
                         "(large for big fleets)")
@@ -991,8 +973,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quarantine reasons to print (default %(default)s)")
     p.add_argument("--store-dir", default="", metavar="DIR",
                    help="publish the release train into this pack store "
-                        "and source cohort payloads from its collapsed "
-                        "delta chains ('compose' encode only)")
+                        "instead of a throwaway one; cohort payloads are "
+                        "its collapsed delta chains")
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser(

@@ -3,6 +3,8 @@
 from .apply import (
     apply_delta,
     apply_in_place,
+    patch,
+    patch_in_place,
     preflight_in_place,
     reconstruct,
     storage_crc32,
@@ -96,6 +98,8 @@ __all__ = [
     "make_policy",
     "OptimizeReport",
     "optimize_script",
+    "patch",
+    "patch_in_place",
     "plain_toposort",
     "read_bytes_bound",
     "reconstruct",

@@ -385,6 +385,45 @@ def _apply_commands(
     return buffer
 
 
+def patch(reference: Buffer, payload: bytes) -> bytes:
+    """Apply a serialized delta file to ``reference`` (two-space).
+
+    ``IPD2`` payloads are integrity-checked (trailer, segment CRCs,
+    reference digest) before any reconstruction happens, and the
+    rebuilt version against the version checksum the payload carries
+    (:func:`verify_version`) before it is returned.
+    """
+    # Imported at call time: repro.delta.stream imports this module.
+    from ..delta.encode import decode_delta
+
+    script, header = decode_delta(payload)
+    verify_reference(header, reference)
+    version = apply_delta(script, reference)
+    verify_version(header, version)
+    return version
+
+
+def patch_in_place(buffer: bytearray, payload: bytes) -> bytearray:
+    """Apply a serialized in-place delta file to ``buffer``, mutating it.
+
+    Runs the full verify-then-mutate gate first: the payload's wire
+    integrity is checked by :func:`~repro.delta.encode.decode_delta`,
+    then :func:`preflight_in_place` verifies the reference digest and
+    all command bounds — ``buffer`` is untouched unless every check
+    passes.  After the apply, the rebuilt buffer is checked against the
+    version checksum the payload carries (:func:`verify_version`); a
+    mismatch raises :class:`~repro.exceptions.VerificationError`,
+    leaving ``buffer`` holding the bad rebuild.
+    """
+    from ..delta.encode import decode_delta
+
+    script, header = decode_delta(payload)
+    preflight_in_place(script, header, buffer)
+    apply_in_place(script, buffer, strict=True)
+    verify_version(header, buffer)
+    return buffer
+
+
 def reconstruct(script: DeltaScript, reference: Buffer, *, in_place: bool = False) -> bytes:
     """Convenience wrapper: rebuild the version from ``reference``.
 

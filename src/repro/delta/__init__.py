@@ -25,7 +25,6 @@ from .greedy import greedy_delta
 from .onepass import onepass_delta
 from .stream import apply_delta_stream, iter_delta_commands, read_header
 from .tichy import SuffixAutomaton, tichy_delta
-from .wrapper import INFLATE_RAM, SealedReader, is_sealed, seal, unseal
 from .rolling import (
     DEFAULT_SEED_LENGTH,
     FullSeedIndex,
@@ -77,7 +76,6 @@ __all__ = [
     "RollingHash",
     "ScriptBuilder",
     "SeedTable",
-    "SealedReader",
     "SparseSeedIndex",
     "SuffixAutomaton",
     "correcting_delta",
@@ -99,10 +97,7 @@ __all__ = [
     "seed_fingerprints_reference",
     "sparse_index_reference",
     "use_fast_paths",
-    "is_sealed",
-    "seal",
     "tichy_delta",
-    "unseal",
     "varint_size",
     "version_checksum",
 ]

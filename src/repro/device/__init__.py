@@ -22,7 +22,6 @@ from .updater import (
     UpdateOutcome,
     UpdateServer,
     run_journaled_session,
-    run_journaled_update,
     run_update,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "measure_update_wear",
     "get_channel",
     "run_journaled_session",
-    "run_journaled_update",
     "run_update",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
-from ..core.apply import apply_in_place, storage_crc32, verify_reference
+from ..core.apply import apply_in_place
 from ..core.commands import DeltaScript
 from ..exceptions import DeviceError, StorageBoundsError
 
@@ -170,28 +170,6 @@ class FlashArray:
         """Current contents, with the block buffer flushed."""
         self.flush()
         return bytes(self._data)
-
-    def crc32(self, length: Optional[int] = None) -> int:
-        """CRC32 of the durable flash contents (flushes first).
-
-        Folded one bounded chunk at a time, so a controller with a few
-        KiB of RAM can compute it without materializing the image.
-        """
-        self.flush()
-        return storage_crc32(self._data, length)
-
-    def verify_image(self, header, *, length: Optional[int] = None) -> None:
-        """Check the stored image against a delta header's reference digest.
-
-        Thin wrapper over :func:`~repro.core.apply.verify_reference`
-        running on the flushed contents: raises
-        :class:`~repro.exceptions.IntegrityError` with
-        ``kind="reference"`` when this flash does not hold the image the
-        delta was built against — the gate a bootloader runs before
-        letting an in-place update start erasing blocks.
-        """
-        self.flush()
-        verify_reference(header, self._data, length=length)
 
     def wear(self) -> WearStats:
         """Erase statistics so far (flushes first so counts are final)."""

@@ -19,7 +19,6 @@ The two reconstruction entry points make the paper's contrast executable:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -30,9 +29,7 @@ from ..core.apply import (
     verify_reference,
     verify_version,
 )
-from ..core.commands import DeltaScript
 from ..delta.encode import decode_delta
-from ..delta.wrapper import INFLATE_RAM, SealedReader, is_sealed, unseal
 from ..exceptions import OutOfMemoryError, StorageBoundsError
 
 
@@ -109,15 +106,6 @@ class ConstrainedDevice:
         """Snapshot of the installed software image."""
         return bytes(self._storage)
 
-    @property
-    def image_size(self) -> int:
-        """Current installed image size in bytes."""
-        return len(self._storage)
-
-    def image_crc32(self) -> int:
-        """Integrity checksum of the installed image."""
-        return zlib.crc32(self._storage) & 0xFFFFFFFF
-
     # -- reconstruction strategies --------------------------------------
 
     def apply_delta_two_space(self, payload: bytes) -> None:
@@ -129,13 +117,7 @@ class ConstrainedDevice:
         the image untouched.
         """
         self.ram.allocate("delta-payload", len(payload))
-        unsealed = False
         try:
-            if is_sealed(payload):
-                raw = unseal(payload)
-                self.ram.allocate("unsealed-delta", len(raw))
-                unsealed = True
-                payload = raw
             script, header = decode_delta(payload)
             verify_reference(header, self._storage)
             self.ram.allocate("version-scratch", script.version_length)
@@ -146,8 +128,6 @@ class ConstrainedDevice:
             finally:
                 self.ram.free("version-scratch")
         finally:
-            if unsealed:
-                self.ram.free("unsealed-delta")
             self.ram.free("delta-payload")
 
     def apply_delta_in_place(self, payload: bytes) -> None:
@@ -163,13 +143,7 @@ class ConstrainedDevice:
         self.ram.allocate("delta-payload", len(payload))
         self.ram.allocate("copy-window", self.copy_window)
         scratch_allocated = False
-        unsealed = False
         try:
-            if is_sealed(payload):
-                raw = unseal(payload)
-                self.ram.allocate("unsealed-delta", len(raw))
-                unsealed = True
-                payload = raw
             script, header = decode_delta(payload)
             if script.version_length > self.storage_limit:
                 raise StorageBoundsError(
@@ -186,8 +160,6 @@ class ConstrainedDevice:
             verify_version(header, self._storage)
             self.updates_applied += 1
         finally:
-            if unsealed:
-                self.ram.free("unsealed-delta")
             if scratch_allocated:
                 self.ram.free("scratch")
             self.ram.free("copy-window")
@@ -210,15 +182,8 @@ class ConstrainedDevice:
         self.ram.allocate("stream-buffer", WINDOW_BYTES)
         self.ram.allocate("copy-window", self.copy_window)
         scratch_allocated = False
-        inflater_allocated = False
         try:
-            if is_sealed(payload):
-                # Decompress on the fly: only zlib's window is resident.
-                self.ram.allocate("inflate-window", INFLATE_RAM)
-                inflater_allocated = True
-                header = read_header(SealedReader(payload))
-            else:
-                header = read_header(io.BytesIO(payload))
+            header = read_header(io.BytesIO(payload))
             if header.version_length > self.storage_limit:
                 raise StorageBoundsError(
                     "new version (%d bytes) exceeds storage limit %d"
@@ -228,15 +193,12 @@ class ConstrainedDevice:
             if header.scratch_length:
                 self.ram.allocate("scratch", header.scratch_length)
                 scratch_allocated = True
-            source = SealedReader(payload) if is_sealed(payload) else payload
             apply_delta_stream(
-                source, self._storage, strict=True, chunk_size=self.copy_window
+                payload, self._storage, strict=True, chunk_size=self.copy_window
             )
             verify_version(header, self._storage)
             self.updates_applied += 1
         finally:
-            if inflater_allocated:
-                self.ram.free("inflate-window")
             if scratch_allocated:
                 self.ram.free("scratch")
             self.ram.free("copy-window")
@@ -245,22 +207,12 @@ class ConstrainedDevice:
     def install_full_image(self, image: bytes) -> None:
         """Full-image install: stage the entire new image in RAM, then commit.
 
-        The no-compression baseline for the update-time bench; sealed
-        (zlib-wrapped) images are accepted and charged for both the
-        received and the inflated copy.
+        The no-compression baseline for the update-time bench.
         """
         self.ram.allocate("full-image", len(image))
-        unsealed = False
         try:
-            if is_sealed(image):
-                raw = unseal(image)
-                self.ram.allocate("unsealed-image", len(raw))
-                unsealed = True
-                image = raw
             self._commit(bytearray(image))
         finally:
-            if unsealed:
-                self.ram.free("unsealed-image")
             self.ram.free("full-image")
 
     # -- internals -------------------------------------------------------

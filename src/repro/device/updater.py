@@ -24,7 +24,7 @@ Corrupted deliveries are detected by checksum and retransmitted, up to
 ``max_retries``; a :class:`~repro.faults.FaultPlan` can inject
 deterministic link failures (``channel.transmit``) that every session
 survives by retransmitting, and power cuts (``device.power``) that
-:func:`run_journaled_update` rides out by resuming from the journal.
+:func:`run_journaled_session` rides out by resuming from the journal.
 The sessions retransmit at once: the channel is simulated, so there is
 nothing real to wait on (the loops that do wait, the batch pipeline and
 the pull client, sleep by :func:`repro.faults.backoff_delay`).
@@ -46,7 +46,6 @@ from ..delta.encode import (
     encode_delta,
     version_checksum,
 )
-from ..delta.wrapper import is_sealed, seal, unseal
 from ..exceptions import (
     DeltaFormatError,
     DeltaRangeError,
@@ -79,23 +78,14 @@ class UpdateOutcome:
     #: Transient failures survived along the way (``"Type: message"``).
     faults: List[str] = field(default_factory=list)
 
-    @property
-    def compression_ratio(self) -> float:
-        """Payload size relative to the full image (lower is better)."""
-        if self.image_bytes == 0:
-            return 1.0
-        return self.payload_bytes / self.image_bytes
-
 
 class UpdateServer:
     """Holds released images and builds update payloads on demand."""
 
     def __init__(self, *, algorithm: str = "correcting", policy: str = "local-min",
-                 scratch_budget: int = 0, transport_compress: bool = False):
+                 scratch_budget: int = 0):
         self.algorithm = algorithm
         self.policy = policy
-        #: Apply the zlib transport envelope to every payload built.
-        self.transport_compress = transport_compress
         #: Device scratch bytes the server may assume (bounded-scratch
         #: extension); evictions route through scratch up to this budget.
         self.scratch_budget = scratch_budget
@@ -119,27 +109,26 @@ class UpdateServer:
 
     def build_payload(self, package: str, have: int, want: int, strategy: str) -> bytes:
         """Serialize the update from release ``have`` to ``want``."""
-        wrap = seal if self.transport_compress else (lambda p: p)
         new = self.release(package, want)
         if strategy == "full":
-            return wrap(new)
+            return new
         old = self.release(package, have)
         script = ALGORITHMS[self.algorithm](old, new)
         if strategy == "delta":
-            return wrap(encode_delta(
+            return encode_delta(
                 script, FORMAT_SEQUENTIAL,
                 version_crc32=version_checksum(new), reference=old,
-            ))
+            )
         if strategy in ("in-place", "in-place-stream"):
             converted = make_in_place(script, old, policy=self.policy,
                                       scratch_budget=self.scratch_budget)
             # The self-verifying IPD2 container: in-place application is
             # destructive, so the payload carries the reference digest
             # the device checks before the first overwrite.
-            return wrap(encode_delta(
+            return encode_delta(
                 converted.script, FORMAT_INPLACE,
                 version_crc32=version_checksum(new), reference=old,
-            ))
+            )
         raise ValueError(
             "unknown strategy %r; choose from %s" % (strategy, ", ".join(STRATEGIES))
         )
@@ -289,18 +278,29 @@ def run_journaled_session(
     fault_plan: Optional[FaultPlan] = None,
     chunk_size: int = 4096,
 ) -> JournaledUpdateOutcome:
-    """Drive one pre-built in-place payload through transfer and
-    journaled apply.
+    """One in-place update that survives both link faults and power cuts.
 
-    This is the device-side half of :func:`run_journaled_update`,
-    factored out so the fleet campaign can build a payload *once* per
-    stale cohort (a collapsed chain from
-    :meth:`~repro.store.VersionStore.chain`) and replay it against
-    thousands of simulated devices, each with its own fault ``scope``.
-    All fault decisions — transmit drops, delivery truncation/bit flips,
-    per-boot power fuel, storage rot — are pure functions of
-    ``(fault_plan.seed, site, scope, index)``, so the same arguments
-    produce the same outcome on any executor.
+    The session transfers a pre-built in-place ``payload``
+    (retransmitting after :class:`TransmissionError` and corrupt
+    deliveries), then applies it through the crash-safe
+    :class:`~repro.device.journal.JournaledApplier`.  A
+    :class:`~repro.faults.FaultPlan` drives the adversity
+    deterministically: the ``channel.transmit`` site is checked once per
+    transmission, delivered payloads pass the ``delta.truncate`` /
+    ``delta.bitflip`` corruption sites, and each boot ``b`` of the apply
+    phase asks ``plan.power_fuel(scope, b)`` for a write budget — a
+    firing ``device.power`` spec cuts power after ``fuel`` written
+    bytes, and the next boot resumes from the journal instead of
+    starting over (re-running the delta would corrupt the image, since
+    in-place copies destroy their sources).
+
+    The fleet campaign builds a payload *once* per stale cohort (a
+    collapsed chain from :meth:`~repro.store.VersionStore.chain`) and
+    replays it against thousands of simulated devices, each with its own
+    fault ``scope``.  All fault decisions — transmit drops, delivery
+    truncation/bit flips, per-boot power fuel, storage rot — are pure
+    functions of ``(fault_plan.seed, site, scope, index)``, so the same
+    arguments produce the same outcome on any executor.
 
     ``reference`` seeds the device's storage (the bytes the stale device
     holds); ``expected`` — when given — is the oracle the reconstructed
@@ -353,8 +353,6 @@ def run_journaled_session(
                     "(attempt %d)" % (offset, attempt)
                 )
         try:
-            if is_sealed(received):
-                received = unseal(received)
             script, header = decode_delta(received)
         except ReproError as exc:
             # Corruption caught at parse time — for IPD2, the trailer
@@ -444,57 +442,4 @@ def run_journaled_session(
         outcome.failure = "reconstructed image differs from expected bytes"
         return outcome
     outcome.succeeded = True
-    return outcome
-
-
-def run_journaled_update(
-    server: UpdateServer,
-    channel: Channel,
-    package: str,
-    *,
-    have: int,
-    want: Optional[int] = None,
-    max_retries: int = 3,
-    max_boots: int = 16,
-    rng: Optional[random.Random] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    chunk_size: int = 4096,
-) -> JournaledUpdateOutcome:
-    """One in-place update that survives both link faults and power cuts.
-
-    The session transfers an in-place payload (retransmitting after
-    :class:`TransmissionError` and corrupt deliveries),
-    then applies it through the crash-safe
-    :class:`~repro.device.journal.JournaledApplier`.  A
-    :class:`~repro.faults.FaultPlan` drives the adversity
-    deterministically: the ``channel.transmit`` site is checked once per
-    transmission (scope = package), delivered payloads pass the
-    ``delta.truncate`` / ``delta.bitflip`` corruption sites, and each
-    boot ``b`` of the apply phase asks ``plan.power_fuel(package, b)``
-    for a write budget — a firing ``device.power`` spec cuts power after
-    ``fuel`` written bytes, and the next boot resumes from the journal
-    instead of starting over (re-running the delta would corrupt the
-    image, since in-place copies destroy their sources).
-
-    This is a thin wrapper over :func:`run_journaled_session` that
-    builds the payload from the server's releases; the fleet campaign
-    calls the session function directly with cohort-cached payloads.
-    """
-    if want is None:
-        want = server.latest_release(package)
-    payload = server.build_payload(package, have, want, "in-place")
-    outcome = run_journaled_session(
-        payload,
-        server.release(package, have),
-        server.release(package, want),
-        channel=channel,
-        scope=package,
-        max_retries=max_retries,
-        max_boots=max_boots,
-        rng=rng,
-        fault_plan=fault_plan,
-        chunk_size=chunk_size,
-    )
-    if outcome.failure == "reconstructed image differs from expected bytes":
-        outcome.failure = "reconstructed image differs from release %d" % want
     return outcome

@@ -34,22 +34,23 @@ Sites wired into the library:
     simulated transfer (error kind ``transmission`` is retransmitted at
     once: nothing real is waited on).
 ``device.power``
-    In :func:`~repro.device.updater.run_journaled_update`, where a
-    firing spec's ``fuel`` bounds the bytes written before the
-    simulated power cut.
+    In :func:`~repro.device.updater.run_journaled_session` and the
+    :func:`repro.serve.pull` client, once per boot, where a firing
+    spec's ``fuel`` bounds the bytes written before the simulated power
+    cut.
 ``storage.bitflip``
-    In :func:`~repro.device.updater.run_journaled_update`, once per
+    In :func:`~repro.device.updater.run_journaled_session`, once per
     boot: a firing spec flips one storage bit at a deterministically
     drawn (or spec-pinned) offset before the boot's apply resumes —
     simulated flash rot the integrity plane must catch, not an
     exception.
 ``delta.truncate``
-    In :func:`~repro.device.updater.run_journaled_update`, once per
+    In :func:`~repro.device.updater.run_journaled_session`, once per
     transmission attempt: a firing spec truncates the delivered delta
     at a drawn (or pinned) offset, which the self-verifying ``IPD2``
     trailer must detect at parse time.
 ``delta.bitflip``
-    In :func:`~repro.device.updater.run_journaled_update`, once per
+    In :func:`~repro.device.updater.run_journaled_session`, once per
     transmission attempt: a firing spec flips one bit of the delivered
     delta at a drawn (or pinned) offset — the corrupted-download shape
     fleet campaigns inject; the ``IPD2`` trailer/segment CRCs must

@@ -13,7 +13,6 @@ recovery at every journal write boundary.  Surfaced on the CLI as
 
 from .campaign import (
     CAMPAIGN_EXECUTORS,
-    ENCODE_POLICIES,
     RolloutPolicy,
     run_campaign,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "CrashPointReport",
     "DeviceOutcome",
     "DeviceSpec",
-    "ENCODE_POLICIES",
     "GEOMETRIES",
     "RolloutPolicy",
     "StageReport",

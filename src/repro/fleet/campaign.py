@@ -13,18 +13,13 @@ Design for scale and determinism:
 
 * **Cohorts, not devices, pay for encoding.**  Devices are grouped by
   ``(package, have)``; each cohort's payload is built once and replayed
-  against every member.  The ``"compose"`` encode policy publishes the
-  train into a :class:`~repro.store.VersionStore` (a throwaway
+  against every member.  The train is published into a
+  :class:`~repro.store.VersionStore` (a throwaway
   :class:`~repro.store.PackStore` unless the caller passes one) and
-  takes each payload from its :meth:`~repro.store.VersionStore.chain`,
-  which collapses the stored per-hop deltas with
-  :func:`repro.core.compose.compose_chain` (one composition per stale
-  cohort, no O(versions²) diff matrix); the ``"direct"`` policy
-  re-diffs ``have`` against ``want`` through a
-  :class:`~repro.pipeline.DeltaPipeline`, whose
-  :meth:`~repro.pipeline.BatchReport.summary` lands in the report —
-  the same ``repro.pipeline.batch/1`` schema ``ipdelta pipeline
-  --json`` emits.
+  each payload is taken from its
+  :meth:`~repro.store.VersionStore.chain`, which collapses the stored
+  per-hop deltas with :func:`repro.core.compose.compose_chain` (one
+  composition per stale cohort, no O(versions²) diff matrix).
 
 * **Every fault decision is device-scoped and pure.**  A device's
   session uses its name as the fault scope and an RNG seeded from
@@ -61,7 +56,6 @@ from ..device.channel import get_channel
 from ..device.updater import run_journaled_session
 from ..exceptions import ReproError
 from ..faults import FaultPlan, describe_failure
-from ..pipeline import DeltaPipeline, PipelineConfig, PipelineJob
 from ..store import PackStore, StoreConfig, VersionStore
 from .devices import DeviceSpec
 from .report import CampaignReport, DeviceOutcome, StageReport
@@ -75,8 +69,6 @@ CAMPAIGN_EXECUTORS = ("serial", "thread", "process")
 #: at most this many devices, each run by one :func:`_run_chunk`.
 CHUNK_DEVICES = 64
 
-ENCODE_POLICIES = ("compose", "direct")
-
 
 @dataclass(frozen=True)
 class RolloutPolicy:
@@ -85,16 +77,13 @@ class RolloutPolicy:
     ``stages`` are cumulative fleet fractions (the classic 1% canary /
     10% wave / full blast); ``abort_threshold`` is the stage quarantine
     rate that halts the rollout; ``retry_budget`` is how many *extra*
-    full sessions a transiently-failing device gets; ``encode`` picks
-    how stale cohorts get payloads (``"compose"`` collapses the hop
-    deltas, ``"direct"`` re-diffs endpoint pairs through the pipeline).
+    full sessions a transiently-failing device gets.
     """
 
     name: str = "staged"
     stages: Tuple[float, ...] = (0.01, 0.10, 1.0)
     abort_threshold: float = 0.25
     retry_budget: int = 1
-    encode: str = "compose"
     #: Per-session transmission attempts and boot budget.
     max_retries: int = 3
     max_boots: int = 16
@@ -106,11 +95,6 @@ class RolloutPolicy:
             raise ValueError(
                 "stages must be ascending fractions ending at 1.0, got %r"
                 % (self.stages,)
-            )
-        if self.encode not in ENCODE_POLICIES:
-            raise ValueError(
-                "unknown encode policy %r; choose from %s"
-                % (self.encode, ", ".join(ENCODE_POLICIES))
             )
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be non-negative")
@@ -218,8 +202,8 @@ def _chain_cohorts(
     store: VersionStore,
     report: CampaignReport,
 ) -> Tuple[Dict[Tuple[str, int], _Cohort], Dict[Tuple[str, int], str]]:
-    """The ``"compose"`` policy: publish the train into ``store`` and take
-    every cohort payload from :meth:`~repro.store.VersionStore.chain`."""
+    """Publish the train into ``store`` and take every cohort payload
+    from :meth:`~repro.store.VersionStore.chain`."""
     digests = {package: [store.publish(package, image) for image in train]
                for package, train in sorted(releases.items())}
     cohorts: Dict[Tuple[str, int], _Cohort] = {}
@@ -250,64 +234,27 @@ def _chain_cohorts(
 def _build_cohorts(
     releases: Dict[str, List[bytes]],
     fleet: Sequence[DeviceSpec],
-    policy: RolloutPolicy,
-    plan: Optional[FaultPlan],
     algorithm: str,
     report: CampaignReport,
     store: Optional[VersionStore] = None,
 ) -> Tuple[Dict[Tuple[str, int], _Cohort], Dict[Tuple[str, int], str]]:
-    """Encode one payload per stale (package, have) cohort.
+    """Build one payload per stale (package, have) cohort.
 
-    Returns the built cohorts plus, for cohorts whose encode failed, a
-    structured reason their devices are deferred with.
+    Returns the built cohorts plus, for cohorts whose ``chain`` failed,
+    a structured reason their devices are deferred with.
 
-    The ``"compose"`` policy takes every payload from
-    :meth:`~repro.store.VersionStore.chain`: the given ``store``, or a
-    throwaway :class:`~repro.store.PackStore` in a temporary directory
-    that is removed once the cohorts are built.
+    Every payload comes from :meth:`~repro.store.VersionStore.chain`:
+    the given ``store``, or a throwaway :class:`~repro.store.PackStore`
+    in a temporary directory that is removed once the cohorts are built.
     """
     needed = sorted({(d.package, d.have) for d in fleet
                      if not _is_current(releases, d)})
-    if policy.encode == "compose":
-        if store is not None:
-            return _chain_cohorts(releases, needed, store, report)
-        config = StoreConfig(algorithm=algorithm, fsync=False)
-        with tempfile.TemporaryDirectory() as tmp, \
-                PackStore.init(tmp, config) as throwaway:
-            return _chain_cohorts(releases, needed, throwaway, report)
-    cohorts: Dict[Tuple[str, int], _Cohort] = {}
-    failed: Dict[Tuple[str, int], str] = {}
-    # "direct": endpoint re-diffs through the pipeline, quarantines and
-    # all; the batch summary lands in the report (shared schema with
-    # `ipdelta pipeline --json`).
-    jobs = []
-    for package, have in needed:
-        want = len(releases[package]) - 1
-        jobs.append(PipelineJob(
-            reference=releases[package][have],
-            version=releases[package][want],
-            name="%s@%d->%d" % (package, have, want),
-        ))
-    config = PipelineConfig(algorithm=algorithm, executor="serial",
-                            retries=1, fallback=("raw",), fault_plan=plan)
-    with DeltaPipeline(config) as pipeline:
-        batch = pipeline.run(jobs)
-    report.encode_batches.append(batch.summary())
-    for (package, have), result in zip(needed, batch.results):
-        want = len(releases[package]) - 1
-        if not result.ok:
-            failed[(package, have)] = (
-                "cohort encode quarantined (%s): %s"
-                % (result.report.quarantine_reason, result.report.failure)
-            )
-            report.cohorts[result.report.name] = -1
-            continue
-        cohorts[(package, have)] = _Cohort(
-            package, have, want, result.payload,
-            releases[package][have], releases[package][want],
-        )
-        report.cohorts[result.report.name] = len(result.payload)
-    return cohorts, failed
+    if store is not None:
+        return _chain_cohorts(releases, needed, store, report)
+    config = StoreConfig(algorithm=algorithm, fsync=False)
+    with tempfile.TemporaryDirectory() as tmp, \
+            PackStore.init(tmp, config) as throwaway:
+        return _chain_cohorts(releases, needed, throwaway, report)
 
 
 def _stage_bounds(total: int, fractions: Sequence[float]) -> List[int]:
@@ -337,10 +284,9 @@ def run_campaign(
     Returns a :class:`~repro.fleet.report.CampaignReport` whose
     ``counters`` are identical for a given ``(releases, fleet, policy,
     fault_plan, seed)`` across all ``executor`` modes.  ``fault_plan``'s
-    per-device scopes are the device names (retry sessions append
-    ``#rN``); the encode phase uses cohort keys (``pkg@have->want``).
+    scopes are the device names (retry sessions append ``#rN``).
 
-    ``store`` (``"compose"`` policy): publish the train into this
+    ``store``: publish the train into this
     :class:`~repro.store.VersionStore` instead of a throwaway
     :class:`~repro.store.PackStore`; either way every cohort payload is
     the store's collapsed delta chain, and a cohort whose ``chain``
@@ -368,7 +314,7 @@ def run_campaign(
 
     # -- encode phase: one payload per stale cohort ---------------------
     cohorts, encode_failed = _build_cohorts(
-        releases, fleet, policy, fault_plan, algorithm, report, store)
+        releases, fleet, algorithm, report, store)
 
     pending: List[DeviceSpec] = []
     for device in fleet:
@@ -464,7 +410,6 @@ def run_campaign(
 
 __all__ = [
     "CAMPAIGN_EXECUTORS",
-    "ENCODE_POLICIES",
     "RolloutPolicy",
     "run_campaign",
 ]

@@ -8,8 +8,8 @@ state —
 * ``"quarantined"`` — the device halted with a structured reason
   (``kind`` says whether the data was bad or the luck was);
 * ``"deferred"`` — a rollout stage tripped its abort threshold (or the
-  cohort's encode failed) before this device was attempted, and the
-  reason records which.
+  store could not build the cohort's payload) before this device was
+  attempted, and the reason records which.
 
 — and :meth:`CampaignReport.to_dict` refuses to serialize a non-updated
 device without a reason, so a silent failure cannot survive into the
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 #: Artifact schema tag, bumped on any incompatible report change.
-CAMPAIGN_SCHEMA = "repro.fleet.campaign/1"
+CAMPAIGN_SCHEMA = "repro.fleet.campaign/2"
 
 #: Terminal device states (see module docstring).
 DEVICE_STATUSES = ("updated", "quarantined", "deferred")
@@ -47,7 +47,7 @@ class DeviceOutcome:
     #: ``"corruption"`` / ``"transient"`` for quarantines, else ``""``.
     kind: str = ""
     #: Rollout stage (1-based) the device was scheduled in; 0 when the
-    #: device never reached a stage (already current, encode failure).
+    #: device never reached a stage (already current, chain failure).
     stage: int = 0
     #: Full update sessions run (1 = no campaign-level retry).
     sessions: int = 0
@@ -135,12 +135,8 @@ class CampaignReport:
     packages: Dict[str, int]  # package -> latest release number
     outcomes: List[DeviceOutcome] = field(default_factory=list)
     stages: List[StageReport] = field(default_factory=list)
-    #: ``BatchReport.summary()`` dictionaries from the encode phase
-    #: (``repro.pipeline.batch/1``), one per pipeline run; empty for
-    #: the compose policy, which encodes outside the pipeline.
-    encode_batches: List[Dict[str, object]] = field(default_factory=list)
     #: Cohort accounting: key ``"pkg@have->want"`` -> payload bytes
-    #: (-1 when the cohort's encode failed).
+    #: (-1 when the store could not build the cohort's payload).
     cohorts: Dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
@@ -229,7 +225,6 @@ class CampaignReport:
             "latency": self.latency,
             "stages": [s.to_dict() for s in self.stages],
             "cohorts": dict(self.cohorts),
-            "encode_batches": list(self.encode_batches),
             "quarantines": self.quarantines,
             "wall_seconds": self.wall_seconds,
         }

@@ -52,7 +52,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.apply import preflight_in_place, storage_crc32
 from ..delta.encode import decode_delta
-from ..delta.wrapper import is_sealed, unseal
 from ..device.journal import (
     CrashingStorage,
     Journal,
@@ -477,8 +476,6 @@ async def pull_async(
     # -- apply phase: journaled, resumable across power cuts ------------
     payload = bytes(buf)
     try:
-        if is_sealed(payload):
-            payload = unseal(payload)
         script, header = decode_delta(payload)
     except ReproError as exc:
         # The payload CRC matched META, so a re-download returns the

@@ -119,11 +119,6 @@ class Corpus:
             }
             self.releases.append(nxt)
 
-    @property
-    def release_count(self) -> int:
-        """Number of materialized releases."""
-        return len(self.releases)
-
     def pairs(self) -> Iterator[VersionPair]:
         """All adjacent-release file pairs, the experiments' workload."""
         for r in range(1, len(self.releases)):

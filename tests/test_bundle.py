@@ -60,7 +60,8 @@ class TestManifest:
         assert manifest.paths() == sorted(old)
         assert manifest.files["README"] == FileEntry.of("README",
                                                         old["README"])
-        assert manifest.total_bytes == sum(len(v) for v in old.values())
+        assert sum(entry.size for entry in manifest.files.values()) == \
+            sum(len(v) for v in old.values())
 
     def test_classify_changes(self, trees):
         old, new = trees

@@ -359,7 +359,7 @@ class TestCampaignCLI:
         assert "campaign: 40 devices" in out
         assert "bandwidth:" in out
         data = json.loads(art.read_text())
-        assert data["schema"] == "repro.fleet.campaign/1"
+        assert data["schema"] == "repro.fleet.campaign/2"
         counters = data["counters"]
         assert counters["devices"] == 40
         assert (counters["updated"] + counters["quarantined"]

@@ -140,5 +140,7 @@ class TestConstrainedDevice:
     def test_image_crc(self):
         import zlib
 
+        from repro.core.apply import storage_crc32
+
         device = ConstrainedDevice(b"hello")
-        assert device.image_crc32() == zlib.crc32(b"hello") & 0xFFFFFFFF
+        assert storage_crc32(device.image) == zlib.crc32(b"hello") & 0xFFFFFFFF

@@ -257,29 +257,11 @@ class TestCampaign:
         assert any("@0->" in key for key in report.cohorts)
         assert all(size > 0 for size in report.cohorts.values())
 
-    def test_direct_encode_shares_pipeline_schema(self):
-        report = _small_campaign(
-            devices=100, plan=None, policy=RolloutPolicy(encode="direct"))
-        assert report.counters["updated"] == 100
-        assert len(report.encode_batches) == 1
-        summary = report.encode_batches[0]
-        assert summary["schema"] == "repro.pipeline.batch/1"
-        assert summary["ok"] == summary["jobs"] == len(report.cohorts)
-
-    def test_compose_and_direct_both_install_exact_bytes(self):
-        compose = _small_campaign(devices=80, plan=None)
-        direct = _small_campaign(devices=80, plan=None,
-                                 policy=RolloutPolicy(encode="direct"))
-        assert compose.counters["updated"] == 80
-        assert direct.counters["updated"] == 80
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             RolloutPolicy(stages=(0.5, 0.1, 1.0)).validate()
         with pytest.raises(ValueError):
             RolloutPolicy(stages=(0.5,)).validate()
-        with pytest.raises(ValueError):
-            RolloutPolicy(encode="magic").validate()
         with pytest.raises(ValueError):
             _small_campaign(devices=10, executor="quantum")
 
@@ -291,6 +273,14 @@ class TestCampaign:
         assert data["schema"] == CAMPAIGN_SCHEMA
         assert len(data["devices"]) == 60
         assert data["counters"] == report.counters
+
+    def test_artifact_carries_no_encode_choice(self):
+        # Every cohort payload comes from VersionStore.chain(), so the
+        # report has no encode policy and no pipeline batch summaries.
+        data = _small_campaign(devices=20, plan=None).to_dict()
+        assert data["schema"] == "repro.fleet.campaign/2"
+        assert "encode_batches" not in data
+        assert "encode" not in data["policy"]
 
 
 # One 12-release train (past the store's max_chain_depth of 8), recorded
@@ -623,7 +613,7 @@ class TestDeterministicJitter:
         import time
 
         from repro.device import UpdateServer, get_channel, \
-            run_journaled_update
+            run_journaled_session
 
         server = UpdateServer()
         r = random.Random(1)
@@ -634,8 +624,10 @@ class TestDeterministicJitter:
 
         delays = []
         monkeypatch.setattr(time, "sleep", delays.append)
-        outcome = run_journaled_update(
-            server, get_channel("modem-56k"), "pkg", have=0,
+        outcome = run_journaled_session(
+            server.build_payload("pkg", 0, 1, "in-place"),
+            server.release("pkg", 0), server.release("pkg", 1),
+            channel=get_channel("modem-56k"), scope="pkg",
             fault_plan=FaultPlan.parse("channel.transmit:count=2", seed=5),
         )
         assert outcome.succeeded

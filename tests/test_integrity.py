@@ -39,7 +39,7 @@ from repro.device.channel import get_channel
 from repro.device.flash import FlashArray
 from repro.device.journal import CrashingStorage, Journal, JournaledApplier
 from repro.device.memory import ConstrainedDevice
-from repro.device.updater import UpdateServer, run_journaled_update
+from repro.device.updater import UpdateServer, run_journaled_session
 from repro.exceptions import (
     DeltaFormatError,
     DeltaRangeError,
@@ -299,6 +299,69 @@ class TestDeclaredScratch:
             "beyond declared scratch size 16")
 
 
+def ipdz_framed(payload):
+    """``payload`` framed as ``IPDZ``: the magic, the raw length as a
+    varint, then the zlib body.  No receiver unwraps it: to every parser
+    it is a file with an unknown magic."""
+    return b"IPDZ" + encode_varint(len(payload)) + zlib.compress(payload)
+
+
+class TestEnvelopeRefused:
+    """A zlib-framed payload is refused before any write, on every path
+    a payload reaches a device by."""
+
+    @pytest.fixture()
+    def framed(self):
+        old, new = _pair(seed=41)
+        return old, new, ipdz_framed(_v2_payload(old, new))
+
+    def test_patch_in_place(self, framed):
+        old, _new, payload = framed
+        buf = _GuardedBuffer(old)
+        with pytest.raises(DeltaFormatError, match="bad magic"):
+            patch_in_place(buf, payload)
+        assert buf.writes == 0
+        assert bytes(buf) == old
+
+    @pytest.mark.parametrize("method", ["apply_delta_in_place",
+                                        "apply_delta_streaming"])
+    def test_constrained_device(self, framed, method):
+        old, _new, payload = framed
+        device = ConstrainedDevice(old, ram=64 * 1024)
+        with pytest.raises(DeltaFormatError, match="bad magic"):
+            getattr(device, method)(payload)
+        assert device.image == old
+        assert device.ram.in_use == 0
+        assert device.updates_applied == 0
+
+    def test_pull(self, framed):
+        import asyncio
+
+        from repro.serve.protocol import T_DATA, T_END, T_META, encode_msg
+
+        from .test_serve import _pull_from_stub
+
+        old, _new, payload = framed
+        meta = {"length": len(payload), "crc32": zlib.crc32(payload),
+                "offset": 0, "want": "w" * 40}
+        outcome = asyncio.run(_pull_from_stub(
+            [(T_META, encode_msg(meta)), (T_DATA, payload), (T_END, b"")],
+            reference=old))
+        assert outcome.status == "failed"
+        assert outcome.reason.startswith(
+            "payload rejected: DeltaFormatError: not a delta file")
+        assert outcome.boots == 0
+
+    def test_journaled_session(self, framed):
+        old, new, payload = framed
+        outcome = run_journaled_session(payload, old, new,
+                                        channel=get_channel("isdn-128k"))
+        assert not outcome.succeeded
+        assert outcome.boots == 0
+        assert outcome.failure == "exhausted 3 transmission attempts"
+        assert all("DeltaFormatError" in f for f in outcome.faults)
+
+
 class TestVersionCheck:
     """Every consumer checks the rebuilt image against the version CRC
     the payload carries, as the device and the journaled session do."""
@@ -332,15 +395,17 @@ class TestVerifyHelpers:
         verify_reference(header, b"anything at all")  # must not raise
 
     def test_flash_crc32_and_verify_image(self):
+        # The digest helpers run on device storage directly: the flash
+        # array's length and slice reads are all they need.
         old, new = _pair(seed=32)
         payload = _v2_payload(old, new)
         _, header = decode_delta(payload)
         flash = FlashArray(old, block_size=1024)
-        assert flash.crc32() == zlib.crc32(old) & 0xFFFFFFFF
-        flash.verify_image(header)  # matches: no raise
+        assert storage_crc32(flash) == zlib.crc32(old) & 0xFFFFFFFF
+        verify_reference(header, flash)  # matches: no raise
         flash[0] = flash[0] ^ 0xFF
         with pytest.raises(IntegrityError):
-            flash.verify_image(header)
+            verify_reference(header, flash)
 
 
 class TestJournalIntegrity:
@@ -422,9 +487,11 @@ class TestJournaledUpdateIntegrity:
 
     def test_truncated_delivery_is_retransmitted(self, server):
         plan = self._plan(dict(site="delta.truncate", nth=1, error="truncate"))
-        outcome = run_journaled_update(server, get_channel("isdn-128k"),
-                                       "firmware", have=0, want=1,
-                                       fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("firmware", 0, 1, "in-place"),
+            server.release("firmware", 0), server.release("firmware", 1),
+            channel=get_channel("isdn-128k"), scope="firmware",
+            fault_plan=plan)
         assert outcome.succeeded, outcome.failure
         assert outcome.attempts == 2
         assert any("TruncatedDelivery" in f for f in outcome.faults)
@@ -436,9 +503,11 @@ class TestJournaledUpdateIntegrity:
         # digest fails and nothing is mutated.
         plan = self._plan(dict(site="storage.bitflip", nth=1,
                                error="bitflip", offset=12))
-        outcome = run_journaled_update(server, get_channel("isdn-128k"),
-                                       "firmware", have=0, want=1,
-                                       fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("firmware", 0, 1, "in-place"),
+            server.release("firmware", 0), server.release("firmware", 1),
+            channel=get_channel("isdn-128k"), scope="firmware",
+            fault_plan=plan)
         assert not outcome.succeeded
         assert outcome.corruption
         assert "IntegrityError" in outcome.failure
@@ -446,7 +515,7 @@ class TestJournaledUpdateIntegrity:
     def test_power_and_bitflip_matrix_never_silent_garbage(self, server):
         # The acceptance sweep: under combined power cuts and flash rot
         # every session either installs the exact version bytes
-        # (succeeded => oracle-compared inside run_journaled_update) or
+        # (succeeded => oracle-compared inside run_journaled_session) or
         # halts with an explicit corruption/power report.
         detected = 0
         for seed in range(12):
@@ -457,9 +526,11 @@ class TestJournaledUpdateIntegrity:
                      error="bitflip"),
                 seed=seed,
             )
-            outcome = run_journaled_update(server, get_channel("isdn-128k"),
-                                           "firmware", have=0, want=1,
-                                           max_boots=64, fault_plan=plan)
+            outcome = run_journaled_session(
+                server.build_payload("firmware", 0, 1, "in-place"),
+                server.release("firmware", 0), server.release("firmware", 1),
+                channel=get_channel("isdn-128k"), scope="firmware",
+                max_boots=64, fault_plan=plan)
             if outcome.succeeded:
                 continue
             assert outcome.failure, "silent failure with no report"
@@ -476,9 +547,11 @@ class TestJournaledUpdateIntegrity:
                      error="bitflip"),
                 seed=seed,
             )
-            out = run_journaled_update(server, get_channel("isdn-128k"),
-                                       "firmware", have=0, want=1,
-                                       max_boots=64, fault_plan=plan)
+            out = run_journaled_session(
+                server.build_payload("firmware", 0, 1, "in-place"),
+                server.release("firmware", 0), server.release("firmware", 1),
+                channel=get_channel("isdn-128k"), scope="firmware",
+                max_boots=64, fault_plan=plan)
             return (out.succeeded, out.corruption, out.boots, tuple(out.faults))
 
         for seed in (1, 4, 9):

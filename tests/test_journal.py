@@ -301,7 +301,7 @@ class TestJournalFootprint:
 class TestDoublePowerCutResume:
     """Satellite coverage: a second power cut *during recovery* must
     still land byte-exact, both at the raw journal layer and through a
-    full ``run_journaled_update`` session."""
+    full ``run_journaled_session``."""
 
     def _double_cut(self, script, reference, expected, f1, f2,
                     chunk_size=7):
@@ -357,33 +357,37 @@ class TestDoublePowerCutResume:
         return server
 
     def test_session_survives_two_power_cuts(self):
-        from repro.device import get_channel, run_journaled_update
+        from repro.device import get_channel, run_journaled_session
         from repro.faults import FaultPlan
 
         server = self._session_server()
         # device.power with count=2 cuts the power on boots 1 AND 2;
         # boot 3 runs with unlimited fuel and must finish byte-exact.
         plan = FaultPlan.parse("device.power:count=2:fuel=300", seed=3)
-        outcome = run_journaled_update(
-            server, get_channel("t1-1.5m"), "pkg", have=0, fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("pkg", 0, 1, "in-place"),
+            server.release("pkg", 0), server.release("pkg", 1),
+            channel=get_channel("t1-1.5m"), scope="pkg", fault_plan=plan)
         assert outcome.succeeded
         assert outcome.power_cuts == 2
         assert outcome.boots == 3
 
     def test_session_survives_three_power_cuts(self):
-        from repro.device import get_channel, run_journaled_update
+        from repro.device import get_channel, run_journaled_session
         from repro.faults import FaultPlan
 
         server = self._session_server(seed=23)
         plan = FaultPlan.parse("device.power:count=3:fuel=150", seed=9)
-        outcome = run_journaled_update(
-            server, get_channel("t1-1.5m"), "pkg", have=0, fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("pkg", 0, 1, "in-place"),
+            server.release("pkg", 0), server.release("pkg", 1),
+            channel=get_channel("t1-1.5m"), scope="pkg", fault_plan=plan)
         assert outcome.succeeded
         assert outcome.power_cuts == 3
         assert outcome.boots == 4
 
     def test_double_cut_with_rot_halts_structurally(self):
-        from repro.device import get_channel, run_journaled_update
+        from repro.device import get_channel, run_journaled_session
         from repro.faults import FaultPlan
 
         server = self._session_server(seed=29)
@@ -392,8 +396,10 @@ class TestDoublePowerCutResume:
         # report rather than install garbage.
         plan = FaultPlan.parse(
             "device.power:count=2:fuel=300; storage.bitflip:nth=2", seed=5)
-        outcome = run_journaled_update(
-            server, get_channel("t1-1.5m"), "pkg", have=0, fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("pkg", 0, 1, "in-place"),
+            server.release("pkg", 0), server.release("pkg", 1),
+            channel=get_channel("t1-1.5m"), scope="pkg", fault_plan=plan)
         assert not outcome.succeeded
         assert outcome.corruption
         assert outcome.failure

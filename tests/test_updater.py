@@ -6,7 +6,12 @@ import pytest
 
 from repro.device.channel import Channel, get_channel
 from repro.device.memory import ConstrainedDevice
-from repro.device.updater import STRATEGIES, UpdateServer, run_update
+from repro.device.updater import (
+    STRATEGIES,
+    UpdateServer,
+    run_journaled_session,
+    run_update,
+)
 from repro.workloads import make_binary_blob, mutate
 
 
@@ -80,7 +85,7 @@ class TestRunUpdate:
                              "firmware", have=0, want=1, strategy="full")
         assert outcome.succeeded
         assert outcome.payload_bytes == len(releases[1])
-        assert outcome.compression_ratio == pytest.approx(1.0)
+        assert outcome.payload_bytes == outcome.image_bytes
 
     def test_want_defaults_to_latest(self, server, releases):
         device = ConstrainedDevice(releases[1], ram=24 * 1024)
@@ -151,15 +156,15 @@ class TestResilientUpdates:
         assert device.image == releases[0]  # untouched: nothing was delivered
 
     def test_journaled_update_resumes_after_power_cuts(self, server, releases):
-        from repro.device.updater import run_journaled_update
-
         plan = self._plan(
             dict(site="device.power", nth=1, error="power", fuel=700),
             dict(site="device.power", nth=2, error="power", fuel=2_000),
         )
-        outcome = run_journaled_update(server, get_channel("modem-56k"),
-                                       "firmware", have=0, want=1,
-                                       fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("firmware", 0, 1, "in-place"),
+            server.release("firmware", 0), server.release("firmware", 1),
+            channel=get_channel("modem-56k"), scope="firmware",
+            fault_plan=plan)
         assert outcome.succeeded, outcome.failure
         assert outcome.boots == 3  # two cuts, third boot finishes
         assert outcome.power_cuts == 2
@@ -169,45 +174,45 @@ class TestResilientUpdates:
 
     def test_journaled_update_combined_link_and_power_faults(self, server,
                                                              releases):
-        from repro.device.updater import run_journaled_update
-
         plan = self._plan(
             dict(site="channel.transmit", nth=1, error="transmission"),
             dict(site="device.power", nth=1, error="power", fuel=500),
         )
-        outcome = run_journaled_update(server, get_channel("isdn-128k"),
-                                       "firmware", have=0, want=1,
-                                       fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("firmware", 0, 1, "in-place"),
+            server.release("firmware", 0), server.release("firmware", 1),
+            channel=get_channel("isdn-128k"), scope="firmware",
+            fault_plan=plan)
         assert outcome.succeeded, outcome.failure
         assert outcome.attempts == 2  # one retransmission
         assert outcome.boots == 2     # one power cut
         assert outcome.power_cuts == 1
 
     def test_journaled_update_runs_out_of_boots(self, server, releases):
-        from repro.device.updater import run_journaled_update
-
         plan = self._plan(dict(site="device.power", count=99, error="power",
                                fuel=64))
-        outcome = run_journaled_update(server, get_channel("modem-56k"),
-                                       "firmware", have=0, want=1,
-                                       max_boots=3, fault_plan=plan)
+        outcome = run_journaled_session(
+            server.build_payload("firmware", 0, 1, "in-place"),
+            server.release("firmware", 0), server.release("firmware", 1),
+            channel=get_channel("modem-56k"), scope="firmware",
+            max_boots=3, fault_plan=plan)
         assert not outcome.succeeded
         assert outcome.boots == 3
         assert outcome.power_cuts == 3
         assert "power failed on every" in outcome.failure
 
     def test_journaled_update_same_plan_same_outcome(self, server, releases):
-        from repro.device.updater import run_journaled_update
-
         def session():
             plan = self._plan(
                 dict(site="device.power", probability=0.6, error="power",
                      fuel=900),
                 seed=3,
             )
-            return run_journaled_update(server, get_channel("modem-56k"),
-                                        "firmware", have=0, want=1,
-                                        max_boots=32, fault_plan=plan)
+            return run_journaled_session(
+                server.build_payload("firmware", 0, 1, "in-place"),
+                server.release("firmware", 0), server.release("firmware", 1),
+                channel=get_channel("modem-56k"), scope="firmware",
+                max_boots=32, fault_plan=plan)
 
         first, second = session(), session()
         assert first.succeeded and second.succeeded
@@ -216,10 +221,10 @@ class TestResilientUpdates:
         assert first.faults == second.faults
 
     def test_journaled_update_clean_run_is_single_boot(self, server, releases):
-        from repro.device.updater import run_journaled_update
-
-        outcome = run_journaled_update(server, get_channel("modem-56k"),
-                                       "firmware", have=0, want=1)
+        outcome = run_journaled_session(
+            server.build_payload("firmware", 0, 1, "in-place"),
+            server.release("firmware", 0), server.release("firmware", 1),
+            channel=get_channel("modem-56k"), scope="firmware")
         assert outcome.succeeded
         assert outcome.boots == 1
         assert outcome.power_cuts == 0

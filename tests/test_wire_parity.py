@@ -8,8 +8,7 @@ every strict prefix, sampled single-bit flips, and appended bytes —
 either both accept with the same header and commands, or both raise
 :class:`~repro.exceptions.DeltaFormatError` or
 :class:`~repro.exceptions.IntegrityError`.  The stream is fed from
-``bytes``, from :class:`io.BytesIO` and from a
-:class:`~repro.delta.wrapper.SealedReader` over a sealed copy.
+``bytes`` and from :class:`io.BytesIO`.
 
 All randomness is seeded; a failure names the payload and the mutation.
 """
@@ -35,7 +34,6 @@ from repro.delta.encode import (
     version_checksum,
 )
 from repro.delta.stream import apply_delta_stream, iter_delta_commands
-from repro.delta.wrapper import SealedReader, seal
 from repro.exceptions import DeltaFormatError, DeltaRangeError, IntegrityError
 from repro.workloads import make_binary_blob
 
@@ -143,8 +141,6 @@ def _streamed(source):
 def _sources(data):
     yield "bytes", lambda: data
     yield "BytesIO", lambda: io.BytesIO(data)
-    sealed = seal(data)
-    yield "SealedReader", lambda: SealedReader(sealed)
 
 
 def test_corpus_shape():
