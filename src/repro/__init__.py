@@ -17,6 +17,14 @@ Quickstart::
     buf = bytearray(old_bytes)
     repro.apply_in_place(result.script, buf)          # buf now == new_bytes
 
+Importing ``repro`` loads the paper's library only: the differs
+(``repro.delta``), the in-place conversion and apply (``repro.core``)
+and the exceptions.  The layers built on it are imported by name:
+``repro.pipeline`` (batch encoding), ``repro.store`` (version storage),
+``repro.serve`` (the daemon and pull client), ``repro.device``,
+``repro.fleet``, ``repro.bundle``, ``repro.workloads`` and
+``repro.analysis``.
+
 See ``examples/`` for end-to-end scenarios and ``DESIGN.md`` for the
 system inventory.
 """
@@ -25,19 +33,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from . import (
-    analysis,
-    bundle,
-    core,
-    delta,
-    device,
-    exceptions,
-    fleet,
-    pipeline,
-    serve,
-    store,
-    workloads,
-)
+from . import core, delta, exceptions
 from .core import (
     AddCommand,
     FillCommand,
@@ -84,16 +80,6 @@ from .delta import (
     onepass_delta,
 )
 from .exceptions import IntegrityError
-from .pipeline import (
-    EXECUTORS,
-    BatchReport,
-    DeltaPipeline,
-    PipelineConfig,
-    PipelineJob,
-    PipelineReport,
-    PipelineResult,
-    ReferenceIndexCache,
-)
 
 __version__ = "1.0.0"
 
@@ -130,15 +116,12 @@ def diff_in_place(reference: Buffer, version: Buffer, *,
 __all__ = [
     "ALGORITHMS",
     "AddCommand",
-    "BatchReport",
     "Buffer",
     "CRWIDigraph",
     "ConstantTimePolicy",
     "ConversionReport",
     "CopyCommand",
-    "DeltaPipeline",
     "DeltaScript",
-    "EXECUTORS",
     "FORMAT_INPLACE",
     "FillCommand",
     "SpillCommand",
@@ -149,14 +132,7 @@ __all__ = [
     "WIRE_V1",
     "WIRE_V2",
     "LocallyMinimumPolicy",
-    "PipelineConfig",
-    "PipelineJob",
-    "PipelineReport",
-    "PipelineResult",
-    "ReferenceIndexCache",
-    "analysis",
     "apply_delta",
-    "bundle",
     "apply_in_place",
     "build_crwi_digraph",
     "check_in_place_safe",
@@ -166,14 +142,12 @@ __all__ = [
     "correcting_delta",
     "decode_delta",
     "delta",
-    "device",
     "diff",
     "diff_in_place",
     "diff_in_place_integrated",
     "encode_delta",
     "encoded_size",
     "exceptions",
-    "fleet",
     "greedy_delta",
     "is_in_place_safe",
     "make_in_place",
@@ -181,13 +155,9 @@ __all__ = [
     "optimize_script",
     "patch",
     "patch_in_place",
-    "pipeline",
     "preflight_in_place",
     "reconstruct",
-    "serve",
     "storage_crc32",
-    "store",
     "verify_reference",
     "verify_version",
-    "workloads",
 ]

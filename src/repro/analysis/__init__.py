@@ -5,7 +5,6 @@ from .adversarial import (
     figure2_case,
     figure2_expected_costs,
     figure3_case,
-    figure3_expected_edges,
     rotation_medley,
     rotation_script,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "figure2_case",
     "figure2_expected_costs",
     "figure3_case",
-    "figure3_expected_edges",
     "format_bytes",
     "format_seconds",
     "measure_pair",

@@ -150,11 +150,6 @@ def figure3_case(block: int, *, seed: int = 3) -> AdversarialCase:
     )
 
 
-def figure3_expected_edges(block: int) -> int:
-    """Edge count :func:`figure3_case`'s digraph must have: exactly ``block**2``."""
-    return block * block
-
-
 def rotation_script(block: int, blocks: int, *, seed: int = 5) -> AdversarialCase:
     """A block rotation: version block ``i`` is reference block ``i+1 mod n``.
 

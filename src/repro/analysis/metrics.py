@@ -20,7 +20,7 @@ per-file ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.commands import DeltaScript
 from ..core.convert import ConversionReport, make_in_place

@@ -16,7 +16,6 @@ from typing import List, Sequence
 
 from ..core.convert import make_in_place
 from ..core.crwi import build_crwi_digraph
-from ..delta import correcting_delta
 from .adversarial import figure2_case, figure2_expected_costs, figure3_case
 from .metrics import PairMeasurement, aggregate, compression_factor, measure_pair
 from .stats import bootstrap_ci, fit_power_law

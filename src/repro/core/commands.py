@@ -22,10 +22,10 @@ it), the codecs (which serialize it), and the appliers (which execute it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Union
 
 from ..exceptions import DeltaRangeError, IncompleteCoverError, OverlappingWriteError
-from .intervals import Interval, are_disjoint, find_gaps, merge_intervals, merge_intervals
+from .intervals import Interval, are_disjoint, find_gaps, merge_intervals
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class CopyCommand:
         ``src >= dst`` and right-to-left otherwise (paper, section 4.1).
         """
         return self.read_interval.intersects(self.write_interval)
-
-    def conflicts_with(self, later: "CopyCommand") -> bool:
-        """Equation 1: would executing ``self`` before ``later`` corrupt ``later``?
-
-        True when ``self``'s write interval intersects ``later``'s read
-        interval, i.e. ``self`` overwrites bytes ``later`` still needs.
-        """
-        return self.write_interval.intersects(later.read_interval)
 
     def to_add(self, reference: Union[bytes, bytearray, memoryview]) -> "AddCommand":
         """The equivalent add command, with data taken from ``reference``.
@@ -225,21 +217,6 @@ class DeltaScript:
     commands: List[Command] = field(default_factory=list)
     version_length: int = 0
 
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_commands(
-        cls, commands: Iterable[Command], version_length: Optional[int] = None
-    ) -> "DeltaScript":
-        """Build a script, inferring ``version_length`` when not given."""
-        cmds = list(commands)
-        if version_length is None:
-            version_length = 0
-            for cmd in cmds:
-                if isinstance(cmd, VersionWriter):
-                    version_length = max(version_length, cmd.write_interval.stop + 1)
-        return cls(cmds, version_length)
-
     # -- views ---------------------------------------------------------
 
     def copies(self) -> List[CopyCommand]:
@@ -386,14 +363,6 @@ class DeltaScript:
                         "fill %d reads scratch %r that no single spill region covers"
                         % (i, cmd.scratch_interval)
                     )
-
-    def is_valid(self, reference_length: Optional[int] = None) -> bool:
-        """Boolean form of :meth:`validate`."""
-        try:
-            self.validate(reference_length=reference_length)
-        except Exception:
-            return False
-        return True
 
     # -- transforms ----------------------------------------------------
 

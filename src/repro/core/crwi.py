@@ -38,7 +38,7 @@ directional copying at apply time (section 4.1).
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .. import perf
 from . import _kernels as _k

@@ -15,9 +15,9 @@ paper's notation.  Empty intervals (length 0) are represented with
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -79,11 +79,6 @@ class Interval:
         if self.empty:
             return "Interval(empty@%d)" % self.start
         return "Interval[%d, %d]" % (self.start, self.stop)
-
-
-def total_length(intervals: Iterable[Interval]) -> int:
-    """Sum of the lengths of ``intervals`` (overlaps counted twice)."""
-    return sum(iv.length for iv in intervals)
 
 
 def merge_intervals(intervals: Iterable[Interval]) -> List[Interval]:
@@ -159,13 +154,6 @@ class IntervalIndex:
     def __len__(self) -> int:
         return len(self._intervals)
 
-    def stab(self, offset: int) -> Optional[int]:
-        """Payload of the interval containing ``offset``, or ``None``."""
-        pos = bisect_right(self._starts, offset) - 1
-        if pos >= 0 and self._intervals[pos].contains(offset):
-            return self._payloads[pos]
-        return None
-
     def overlapping(self, query: Interval) -> List[int]:
         """Payloads of all stored intervals intersecting ``query``, sorted by start.
 
@@ -184,16 +172,6 @@ class IntervalIndex:
         hi = bisect_right(self._starts, query.stop)
         return self._payloads[lo:hi]
 
-    def count_overlapping(self, query: Interval) -> int:
-        """Number of stored intervals intersecting ``query`` (no list built)."""
-        if query.empty or not self._intervals:
-            return 0
-        lo = bisect_right(self._starts, query.start) - 1
-        if lo < 0 or self._intervals[lo].stop < query.start:
-            lo += 1
-        hi = bisect_right(self._starts, query.stop)
-        return max(0, hi - lo)
-
 
 class DynamicIntervalSet:
     """Mutable set of disjoint intervals supporting insertion and queries.
@@ -211,11 +189,6 @@ class DynamicIntervalSet:
 
     def __len__(self) -> int:
         return len(self._starts)
-
-    @property
-    def covered_bytes(self) -> int:
-        """Total number of bytes in the set."""
-        return sum(b - a + 1 for a, b in zip(self._starts, self._stops))
 
     def intervals(self) -> List[Interval]:
         """Snapshot of the merged intervals, in start order."""

@@ -44,11 +44,6 @@ class OptimizeReport:
     inlined_bytes: int = 0
     merged_adds: int = 0
 
-    @property
-    def total_rewrites(self) -> int:
-        """Commands affected by any rewrite."""
-        return self.coalesced + self.inlined_copies + self.merged_adds
-
 
 def copy_codeword_size(cmd: CopyCommand, *, with_offsets: bool = True) -> int:
     """Encoded size of one copy codeword in the varint formats."""

@@ -381,9 +381,11 @@ def locality_toposort(graph: CRWIDigraph, excluding: Sequence[int] = ()) -> List
     the conflict edges allow.  Plain ascending order is the wrong
     heuristic here — content shifted toward higher offsets forces
     *descending* application within its run, and an ascending frontier
-    thrashes between such runs.  Measurements (`bench_flash_wear`)
-    show the remaining orders differ only marginally once trailing adds
-    are accounted for; this is the principled choice among them.
+    thrashes between such runs.  On ``bench_flash_wear``'s shifting
+    release it takes 164 erase cycles (at most 5 per block) where the
+    default dfs order takes 180 (at most 7), and 12–24% fewer on five
+    more seeds of that construction; the bench asserts it is never
+    worse than dfs there.
 
     The emission loop is inherently sequential (each pick depends on the
     previous cursor), but the indegree initialization batches through

@@ -30,7 +30,7 @@ from .commands import (
     SpillCommand,
     VersionWriter,
 )
-from .intervals import DynamicIntervalSet, Interval, IntervalIndex
+from .intervals import DynamicIntervalSet, Interval
 
 
 def find_first_conflict(script: DeltaScript) -> Optional[Tuple[int, int]]:

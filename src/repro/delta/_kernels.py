@@ -36,7 +36,7 @@ paths; nothing here is imported into a hot path unguarded.
 from __future__ import annotations
 
 from bisect import bisect_left as _bisect_left
-from typing import List, Optional, Tuple
+from typing import List
 
 try:  # pragma: no cover - exercised implicitly by every fast-path test
     import numpy as _np

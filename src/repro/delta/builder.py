@@ -61,10 +61,6 @@ class ScriptBuilder:
         self.add_start = dst + length
         self.cursor = max(self.cursor, self.add_start)
 
-    def pending_length(self, at: int) -> int:
-        """Bytes currently pending as literals up to version offset ``at``."""
-        return max(0, at - self.add_start)
-
     def finish(self) -> DeltaScript:
         """Flush the trailing add region and return the completed script."""
         self._flush_add(len(self._version))

@@ -56,7 +56,6 @@ def correcting_delta(
     seed_length: int = DEFAULT_SEED_LENGTH,
     table_size: int = 1 << 16,
     table=None,
-    cache=None,
     return_version_table: bool = False,
 ) -> Union[DeltaScript, Tuple[DeltaScript, SeedTable]]:
     """Compute a delta script for ``version`` against ``reference``.
@@ -65,13 +64,11 @@ def correcting_delta(
     linear in the inputs plus the lengths of verified matches.
 
     The half-pass table is a pure function of the reference, so when one
-    reference serves many versions it can be built once: pass ``table``
-    (a prebuilt :class:`~repro.delta.rolling.SeedTable` over
-    ``reference`` with matching ``table_size``) or ``cache`` (a
-    :class:`repro.pipeline.cache.ReferenceIndexCache`, consulted by
-    content digest).  The full pass only reads the table, so the shared
-    copy is never mutated and the output script is byte-identical to
-    the uncached call.
+    reference serves many versions it can be built once: pass ``table``,
+    a prebuilt :class:`~repro.delta.rolling.SeedTable` over
+    ``reference`` with matching ``table_size``.  The full pass only
+    reads the table, so a shared copy is never mutated and the output
+    script is byte-identical to the call that builds the table itself.
 
     In a release train each version is the next diff's reference.  With
     ``return_version_table=True`` the call returns ``(script,
@@ -102,12 +99,7 @@ def correcting_delta(
                 _seed_fingerprint_array(version, seed_length), table_size)
         return script
 
-    if table is not None:
-        pass
-    elif cache is not None:
-        table = cache.seed_table(reference, seed_length=seed_length,
-                                 table_size=table_size)
-    else:
+    if table is None:
         # Half pass: fingerprint every reference seed into the FCFS table.
         table = SeedTable.from_fingerprints(
             _seed_fingerprint_array(reference, seed_length), table_size)

@@ -51,7 +51,6 @@ def greedy_delta(
     seed_length: int = DEFAULT_SEED_LENGTH,
     max_candidates: int = 64,
     index: Optional[Union[FullSeedIndex, SparseSeedIndex]] = None,
-    cache=None,
 ) -> DeltaScript:
     """Compute a delta script encoding ``version`` against ``reference``.
 
@@ -61,14 +60,12 @@ def greedy_delta(
     runs otherwise degrade to quadratic time).
 
     Index construction is the dominant cost when one reference serves
-    many versions, so it can be amortized: pass ``index`` (a prebuilt
+    many versions, so it can be amortized: pass ``index``, a prebuilt
     :class:`FullSeedIndex` or :class:`SparseSeedIndex` over
-    ``reference`` with matching ``seed_length``) or ``cache`` (a
-    :class:`repro.pipeline.cache.ReferenceIndexCache`, consulted by
-    content digest; on multi-MiB references it serves the sparse tier —
-    see :meth:`~repro.pipeline.cache.ReferenceIndexCache.greedy_index`).
-    For a given index tier the output script is byte-identical to the
-    uncached call with that tier.
+    ``reference`` with matching ``seed_length`` (a caller that shares
+    indexes across calls, such as the pipeline's reference cache,
+    builds it).  For a given index tier the output script is
+    byte-identical to the call that builds that tier itself.
 
     With a sparse index every verified match is additionally extended
     *backwards* over pending literal bytes (the sampled tier can only
@@ -100,9 +97,6 @@ def greedy_delta(
                 "prebuilt index uses seed_length %d, call requested %d"
                 % (index.seed_length, seed_length)
             )
-    elif cache is not None:
-        index = cache.greedy_index(reference, seed_length=seed_length,
-                                   max_candidates=max_candidates)
     else:
         index = FullSeedIndex(reference, seed_length, max_candidates)
 

@@ -67,7 +67,6 @@ def onepass_delta(
     seed_length: int = DEFAULT_SEED_LENGTH,
     table_size: int = 1 << 16,
     fingerprints=None,
-    cache=None,
 ) -> DeltaScript:
     """Compute a delta script for ``version`` against ``reference``.
 
@@ -79,11 +78,9 @@ def onepass_delta(
     shared, but the reference-side fingerprints the scan hashes from are
     a pure function of the reference.  Pass ``fingerprints`` (the
     precomputed :func:`~repro.delta.rolling.seed_fingerprints` of
-    ``reference`` at this ``seed_length``) or ``cache`` (a
-    :class:`repro.pipeline.cache.ReferenceIndexCache`, consulted by
-    content digest) to reuse them across every version diffed against
-    the same reference; the output script is byte-identical to the
-    uncached call.
+    ``reference`` at this ``seed_length``) to reuse them across every
+    version diffed against the same reference; the output script is
+    byte-identical to the call that computes them itself.
     """
     if seed_length <= 0:
         raise ValueError("seed_length must be positive, got %d" % seed_length)
@@ -107,8 +104,6 @@ def onepass_delta(
                 % (len(fingerprints), len_r - seed_length + 1)
             )
         fps_r = fingerprints
-    elif cache is not None:
-        fps_r = cache.fingerprints(reference, seed_length=seed_length)
     elif use_fast:
         # Array form: the fast scan converts to lists once anyway, so
         # the list round-trip of seed_fingerprints would be pure waste.

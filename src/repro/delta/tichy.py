@@ -87,11 +87,6 @@ class SuffixAutomaton:
                 self.link[cur] = clone
         self._last = cur
 
-    @property
-    def state_count(self) -> int:
-        """Number of automaton states (at most ``2n - 1`` plus the root)."""
-        return len(self.length)
-
     def contains(self, needle: Buffer) -> bool:
         """True when ``needle`` is a substring of the indexed data."""
         state = 0

@@ -95,7 +95,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from ..exceptions import (
     InjectedFault,
-    ReproError,
     StageTimeoutError,
     TransmissionError,
     VerificationError,

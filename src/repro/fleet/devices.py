@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..device.channel import CHANNELS
 from ..workloads.indel import ADVERSARIAL_GENERATORS, generator_names

@@ -12,6 +12,7 @@ behaviour.
 
 from .cache import (
     ALGORITHM_KINDS,
+    ARTIFACT_KEYWORDS,
     KIND_FINGERPRINTS,
     KIND_FULL_INDEX,
     KIND_SEED_TABLE,
@@ -39,6 +40,7 @@ from .shm import (
 
 __all__ = [
     "ALGORITHM_KINDS",
+    "ARTIFACT_KEYWORDS",
     "BatchReport",
     "CacheStats",
     "DeltaPipeline",

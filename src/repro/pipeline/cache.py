@@ -23,7 +23,7 @@ whole thread pool.  Process pools hold one cache per worker process
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..lru import LRU, CacheStats
 from ..store.digest import content_digest
@@ -39,7 +39,7 @@ from ..delta.rolling import (
 Buffer = Union[bytes, bytearray, memoryview]
 
 #: Cached artifact kinds, one per differencing algorithm family (plus
-#: the greedy family's sampled tier, see :meth:`ReferenceIndexCache.greedy_index`).
+#: the greedy family's sampled tier, see :meth:`ReferenceIndexCache.artifact`).
 KIND_FULL_INDEX = "full-index"
 KIND_SPARSE_INDEX = "sparse-index"
 KIND_SEED_TABLE = "seed-table"
@@ -54,6 +54,14 @@ ALGORITHM_KINDS: Dict[str, str] = {
     "greedy": KIND_FULL_INDEX,
     "correcting": KIND_SEED_TABLE,
     "onepass": KIND_FINGERPRINTS,
+}
+
+#: Differencing algorithm name -> the keyword its differ takes the
+#: prebuilt artifact through.  Both greedy tiers travel as ``index=``.
+ARTIFACT_KEYWORDS: Dict[str, str] = {
+    "greedy": "index",
+    "correcting": "table",
+    "onepass": "fingerprints",
 }
 
 #: Rough per-stored-position overhead of a FullSeedIndex (dict entry,
@@ -115,39 +123,25 @@ class ReferenceIndexCache:
 
     # -- keys ----------------------------------------------------------
 
-    @staticmethod
-    def digest(reference: Buffer) -> str:
-        """Content digest identifying a reference buffer.
+    # artifact() and has() accept an optional precomputed ``digest``:
+    # the pipeline hashes each job's reference once for both, and the
+    # shared-memory executor ships the digest in the buffer descriptor,
+    # so lookups key on it instead of re-hashing a multi-megabyte
+    # reference.  A caller-supplied digest MUST equal
+    # ``content_digest(reference)`` for those bytes — the cache trusts it.
 
-        Delegates to :func:`repro.store.content_digest` — the one
-        digest every content-addressed layer shares, so a digest
-        computed by the shared-memory executor (or the pack store) keys
-        this cache directly.
-        """
-        return content_digest(reference)
-
-    # Every getter below accepts an optional precomputed ``digest``:
-    # the shared-memory executor publishes each reference once and ships
-    # its digest in the buffer descriptor, so worker-side lookups key on
-    # segment identity instead of re-hashing a multi-megabyte reference
-    # per job.  A caller-supplied digest MUST equal
-    # ``self.digest(reference)`` for those bytes — the cache trusts it.
-
-    def _key(self, kind: str, reference: Buffer, digest: Optional[str],
-             seed_length: int, max_candidates: int = 64,
-             table_size: int = 1 << 16, *, tiered: bool = True) -> tuple:
-        """The cache key of one artifact: ``(kind, digest, *params)``.
-
-        Every key is derived here.  A full-index request resolves the
-        greedy tier (:meth:`greedy_stride`): the sparse tier's key when
-        the full index would price over its budget share, unless
-        ``tiered`` is False.
-        """
-        digest = digest or self.digest(reference)
+    def _key(self, algorithm: str, reference: Buffer, digest: Optional[str],
+             seed_length: int, max_candidates: int,
+             table_size: int) -> tuple:
+        """The cache key of ``algorithm``'s artifact: ``(kind, digest,
+        *params)``.  A greedy request resolves its tier
+        (:meth:`greedy_stride`): the sparse tier's key when the full
+        index would price over its budget share."""
+        kind = ALGORITHM_KINDS[algorithm]
+        digest = digest or content_digest(reference)
         if kind == KIND_FULL_INDEX:
             stride = self.greedy_stride(len(reference),
-                                        seed_length=seed_length) \
-                if tiered else 1
+                                        seed_length=seed_length)
             if stride > 1:
                 return (KIND_SPARSE_INDEX, digest, seed_length,
                         max_candidates, stride)
@@ -162,22 +156,6 @@ class ReferenceIndexCache:
             key, lambda: _build(kind, reference, key[2:]),
             lambda artifact: _charge(kind, reference, artifact),
             "cache.reference")
-
-    # -- artifact getters ---------------------------------------------
-
-    def full_index(self, reference: Buffer, *,
-                   seed_length: int = DEFAULT_SEED_LENGTH,
-                   max_candidates: int = 64,
-                   digest: Optional[str] = None) -> FullSeedIndex:
-        """The greedy algorithm's exhaustive seed index for ``reference``.
-
-        Always the full tier, regardless of how it prices; most callers
-        want :meth:`greedy_index`, which degrades to the sparse tier
-        when the full index would not fit the budget.
-        """
-        return self._get(self._key(KIND_FULL_INDEX, reference, digest,
-                                   seed_length, max_candidates,
-                                   tiered=False), reference)
 
     def greedy_stride(self, reference_len: int, *,
                       seed_length: int = DEFAULT_SEED_LENGTH) -> int:
@@ -204,53 +182,7 @@ class ReferenceIndexCache:
             return positions
         return min(-(-full_cost // budget), positions)
 
-    def greedy_index(self, reference: Buffer, *,
-                     seed_length: int = DEFAULT_SEED_LENGTH,
-                     max_candidates: int = 64,
-                     digest: Optional[str] = None
-                     ) -> Union[FullSeedIndex, SparseSeedIndex]:
-        """The greedy index tier that fits the budget for ``reference``.
-
-        Small references get the exhaustive :class:`FullSeedIndex`; a
-        reference whose full index would price over the cache's share of
-        the budget (the old behaviour: built anyway, never retained, so
-        every pipeline job rebuilt a >100MB index and thrashed the LRU)
-        gets an every-k-th-seed :class:`SparseSeedIndex` with ``k`` from
-        :meth:`greedy_stride` — sparse enough to be retained, so warm
-        jobs skip construction entirely.  ``greedy_delta`` accepts
-        either tier; with the sparse tier it compensates for sampling by
-        extending verified matches backwards.
-        """
-        return self._get(self._key(KIND_FULL_INDEX, reference, digest,
-                                   seed_length, max_candidates), reference)
-
-    def seed_table(self, reference: Buffer, *,
-                   seed_length: int = DEFAULT_SEED_LENGTH,
-                   table_size: int = 1 << 16,
-                   digest: Optional[str] = None) -> SeedTable:
-        """The correcting algorithm's half-pass FCFS seed table.
-
-        The returned table is shared: callers must only :meth:`lookup`,
-        never insert or clear.
-        """
-        return self._get(self._key(KIND_SEED_TABLE, reference, digest,
-                                   seed_length, table_size=table_size),
-                         reference)
-
-    def fingerprints(self, reference: Buffer, *,
-                     seed_length: int = DEFAULT_SEED_LENGTH,
-                     digest: Optional[str] = None) -> List[int]:
-        """Rolling Karp-Rabin fingerprints of every reference seed.
-
-        ``result[i]`` equals the fingerprint a
-        :class:`~repro.delta.rolling.RollingHash` reports with its window
-        at offset ``i`` — the one-pass algorithm's reference-side scan
-        state, precomputed once.
-        """
-        return self._get(self._key(KIND_FINGERPRINTS, reference, digest,
-                                   seed_length), reference)
-
-    # -- algorithm-level helpers --------------------------------------
+    # -- lookups -------------------------------------------------------
 
     def artifact(self, algorithm: str, reference: Buffer, *,
                  seed_length: int = DEFAULT_SEED_LENGTH,
@@ -258,17 +190,18 @@ class ReferenceIndexCache:
                  digest: Optional[str] = None) -> object:
         """Get-or-build the reference artifact ``algorithm`` consumes.
 
-        Returns the greedy index tier (a
-        :class:`~repro.delta.rolling.FullSeedIndex` or
-        :class:`~repro.delta.rolling.SparseSeedIndex`, see
-        :meth:`greedy_index`), the
+        Returns the greedy index tier that fits the budget (a
+        :class:`~repro.delta.rolling.FullSeedIndex`, or on a reference
+        whose full index would price over its share an every-k-th-seed
+        :class:`~repro.delta.rolling.SparseSeedIndex` with ``k`` from
+        :meth:`greedy_stride`, sparse enough to be retained), the
         :class:`~repro.delta.rolling.SeedTable`, or the fingerprint list
-        depending on the algorithm — the object its differ accepts as a
-        prebuilt artifact (``index=`` / ``table=`` / ``fingerprints=``).
-        Raises ``KeyError`` for algorithms with no cacheable state.
+        depending on the algorithm — the object its differ takes through
+        the keyword :data:`ARTIFACT_KEYWORDS` names.  Callers only read
+        it.  Raises ``KeyError`` for algorithms with no cacheable state.
         """
-        return self._get(self._key(ALGORITHM_KINDS[algorithm], reference,
-                                   digest, seed_length, max_candidates,
+        return self._get(self._key(algorithm, reference, digest,
+                                   seed_length, max_candidates,
                                    table_size), reference)
 
     def has(self, algorithm: str, reference: Buffer, *,
@@ -281,9 +214,8 @@ class ReferenceIndexCache:
         the pipeline to label per-job cache hits.  Always False for
         algorithms with no cacheable state.
         """
-        kind = ALGORITHM_KINDS.get(algorithm)
-        return kind is not None and self._key(
-            kind, reference, digest, seed_length, max_candidates,
+        return algorithm in ALGORITHM_KINDS and self._key(
+            algorithm, reference, digest, seed_length, max_candidates,
             table_size) in self._lru
 
     def warm(self, algorithm: str, reference: Buffer, *,
@@ -294,11 +226,10 @@ class ReferenceIndexCache:
         Returns True when the artifact is now cached (built or already
         present), False for algorithms with no cacheable state.
         """
-        kind = ALGORITHM_KINDS.get(algorithm)
-        if kind is None:
+        if algorithm not in ALGORITHM_KINDS:
             return False
-        key = self._key(kind, reference, None, seed_length, max_candidates,
-                        table_size)
+        key = self._key(algorithm, reference, None, seed_length,
+                        max_candidates, table_size)
         self._get(key, reference)
         return key in self._lru
 

@@ -95,15 +95,8 @@ from ..delta import (
 from ..delta.varint import varint_size
 from ..exceptions import ReproError, StageTimeoutError
 from ..faults import FaultPlan, backoff_delay, describe_failure
-from .cache import (
-    ALGORITHM_KINDS,
-    KIND_FINGERPRINTS,
-    KIND_FULL_INDEX,
-    KIND_SEED_TABLE,
-    KIND_SPARSE_INDEX,
-    CacheStats,
-    ReferenceIndexCache,
-)
+from ..store.digest import content_digest
+from .cache import ARTIFACT_KEYWORDS, CacheStats, ReferenceIndexCache
 from .shm import SegmentMapping, SharedBufferArena, SharedBufferDescriptor
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -113,18 +106,6 @@ EXECUTORS = ("serial", "thread", "process", "process-shm")
 #: Executors whose jobs run in worker *processes* (their caches live per
 #: worker; the parent cannot observe them directly).
 PROCESS_EXECUTORS = ("process", "process-shm")
-
-#: Differ keyword accepting a prebuilt reference artifact, per artifact
-#: kind — how the shared-memory path hands a digest-keyed cache artifact
-#: to the algorithm without re-hashing the reference.  Both greedy index
-#: tiers (``ReferenceIndexCache.greedy_index`` picks full vs sparse by
-#: how the reference prices) travel through the same ``index=`` keyword.
-_ARTIFACT_KWARGS = {
-    KIND_FULL_INDEX: "index",
-    KIND_SPARSE_INDEX: "index",
-    KIND_SEED_TABLE: "table",
-    KIND_FINGERPRINTS: "fingerprints",
-}
 
 #: Sentinel "algorithm" for the last link of a degradation chain: a
 #: full-rewrite delta (one add covering the whole version).  It needs no
@@ -428,10 +409,10 @@ def _diff(job: PipelineJob, algorithm: str, config: PipelineConfig,
     ``"raw"`` builds a full-rewrite script instead: one add covering the
     whole version, in-place safe as it reads nothing, with no fault site.
 
-    ``digest`` is the reference's precomputed content digest (shipped in
-    a shared-memory descriptor): when given, cache lookups key on it
-    directly and the cached artifact is passed to the differ prebuilt,
-    so the worker never re-hashes the reference bytes.
+    With a ``cache``, the differ takes the reference's artifact from it
+    prebuilt (``index=``, ``table=`` or ``fingerprints=``), keyed by the
+    reference's content digest: ``digest`` when given (a shared-memory
+    descriptor carries it), else hashed here, once per attempt.
     """
     t0 = time.perf_counter()
     if algorithm == RAW_REWRITE:
@@ -442,7 +423,7 @@ def _diff(job: PipelineJob, algorithm: str, config: PipelineConfig,
     if plan is not None:
         plan.check("diff.worker", scope=job.name, index=index)
     bypassed: List[str] = []
-    if algorithm not in ALGORITHM_KINDS:
+    if algorithm not in ARTIFACT_KEYWORDS:
         cache = None
     if cache is not None and plan is not None:
         try:
@@ -450,16 +431,16 @@ def _diff(job: PipelineJob, algorithm: str, config: PipelineConfig,
         except ReproError as exc:
             bypassed.append(describe_failure(exc))
             cache = None  # degrade: diff without the shared index
-    cache_hit = cache is not None and cache.has(algorithm, job.reference,
-                                                digest=digest)
+    cache_hit = False
+    if cache is not None:
+        digest = digest or content_digest(job.reference)
+        cache_hit = cache.has(algorithm, job.reference, digest=digest)
     kwargs: Dict[str, object] = {}
     t_diff = time.perf_counter()
-    if cache is not None and digest is None:
-        kwargs["cache"] = cache
-    elif cache is not None:
-        # Fetched inside the timed window so diff_seconds accounts the
-        # artifact build exactly like the cache-inside-the-differ path.
-        kwargs[_ARTIFACT_KWARGS[ALGORITHM_KINDS[algorithm]]] = cache.artifact(
+    if cache is not None:
+        # Fetched inside the timed window, so diff_seconds includes a
+        # cold artifact build.
+        kwargs[ARTIFACT_KEYWORDS[algorithm]] = cache.artifact(
             algorithm, job.reference, digest=digest)
     script = ALGORITHMS[algorithm](job.reference, job.version, **kwargs)
     diff_seconds = time.perf_counter() - t_diff
@@ -520,8 +501,8 @@ def _run_job(job: PipelineJob, config: PipelineConfig,
     Exhausting the chain quarantines the job into a structured failure
     result.
 
-    ``cache`` serves the diffs (``None`` diffs cold) and ``digest``
-    keys it without hashing the reference (see :func:`_diff`).
+    ``cache`` serves the diffs (``None`` diffs cold) and ``digest``, when
+    given, keys it without hashing the reference (see :func:`_diff`).
     ``lost`` is the failure of a first attempt that a process pool lost
     with its worker: it is recorded as attempt 1 and the walk goes on
     from attempt 2.

@@ -43,7 +43,7 @@ import threading
 import uuid
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from multiprocessing import shared_memory
 
@@ -235,12 +235,6 @@ class SharedBufferArena:
         with self._lock:
             segment = self._segments.get(descriptor.segment)
             return segment.refcount if segment is not None else 0
-
-    @property
-    def segment_names(self) -> List[str]:
-        """Names of every live segment (for leak checks in tests)."""
-        with self._lock:
-            return sorted(self._segments)
 
     def __len__(self) -> int:
         with self._lock:

@@ -65,7 +65,7 @@ from ..exceptions import (
     TransmissionError,
 )
 from ..faults import FaultPlan, backoff_delay, describe_failure
-from ..pipeline import ReferenceIndexCache
+from ..store import content_digest
 from ..store.pack import write_atomic
 from .protocol import (
     ERR_UP_TO_DATE,
@@ -278,7 +278,7 @@ async def pull_async(
     scope = scope if scope is not None else package
     seed = fault_plan.seed if fault_plan is not None else 0
     outcome = PullOutcome(package=package)
-    have = ReferenceIndexCache.digest(reference)
+    have = content_digest(reference)
 
     async def backoff(attempt: int) -> None:
         if backoff_base > 0.0:

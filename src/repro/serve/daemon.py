@@ -34,19 +34,14 @@ from __future__ import annotations
 import asyncio
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .. import perf
 from ..exceptions import IntegrityError, ReproError
 from ..faults import FaultPlan, describe_failure
 from ..lru import LRU
-from ..pipeline import (
-    DeltaPipeline,
-    PipelineConfig,
-    PipelineJob,
-    ReferenceIndexCache,
-)
+from ..pipeline import DeltaPipeline, PipelineConfig, PipelineJob
 from ..store import VersionStore
 from . import protocol
 from .protocol import (
@@ -69,6 +64,10 @@ from .protocol import (
 )
 
 
+#: Byte budget of the encoded-payload LRU.
+PAYLOAD_CACHE_BYTES = 64 << 20
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Tuning knobs of one :class:`DeltaServer` (frozen, shareable)."""
@@ -77,7 +76,6 @@ class ServeConfig:
     #: 0 binds an ephemeral port; read it back from ``server.port``.
     port: int = 0
     algorithm: str = "correcting"
-    policy: str = "local-min"
     #: Concurrent requests admitted before backpressure refuses with
     #: RETRY.  Refusal, not queueing: an overloaded daemon tells clients
     #: when to come back instead of silently growing a queue.
@@ -87,10 +85,6 @@ class ServeConfig:
     request_timeout: Optional[float] = 30.0
     #: DATA frame payload size.
     chunk_size: int = 1 << 16
-    #: Byte budget of the encoded-payload LRU (0 disables).
-    payload_cache_bytes: int = 64 << 20
-    #: Byte budget of the shared reference-index cache.
-    cache_bytes: int = 128 << 20
     #: Seconds a refused client is told to wait before retrying.
     retry_after: float = 0.05
     encode_workers: int = 2
@@ -136,12 +130,9 @@ class DeltaServer:
         self.config = config or ServeConfig()
         self.config.validate()
         self.store = store
-        self.cache = ReferenceIndexCache(self.config.cache_bytes)
         self._pipeline = DeltaPipeline(PipelineConfig(
             algorithm=self.config.algorithm,
-            policy=self.config.policy,
             executor="serial",
-            cache=self.cache,
             fallback=("raw",),
             retries=1,
         ))
@@ -154,7 +145,7 @@ class DeltaServer:
         #: awaits the same task.
         self._inflight_encodes: Dict[Tuple[str, str, str], asyncio.Task] = {}
         #: (package, have, want) -> encoded payload.
-        self._payload_cache = LRU(self.config.payload_cache_bytes,
+        self._payload_cache = LRU(PAYLOAD_CACHE_BYTES,
                                   evictions="serve.payload.evictions")
         self._active_requests = 0
         self._accepts = 0

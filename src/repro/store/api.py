@@ -83,10 +83,6 @@ class MemoryStore:
     def __init__(self) -> None:
         self._releases: Dict[str, "OrderedDict[str, bytes]"] = {}
 
-    @staticmethod
-    def digest(image: Buffer) -> str:
-        return content_digest(image)
-
     def publish(self, package: str, image: Buffer) -> str:
         """Register ``image`` as the newest version; returns its digest."""
         digest = content_digest(image)

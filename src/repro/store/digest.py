@@ -25,10 +25,11 @@ def content_digest(data: Buffer) -> str:
     """Content digest (sha1 hex) identifying a buffer's exact bytes.
 
     Deliberately shared by :class:`repro.store.PackStore` object keys,
-    :meth:`repro.pipeline.cache.ReferenceIndexCache.digest`, and
-    shared-memory buffer descriptors, so a digest computed once keys
-    every layer.  Non-contiguous views are copied once (sha1 needs a
-    contiguous buffer); contiguous ones are hashed zero-copy.
+    the :class:`~repro.pipeline.cache.ReferenceIndexCache` keys,
+    shared-memory buffer descriptors and the pull client's ``have``, so
+    a digest computed once keys every layer.  Non-contiguous views are
+    copied once (sha1 needs a contiguous buffer); contiguous ones are
+    hashed zero-copy.
     """
     view = memoryview(data)
     if not view.c_contiguous:

@@ -533,10 +533,6 @@ class PackStore:
 
     # -- the VersionStore surface ---------------------------------------
 
-    @staticmethod
-    def digest(image: Buffer) -> str:
-        return content_digest(image)
-
     def packages(self) -> List[str]:
         with self._lock:
             return sorted(p for p, log in self._index.logs.items() if log)

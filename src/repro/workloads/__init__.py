@@ -21,7 +21,6 @@ from .mutators import (
     MUTATORS,
     STABLE_PROFILE,
     MutationProfile,
-    edit_distance_estimate,
     mutate,
 )
 from .sources import GENERATORS, make_binary_blob, make_changelog, make_source_file
@@ -42,7 +41,6 @@ __all__ = [
     "WebSite",
     "fetch_sequence",
     "default_package_specs",
-    "edit_distance_estimate",
     "indel_arbitrary",
     "indel_random",
     "make_binary_blob",

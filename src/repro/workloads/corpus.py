@@ -133,10 +133,6 @@ class Corpus:
                     version=new[(package, path)],
                 )
 
-    def pair_count(self) -> int:
-        """Number of pairs :meth:`pairs` yields."""
-        return (len(self.releases) - 1) * len(self.releases[0])
-
     def total_version_bytes(self) -> int:
         """Sum of version-file sizes over all pairs (the corpus 'weight')."""
         return sum(len(p.version) for p in self.pairs())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
 
 def insert_bytes(data: bytes, rng: random.Random, size: int) -> bytes:
@@ -168,21 +168,3 @@ def mutate(data: bytes, rng: random.Random,
         size = profile.edit_size(name, rng)
         out = MUTATORS[name](out, rng, size)
     return out
-
-
-def edit_distance_estimate(old: bytes, new: bytes) -> float:
-    """Crude changed-fraction estimate: 1 - (common prefix+suffix)/len(new).
-
-    Cheap sanity metric for tests and corpus calibration; not a real edit
-    distance.
-    """
-    if not new:
-        return 0.0
-    prefix = 0
-    limit = min(len(old), len(new))
-    while prefix < limit and old[prefix] == new[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < limit - prefix and old[-1 - suffix] == new[-1 - suffix]:
-        suffix += 1
-    return 1.0 - (prefix + suffix) / len(new)

@@ -97,9 +97,10 @@ class TestSurface:
         assert repro.__version__
 
     def test_executor_registry(self):
-        assert repro.EXECUTORS == ("serial", "thread", "process",
-                                   "process-shm")
-        assert set(repro.pipeline.PROCESS_EXECUTORS) <= set(repro.EXECUTORS)
+        assert repro.pipeline.EXECUTORS == ("serial", "thread", "process",
+                                            "process-shm")
+        assert set(repro.pipeline.PROCESS_EXECUTORS) <= \
+            set(repro.pipeline.EXECUTORS)
 
 
 #: Imports the library with numpy and scipy unimportable, then
@@ -123,6 +124,27 @@ assert bytes(buf) == new
 '''
 
 
+#: Each layer imports only the layers beneath it: ``import repro`` is
+#: the paper's library (differs, conversion, apply), ``import
+#: repro.store`` adds storage but not the pipeline or anything that
+#: serves, and no differ calls back into the pipeline's cache.
+LAYERING = '''
+import inspect, sys
+def loaded(*packages):
+    return sorted(m for m in sys.modules for p in packages
+                  if m == "repro." + p or m.startswith("repro." + p + "."))
+import repro
+leaks = loaded("pipeline", "store", "serve", "fleet", "device", "bundle",
+               "analysis", "workloads")
+assert not leaks, "import repro loads %s" % leaks
+import repro.store
+leaks = loaded("pipeline", "serve", "fleet")
+assert not leaks, "import repro.store loads %s" % leaks
+for name, differ in repro.ALGORITHMS.items():
+    assert "cache" not in inspect.signature(differ).parameters, name
+'''
+
+
 def _python(code):
     """Run ``python -c code`` on this checkout; returns the process."""
     env = dict(os.environ)
@@ -138,6 +160,10 @@ class TestDependencies:
 
     def test_round_trip_without_numpy_or_scipy(self):
         proc = _python(NO_NUMPY_ROUND_TRIP)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_each_layer_imports_only_the_layers_beneath_it(self):
+        proc = _python(LAYERING)
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_no_scipy(self):

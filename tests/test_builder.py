@@ -48,13 +48,6 @@ class TestScriptBuilder:
         with pytest.raises(ValueError):
             builder.emit_copy(0, 2, 2)
 
-    def test_pending_length(self):
-        builder = ScriptBuilder(b"abcdef")
-        assert builder.pending_length(4) == 4
-        builder.emit_copy(0, 2, 2)
-        assert builder.pending_length(4) == 0
-        assert builder.pending_length(6) == 2
-
     def test_result_is_valid_script(self):
         builder = ScriptBuilder(b"0123456789")
         builder.emit_copy(50, 3, 4)

@@ -9,7 +9,6 @@ from repro.core.intervals import (
     are_disjoint,
     find_gaps,
     merge_intervals,
-    total_length,
 )
 
 
@@ -69,9 +68,6 @@ class TestInterval:
 
 
 class TestHelpers:
-    def test_total_length(self):
-        assert total_length([Interval(0, 4), Interval(10, 10)]) == 6
-
     def test_merge_overlapping(self):
         merged = merge_intervals([Interval(0, 5), Interval(3, 9), Interval(20, 25)])
         assert merged == [Interval(0, 9), Interval(20, 25)]
@@ -107,14 +103,6 @@ class TestIntervalIndex:
         with pytest.raises(ValueError):
             IntervalIndex([Interval(0, 5), Interval(5, 9)])
 
-    def test_stab_hit_and_miss(self):
-        idx = self.make()
-        assert idx.stab(0) == 0
-        assert idx.stab(12) == 1
-        assert idx.stab(29) == 2
-        assert idx.stab(5) is None
-        assert idx.stab(30) is None
-
     def test_overlapping_middle(self):
         idx = self.make()
         assert idx.overlapping(Interval(3, 11)) == [0, 1]
@@ -136,16 +124,10 @@ class TestIntervalIndex:
         idx = self.make()
         assert idx.overlapping(Interval.from_length(0, 0)) == []
 
-    def test_count_matches_list(self):
-        idx = self.make()
-        for query in [Interval(0, 100), Interval(3, 11), Interval(5, 9),
-                      Interval(14, 20), Interval(25, 60)]:
-            assert idx.count_overlapping(query) == len(idx.overlapping(query))
-
     def test_payloads(self):
         idx = IntervalIndex([Interval(10, 14), Interval(0, 4)], payloads=[7, 9])
         # Sorted by start: [0,4] (payload 9) then [10,14] (payload 7).
-        assert idx.stab(1) == 9
+        assert idx.overlapping(Interval(1, 1)) == [9]
         assert idx.overlapping(Interval(0, 20)) == [9, 7]
 
 
@@ -162,7 +144,6 @@ class TestDynamicIntervalSet:
         s.add(Interval(10, 14))
         s.add(Interval(5, 9))  # bridges the two
         assert s.intervals() == [Interval(0, 14)]
-        assert s.covered_bytes == 15
 
     def test_overlapping_add(self):
         s = DynamicIntervalSet()
@@ -195,6 +176,6 @@ class TestDynamicIntervalSet:
             s.add(Interval(start, start + 5))
         # [0,5],[10,15],... with 30/40/50 chains merged where adjacent?
         # 30..35, 40..45, 50..55 are separated by gaps of 4 bytes: no merge.
-        assert s.covered_bytes == 36
+        assert sum(iv.length for iv in s.intervals()) == 36
         assert s.intersects(Interval(33, 33))
         assert not s.intersects(Interval(36, 39))

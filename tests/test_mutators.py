@@ -2,8 +2,7 @@
 
 import random
 
-import pytest
-
+from repro.delta import greedy_delta
 from repro.workloads.mutators import (
     CHURN_PROFILE,
     MUTATORS,
@@ -11,7 +10,6 @@ from repro.workloads.mutators import (
     MutationProfile,
     delete_bytes,
     duplicate_block,
-    edit_distance_estimate,
     insert_bytes,
     move_block,
     mutate,
@@ -71,11 +69,8 @@ class TestMutate:
         assert a == b
 
     def test_changes_bounded(self):
-        # The prefix/suffix estimate saturates on early edits, so measure
-        # preserved content the way the experiments do: most of the new
-        # version must still be copyable from the old one.
-        from repro.delta import greedy_delta
-
+        # Measure preserved content the way the experiments do: most of
+        # the new version must still be copyable from the old one.
         data = bytes(random.Random(1).randbytes(20_000))
         out = mutate(data, random.Random(2))
         assert out != data
@@ -87,8 +82,9 @@ class TestMutate:
         rng_a, rng_b = random.Random(3), random.Random(3)
         churned = mutate(data, rng_a, CHURN_PROFILE)
         stable = mutate(data, rng_b, STABLE_PROFILE)
-        assert edit_distance_estimate(data, churned) >= \
-            edit_distance_estimate(data, stable)
+        # Measured as the literal bytes a delta must send.
+        assert greedy_delta(data, churned).added_bytes >= \
+            greedy_delta(data, stable).added_bytes
 
     def test_edit_count_scales_with_size(self):
         profile = MutationProfile()
@@ -105,18 +101,3 @@ class TestMutate:
             assert profile.edit_size("swap", rng) <= 50
         sizes = [profile.edit_size("insert", rng) for _ in range(200)]
         assert max(sizes) > 50
-
-
-class TestEditDistanceEstimate:
-    def test_identical(self):
-        assert edit_distance_estimate(b"abc", b"abc") == 0.0
-
-    def test_totally_different(self):
-        assert edit_distance_estimate(b"aaaa", b"bbbb") == 1.0
-
-    def test_empty_new(self):
-        assert edit_distance_estimate(b"abc", b"") == 0.0
-
-    def test_middle_edit(self):
-        est = edit_distance_estimate(b"aaaaXaaaa", b"aaaaYaaaa")
-        assert est == pytest.approx(1 / 9)

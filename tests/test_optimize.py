@@ -80,7 +80,8 @@ class TestOptimize:
         )
         optimized, report = optimize_script(script, bytes(8))
         assert optimized is script
-        assert report.total_rewrites == 0
+        assert report.coalesced == report.inlined_copies == \
+            report.merged_adds == 0
 
     def test_never_grows_encoding(self, sample_pair):
         ref, ver = sample_pair

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.core.convert import ConversionReport
 from repro.delta import (
+    DEFAULT_SEED_LENGTH,
     FullSeedIndex,
     SparseSeedIndex,
     correcting_delta,
@@ -15,12 +16,14 @@ from repro.delta import (
     onepass_delta,
 )
 from repro.pipeline import (
+    ARTIFACT_KEYWORDS,
     BatchReport,
     DeltaPipeline,
     PipelineConfig,
     PipelineJob,
     ReferenceIndexCache,
 )
+from repro.store import content_digest
 from repro.workloads import make_source_file, mutate
 
 
@@ -43,8 +46,8 @@ class TestReferenceIndexCache:
     def test_second_fetch_is_a_hit(self, rng):
         reference = rng.randbytes(4_000)
         cache = ReferenceIndexCache()
-        first = cache.full_index(reference)
-        second = cache.full_index(reference)
+        first = cache.artifact("greedy", reference)
+        second = cache.artifact("greedy", reference)
         assert first is second
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 1)
@@ -54,22 +57,23 @@ class TestReferenceIndexCache:
     def test_keyed_by_content_not_identity(self, rng):
         data = rng.randbytes(2_000)
         cache = ReferenceIndexCache()
-        cache.seed_table(bytes(data))
-        cache.seed_table(bytearray(data))  # same bytes, different object
+        cache.artifact("correcting", bytes(data))
+        # Same bytes, different object.
+        cache.artifact("correcting", bytearray(data))
         assert cache.stats.hits == 1
 
     def test_distinct_params_are_distinct_entries(self, rng):
         reference = rng.randbytes(2_000)
         cache = ReferenceIndexCache()
-        cache.full_index(reference, seed_length=8)
-        cache.full_index(reference, seed_length=16)
+        cache.artifact("greedy", reference, seed_length=8)
+        cache.artifact("greedy", reference, seed_length=16)
         assert len(cache) == 2
         assert cache.stats.misses == 2
 
     def test_lru_eviction_respects_budget(self, rng):
         cache = ReferenceIndexCache(max_bytes=200_000)
         for _ in range(8):
-            cache.fingerprints(rng.randbytes(2_000))
+            cache.artifact("onepass", rng.randbytes(2_000))
         stats = cache.stats
         assert stats.evictions > 0
         assert stats.current_bytes <= stats.max_bytes
@@ -79,10 +83,10 @@ class TestReferenceIndexCache:
         a, b, c = (rng.randbytes(2_000) for _ in range(3))
         # Budget fits two fingerprint lists (~36 bytes * ~2000 each).
         cache = ReferenceIndexCache(max_bytes=150_000)
-        cache.fingerprints(a)
-        cache.fingerprints(b)
-        cache.fingerprints(a)  # refresh a; b is now the LRU entry
-        cache.fingerprints(c)  # evicts b
+        cache.artifact("onepass", a)
+        cache.artifact("onepass", b)
+        cache.artifact("onepass", a)  # refresh a; b is now the LRU entry
+        cache.artifact("onepass", c)  # evicts b
         assert cache.has("onepass", a)
         assert not cache.has("onepass", b)
         assert cache.has("onepass", c)
@@ -90,8 +94,8 @@ class TestReferenceIndexCache:
     def test_oversized_artifact_built_but_not_retained(self, rng):
         reference = rng.randbytes(4_000)
         cache = ReferenceIndexCache(max_bytes=1)
-        index = cache.full_index(reference)
-        assert isinstance(index, FullSeedIndex)
+        fingerprints = cache.artifact("onepass", reference)
+        assert len(fingerprints) == len(reference) - DEFAULT_SEED_LENGTH + 1
         assert len(cache) == 0
 
     def test_has_and_warm(self, rng):
@@ -108,7 +112,7 @@ class TestReferenceIndexCache:
 
     def test_clear_drops_entries_keeps_counters(self, rng):
         cache = ReferenceIndexCache()
-        cache.seed_table(rng.randbytes(1_000))
+        cache.artifact("correcting", rng.randbytes(1_000))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.misses == 1
@@ -118,16 +122,17 @@ class TestReferenceIndexCache:
         reference = rng.randbytes(3_000)
         cache = ReferenceIndexCache()
         with repro.perf.recording() as miss:
-            table = cache.seed_table(reference)
+            table = cache.artifact("correcting", reference)
         assert miss.counters["table.seed.build.calls"] == 1
         assert miss.counters["table.seed.build.seconds"] >= 0
         with repro.perf.recording() as hit:
-            assert cache.seed_table(reference) is table
+            assert cache.artifact("correcting", reference) is table
         assert "table.seed.build.calls" not in hit.counters
 
     def test_seed_table_charged_what_it_holds(self, rng):
         cache = ReferenceIndexCache()
-        table = cache.seed_table(rng.randbytes(3_000), table_size=1 << 10)
+        table = cache.artifact("correcting", rng.randbytes(3_000),
+                               table_size=1 << 10)
         assert cache.stats.current_bytes == table.nbytes > 0
 
     def test_invalid_budget_rejected(self):
@@ -142,7 +147,7 @@ class TestReferenceIndexCache:
 
         def fetch():
             barrier.wait()
-            results.append(cache.full_index(reference))
+            results.append(cache.artifact("greedy", reference))
 
         threads = [threading.Thread(target=fetch) for _ in range(6)]
         for t in threads:
@@ -171,7 +176,7 @@ class TestReferenceIndexCache:
 
         def fetch(buf):
             try:
-                cache.fingerprints(buf)
+                cache.artifact("onepass", buf)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -200,7 +205,7 @@ class TestReferenceIndexCache:
 
         monkeypatch.setattr(digest_mod.hashlib, "sha1", spy)
         for buf in (data, bytearray(data), memoryview(data)):
-            assert ReferenceIndexCache.digest(buf) == real(data).hexdigest()
+            assert content_digest(buf) == real(data).hexdigest()
         assert len(seen) == 3
         for view, original in zip(seen, (data, bytearray(data))):
             assert isinstance(view, memoryview)
@@ -211,8 +216,7 @@ class TestReferenceIndexCache:
         data = rng.randbytes(2_048)
         strided = memoryview(data)[::2]
         assert not strided.c_contiguous
-        assert ReferenceIndexCache.digest(strided) == \
-            ReferenceIndexCache.digest(bytes(strided))
+        assert content_digest(strided) == content_digest(bytes(strided))
 
 
 class TestCachedDiffers:
@@ -223,9 +227,11 @@ class TestCachedDiffers:
     def test_cached_output_identical(self, differ, batch_pair):
         reference, versions = batch_pair
         cache = ReferenceIndexCache()
+        name = differ.__name__[:-len("_delta")]
         for version in versions:
             plain = differ(reference, version)
-            cached = differ(reference, version, cache=cache)
+            cached = differ(reference, version, **{
+                ARTIFACT_KEYWORDS[name]: cache.artifact(name, reference)})
             assert cached.commands == plain.commands
             assert cached.version_length == plain.version_length
         assert cache.stats.hits == len(versions) - 1
@@ -262,12 +268,12 @@ class TestSparseGreedyTier:
     def test_greedy_index_degrades_to_sparse_tier(self, rng):
         cache = ReferenceIndexCache(max_bytes=100_000)
         reference = rng.randbytes(20_000)
-        index = cache.greedy_index(reference)
+        index = cache.artifact("greedy", reference)
         assert isinstance(index, SparseSeedIndex)
         assert index.stride == cache.greedy_stride(len(reference))
         # Sparse enough to be retained: the point of the tier.
         assert cache.stats.evictions == 0
-        assert cache.greedy_index(reference) is index
+        assert cache.artifact("greedy", reference) is index
         assert cache.stats.hits == 1
 
     def test_has_and_warm_track_the_sparse_tier(self, rng):
@@ -276,14 +282,15 @@ class TestSparseGreedyTier:
         assert not cache.has("greedy", reference)
         assert cache.warm("greedy", reference)
         assert cache.has("greedy", reference)
-        assert isinstance(cache.greedy_index(reference), SparseSeedIndex)
+        assert isinstance(cache.artifact("greedy", reference), SparseSeedIndex)
 
     def test_greedy_over_sparse_cache_round_trips(self, rng):
         cache = ReferenceIndexCache(max_bytes=100_000)
         reference = rng.randbytes(20_000)
         for _ in range(3):
             version = mutate(reference, rng)
-            script = greedy_delta(reference, version, cache=cache)
+            script = greedy_delta(reference, version,
+                                  index=cache.artifact("greedy", reference))
             assert repro.apply_delta(script, reference) == version
         assert cache.stats.misses == 1
         assert cache.stats.evictions == 0

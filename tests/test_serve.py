@@ -25,7 +25,6 @@ import pytest
 
 from repro import perf
 from repro.faults import BACKOFF_FACTOR, BACKOFF_JITTER, FaultPlan, jitter_draw
-from repro.pipeline import ReferenceIndexCache
 from repro.serve import (
     DeltaServer,
     PullState,
@@ -42,7 +41,7 @@ from repro.serve.protocol import (
     write_frame,
 )
 import repro.serve.client as client_module
-from repro.store import MemoryStore
+from repro.store import MemoryStore, content_digest
 from repro.workloads import make_binary_blob, mutate
 
 SEED = 19980601
@@ -71,8 +70,8 @@ class TestReleaseStore:
         store, chain = _corpus(size=2048, releases=3)
         digest, latest = store.latest("pkg")
         assert latest == chain[-1]
-        assert digest == ReferenceIndexCache.digest(chain[-1])
-        assert store.get("pkg", MemoryStore.digest(chain[0])) == chain[0]
+        assert digest == content_digest(chain[-1])
+        assert store.get("pkg", content_digest(chain[0])) == chain[0]
 
     def test_republish_moves_to_head(self):
         store = MemoryStore()
@@ -96,12 +95,12 @@ class TestEndToEnd:
         assert outcome.status == "applied"
         assert outcome.image == chain[-1]
         assert outcome.boots == 1 and outcome.power_cuts == 0
-        assert outcome.want == MemoryStore.digest(chain[-1])
+        assert outcome.want == content_digest(chain[-1])
         assert outcome.payload_bytes > 0
 
     def test_pull_explicit_want_digest(self):
         store, chain = _corpus(releases=3)
-        middle = MemoryStore.digest(chain[1])
+        middle = content_digest(chain[1])
 
         async def go():
             async with _server(store) as server:
@@ -656,7 +655,7 @@ class TestPullState:
                     server.host, server.port)
                 await write_frame(writer, T_PULL, encode_msg({
                     "package": "pkg",
-                    "have": MemoryStore.digest(chain[0]),
+                    "have": content_digest(chain[0]),
                     "want": "latest", "offset": 0}))
                 ftype, payload = await read_frame(reader)
                 assert ftype == T_META

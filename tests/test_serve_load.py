@@ -18,6 +18,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.serve import build_clients, build_corpus, run_load
+from repro.store import content_digest
 
 SEED = 19980601
 
@@ -40,7 +41,7 @@ class TestCorpus:
         (spec,) = build_clients(chains, 1)
         _digest, latest = store.latest(spec.package)
         assert spec.expected == latest
-        assert spec.want == store.digest(latest)
+        assert spec.want == content_digest(latest)
 
 
 class TestCleanLoad:
