@@ -218,11 +218,13 @@ def fcfs_slots(fingerprints, table_size: int):
     Equivalent to inserting ``fingerprints[i] -> offset i`` in order into
     an empty :class:`~repro.delta.rolling.SeedTable` of ``table_size``
     slots: each slot keeps the offset of the *first* fingerprint that
-    hashed to it.  Returns ``(slots_array, slot_fps, occupied)``:
+    hashed to it.  Returns ``(slots_array, fps, occupied)``:
     ``slots_array`` holds each slot's offset as int64 (``-1`` when
-    empty) and ``slot_fps`` the full 61-bit fingerprint stored there
-    (zero when empty) — together they back :func:`probe_table`, the
-    batch probe the vectorized correcting scan uses.
+    empty) and ``fps`` is ``fingerprints`` as a uint64 array (the input
+    itself when it already is one).  A slot's full 61-bit fingerprint
+    is ``fps[slots_array[slot]]``, so the pair backs
+    :func:`probe_table`, the batch probe the vectorized correcting scan
+    uses, without a per-slot copy of the fingerprints.
 
     The first-come winner of a slot is the smallest offset hashing to
     it, so one O(n) scatter-min (``np.minimum.at``, which reduces
@@ -234,16 +236,16 @@ def fcfs_slots(fingerprints, table_size: int):
     slots = _np.full(table_size, n, dtype=_np.int64)
     _np.minimum.at(slots, _slot_index(fps, table_size),
                    _np.arange(n, dtype=_np.int64))
-    taken = slots < n
-    slots[~taken] = -1
-    slot_fps = _np.zeros(table_size, dtype=_np.uint64)
-    slot_fps[taken] = fps[slots[taken]]
-    return slots, slot_fps, int(_np.count_nonzero(taken))
+    empty = slots == n
+    slots[empty] = -1
+    return slots, fps, table_size - int(_np.count_nonzero(empty))
 
 
-def probe_table(slots_array, slot_fps, fingerprints):
+def probe_table(slots_array, fps_r, fingerprints):
     """Batch-probe an FCFS table with every query fingerprint at once.
 
+    ``slots_array`` and ``fps_r`` are what :func:`fcfs_slots` returns:
+    the slot offsets and the fingerprints of the buffer they index.
     Returns ``(positions, candidates)`` as int64 arrays: the ascending
     query positions whose slot is occupied by a fingerprint *equal* to
     the query, and the stored offset for each.  Byte equality implies
@@ -253,9 +255,11 @@ def probe_table(slots_array, slot_fps, fingerprints):
     fingerprints can still collide across distinct seeds).
     """
     fps = _np.asarray(fingerprints, dtype=_np.uint64)
-    idx = _slot_index(fps, len(slots_array))
-    cand = slots_array.take(idx)
-    hit = slot_fps.take(idx) == fps
+    if not len(fps_r):  # every slot empty: nothing can hit
+        fps = fps[:0]
+    cand = slots_array.take(_slot_index(fps, len(slots_array)))
+    # An empty slot's -1 reads fps_r's last element; the mask drops it.
+    hit = fps_r.take(cand) == fps
     hit &= cand >= 0
     positions = _np.flatnonzero(hit)
     return positions, cand.take(positions)

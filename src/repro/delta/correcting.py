@@ -20,11 +20,19 @@ Both passes ride the fast paths when available: the half pass is a bulk
 FCFS construction (:meth:`SeedTable.from_fingerprints`), and the full
 pass batch-probes the table with *every* version fingerprint in one
 vectorized pass (:func:`repro.delta._kernels.probe_table`) — the table
-stores the full fingerprint per occupied slot, and byte equality
-implies fingerprint equality, so the scan loop only visits the
-positions whose probe survives the fingerprint compare, byte-verifies
-those, and jumps between them.  Output scripts are bit-identical to the
-scalar rolling scan (``REPRO_NO_FAST=1``).
+shares the reference's fingerprint array, so each occupied slot's full
+fingerprint is known, and byte equality implies fingerprint equality,
+so the scan loop only visits the positions whose probe survives the
+fingerprint compare, byte-verifies those, and jumps between them.
+Output scripts are bit-identical to the scalar rolling scan
+(``REPRO_NO_FAST=1``).
+
+Both passes start from the seed fingerprints of one file, a pure
+function of its bytes.  A caller that diffs the same images many times
+(:class:`~repro.pipeline.cache.ReferenceIndexCache` keeps one
+fingerprint array per image) passes the reference's table as ``table``
+and the version's fingerprints as ``version_fingerprints``, and the
+call fingerprints nothing.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ def correcting_delta(
     seed_length: int = DEFAULT_SEED_LENGTH,
     table_size: int = 1 << 16,
     table=None,
+    version_fingerprints=None,
     return_version_table: bool = False,
 ) -> Union[DeltaScript, Tuple[DeltaScript, SeedTable]]:
     """Compute a delta script for ``version`` against ``reference``.
@@ -69,6 +78,12 @@ def correcting_delta(
     ``reference`` with matching ``table_size``.  The full pass only
     reads the table, so a shared copy is never mutated and the output
     script is byte-identical to the call that builds the table itself.
+
+    Likewise ``version_fingerprints``, the prebuilt seed fingerprints of
+    ``version`` at this ``seed_length`` (the array or list
+    :func:`~repro.delta.rolling.seed_fingerprints` computes, one per
+    seed), replaces the full pass's own fingerprinting; a length that
+    does not match the version's seed count raises ``ValueError``.
 
     In a release train each version is the next diff's reference.  With
     ``return_version_table=True`` the call returns ``(script,
@@ -86,17 +101,25 @@ def correcting_delta(
             "prebuilt table has size %d, call requested %d"
             % (table.size, table_size)
         )
+    len_r, len_v = len(reference), len(version)
+    fps_v = version_fingerprints
+    seeds_v = max(0, len_v - seed_length + 1)
+    if fps_v is not None and len(fps_v) != seeds_v:
+        raise ValueError(
+            "prebuilt version fingerprints cover %d seeds, version has %d"
+            % (len(fps_v), seeds_v)
+        )
     recorder = perf.active()
     started = perf_counter() if recorder is not None else 0.0
     builder = ScriptBuilder(version)
-    len_r, len_v = len(reference), len(version)
     if len_v == 0 or len_r < seed_length or len_v < seed_length:
         script = builder.finish()
         if recorder is not None:
             _report(recorder, started, reference, version, 0, 0, 0)
         if return_version_table:
-            return script, SeedTable.from_fingerprints(
-                _seed_fingerprint_array(version, seed_length), table_size)
+            if fps_v is None:
+                fps_v = _seed_fingerprint_array(version, seed_length)
+            return script, SeedTable.from_fingerprints(fps_v, table_size)
         return script
 
     if table is None:
@@ -123,7 +146,8 @@ def correcting_delta(
         # the positions the scalar scan byte-verifies successfully —
         # visiting only them (and re-verifying bytes, since equal
         # fingerprints can still collide) emits the identical script.
-        fps_v = _seed_fingerprint_array(version, seed_length)
+        if fps_v is None:
+            fps_v = _seed_fingerprint_array(version, seed_length)
         hits, cands = _k.probe_table(probe[0], probe[1], fps_v)
         # Each visited hit is almost always a verified match that emits
         # a copy, and hits inside an emitted copy are skipped with one
@@ -151,7 +175,8 @@ def correcting_delta(
                 corrected_bytes += back
                 pos = p + forward
     else:
-        fps_v = seed_fingerprints(version, seed_length)
+        if fps_v is None:
+            fps_v = seed_fingerprints(version, seed_length)
         slots = table._slots
         size = table.size
         while pos <= last_v:

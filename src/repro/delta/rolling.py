@@ -192,15 +192,16 @@ class SeedTable:
     ``_slots`` — the scan loops in the differs bind it locally and index
     it directly, which is the fastest scalar access CPython offers.
     Tables built whole-buffer under the fast paths hold *probe arrays*
-    instead (the slot offsets as an int64 array plus the full
-    fingerprint stored in each slot), which let the correcting scan
-    batch-probe every version position in one vectorized pass; their
-    slot list is built from the arrays on the first scalar access
-    (``insert``, ``lookup``, a one-pass or scalar correcting scan), and
-    incremental mutation drops the arrays.
+    instead: the slot offsets as an int64 array plus the fingerprint
+    array the table was built from, shared, not copied (a slot's
+    fingerprint is that array at the slot's offset).  They let the
+    correcting scan batch-probe every version position in one
+    vectorized pass; their slot list is built from the arrays on the
+    first scalar access (``insert``, ``lookup``, a one-pass or scalar
+    correcting scan), and incremental mutation drops the arrays.
     """
 
-    __slots__ = ("size", "occupied", "_list", "_slots_array", "_slot_fps")
+    __slots__ = ("size", "occupied", "_list", "_slots_array", "_fps")
 
     def __init__(self, size: int = 1 << 16):
         if size <= 0:
@@ -211,7 +212,7 @@ class SeedTable:
         #: Number of filled slots, exposed for load-factor diagnostics.
         self.occupied = 0
         self._slots_array = None
-        self._slot_fps = None
+        self._fps = None
 
     @classmethod
     def from_fingerprints(cls, fingerprints, size: int = 1 << 16) -> "SeedTable":
@@ -221,14 +222,15 @@ class SeedTable:
         runs over its reference: offset ``i`` is stored for fingerprint
         ``fingerprints[i]`` unless an earlier fingerprint claimed the
         slot.  Vectorized under the fast paths (an O(n) scatter-min over
-        the fingerprint array, no slot list built), bit-identical to the
-        insertion loop.  Timed as ``table.seed.build``; fingerprinting
-        the buffer is the caller's.
+        the fingerprint array, no slot list built; the table keeps a
+        reference to ``fingerprints``, or to its uint64 array form when
+        given a list), bit-identical to the insertion loop.  Timed as
+        ``table.seed.build``; fingerprinting the buffer is the caller's.
         """
         table = cls(size)
         with perf.timer("table.seed.build"):
             if _FAST and _k.HAVE_NUMPY:
-                (table._slots_array, table._slot_fps,
+                (table._slots_array, table._fps,
                  table.occupied) = _k.fcfs_slots(fingerprints, size)
             else:
                 insert = table.insert
@@ -249,25 +251,27 @@ class SeedTable:
     def nbytes(self) -> int:
         """Approximate resident bytes of what the table holds now.
 
-        Probe arrays count their buffers; a slot list counts one
-        pointer per slot plus one int object per stored offset.
+        Probe arrays count the slot offsets and the shared fingerprint
+        array they keep alive; a slot list counts one pointer per slot
+        plus one int object per stored offset.
         """
         total = 0
         if self._slots_array is not None:
-            total += self._slots_array.nbytes + self._slot_fps.nbytes
+            total += self._slots_array.nbytes + self._fps.nbytes
         if self._list is not None:
             total += 8 * self.size + 28 * self.occupied
         return total
 
     def probe_arrays(self):
-        """``(slots_array, slot_fps)`` for batch probing, or ``None``.
+        """``(slots_array, fps)`` for :func:`~repro.delta._kernels.probe_table`,
+        or ``None``.
 
         Present only on tables built whole-buffer under the fast paths;
         any mutation invalidates them.
         """
         if self._slots_array is None:
             return None
-        return self._slots_array, self._slot_fps
+        return self._slots_array, self._fps
 
     def insert(self, fingerprint: int, offset: int) -> bool:
         """Record ``offset`` for ``fingerprint`` unless its slot is taken.
@@ -278,7 +282,7 @@ class SeedTable:
         if slots is None:
             slots = self._slots
         self._slots_array = None
-        self._slot_fps = None
+        self._fps = None
         slot = fingerprint % self.size
         if slots[slot] < 0:
             slots[slot] = offset
@@ -296,7 +300,7 @@ class SeedTable:
         self._list = None
         self.occupied = 0
         self._slots_array = None
-        self._slot_fps = None
+        self._fps = None
 
 
 def full_index_reference(data: Buffer, seed_length: int = DEFAULT_SEED_LENGTH,

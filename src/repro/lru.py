@@ -42,12 +42,6 @@ class CacheStats:
         """Total artifact requests served (hits + misses)."""
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when untouched)."""
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
 
 class LRU:
     """Thread-safe LRU of values (never ``None``) charged caller-estimated

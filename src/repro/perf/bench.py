@@ -120,25 +120,30 @@ class BenchOp:
 def _diff_op(name_suffix: str, algorithm: str, reference, version,
              quick: bool, cache: Optional[ReferenceIndexCache] = None) -> BenchOp:
     """A differencing op; with ``cache``, each run takes the reference's
-    artifact from it (the lookup, hashing included, is timed)."""
+    artifact from it, and the correcting differ the version's
+    fingerprints too (the lookups, hashing included, are timed)."""
     differ = _DIFFERS[algorithm]
 
     def call(cache):
         if cache is None:
             return differ(reference, version)
-        artifact = cache.artifact(algorithm, reference)
-        return differ(reference, version,
-                      **{ARTIFACT_KEYWORDS[algorithm]: artifact})
+        kwargs = {ARTIFACT_KEYWORDS[algorithm]:
+                  cache.artifact(algorithm, reference)}
+        if algorithm == "correcting":
+            kwargs["version_fingerprints"] = cache.fingerprints(version)
+        return differ(reference, version, **kwargs)
 
     def oracle(script) -> bool:
         previous = use_fast_paths(False)
         try:
-            # Mirror the measured call's cache configuration: the cache
-            # budget decides the greedy index *tier* (full vs sparse),
-            # so the scalar re-run must make the same tier choice or the
-            # comparison is between two different algorithms' outputs.
-            expected = call(None if cache is None else
-                            ReferenceIndexCache(max_bytes=cache.max_bytes))
+            # The scalar re-run is the cold diff, except that the cache
+            # budget decides the greedy index *tier* (full vs sparse):
+            # a cached greedy op re-runs through a same-budget cache, or
+            # the comparison is between two different algorithms'
+            # outputs.
+            expected = call(
+                ReferenceIndexCache(max_bytes=cache.max_bytes)
+                if cache is not None and algorithm == "greedy" else None)
         finally:
             use_fast_paths(previous)
         return encode_delta(script) == encode_delta(expected) and \
@@ -263,11 +268,18 @@ def build_suite(quick: bool) -> List[BenchOp]:
     ops.append(_diff_op(large, "onepass", reference, version, quick=True))
 
     # Differencing with a warm reference cache: the batch-serving shape,
-    # where one reference index serves many versions.
+    # where one reference index serves many versions.  The correcting
+    # op's cache also holds the version's fingerprints, as a serving
+    # cache does once that image has been diffed before.
     cache = ReferenceIndexCache()
     cache.warm("greedy", reference)
     ops.append(_diff_op(large + "_cached", "greedy", reference, version,
                         quick=False, cache=cache))
+    cache = ReferenceIndexCache()
+    cache.warm("correcting", reference)
+    cache.fingerprints(version)
+    ops.append(_diff_op(large + "_cached", "correcting", reference, version,
+                        quick=True, cache=cache))
 
     ops.append(BenchOp(
         name="fingerprints_" + large,

@@ -12,6 +12,14 @@ are pure functions of ``(reference bytes, seed parameters)``, so sharing
 them across versions changes *nothing* about the output scripts — only
 how often the per-byte construction loops run.
 
+The seed fingerprints of an image are such an artifact too, and every
+image in a release train is diffed from both sides: as a version, then
+as the next version's reference.  The cache keeps one fingerprint array
+per image (:meth:`ReferenceIndexCache.fingerprints`), the correcting
+differ takes the version's array prebuilt, and a cold seed table is
+built from the reference's cached array, so each image is fingerprinted
+once however many diffs read it.
+
 :class:`ReferenceIndexCache` is that sharing layer: a
 :class:`repro.lru.LRU` keyed by the reference's content digest plus the
 construction parameters, bounded by an approximate byte budget.  It is
@@ -33,6 +41,7 @@ from ..delta.rolling import (
     SeedTable,
     SparseSeedIndex,
     _seed_fingerprint_array,
+    # Not called here; perfbench/tracing.py wraps this module attribute.
     seed_fingerprints,
 )
 
@@ -66,8 +75,9 @@ ARTIFACT_KEYWORDS: Dict[str, str] = {
 
 #: Rough per-stored-position overhead of a FullSeedIndex (dict entry,
 #: list slot, int object) and per-fingerprint overhead of a fingerprint
-#: list.  The budget is approximate by design: it exists to bound
-#: memory, not to account it exactly.
+#: list (the scalar paths' form; an array is charged its buffer).  The
+#: budget is approximate by design: it exists to bound memory, not to
+#: account it exactly.
 _POSITION_BYTES = 120
 _FINGERPRINT_BYTES = 36
 
@@ -78,28 +88,14 @@ _FINGERPRINT_BYTES = 36
 _GREEDY_INDEX_BUDGET_FRACTION = 0.5
 
 
-def _build(kind: str, reference: Buffer, params: tuple) -> object:
-    """One artifact; ``params`` follow the digest in its cache key."""
-    if kind == KIND_FULL_INDEX:
-        return FullSeedIndex(reference, *params)
-    if kind == KIND_SPARSE_INDEX:
-        seed_length, max_candidates, stride = params
-        return SparseSeedIndex(reference, seed_length, max_candidates,
-                               stride=stride)
-    if kind == KIND_SEED_TABLE:
-        seed_length, table_size = params
-        return SeedTable.from_fingerprints(
-            _seed_fingerprint_array(reference, seed_length), table_size)
-    return seed_fingerprints(reference, *params)
-
-
 def _charge(kind: str, reference: Buffer, artifact) -> int:
     """Estimated resident bytes of one artifact (an index keeps its
-    reference alive; a seed table is charged :attr:`SeedTable.nbytes`)."""
+    reference alive; a seed table is charged :attr:`SeedTable.nbytes`,
+    which counts the fingerprint array it shares)."""
     if kind == KIND_SEED_TABLE:
         return artifact.nbytes
     if kind == KIND_FINGERPRINTS:
-        return _FINGERPRINT_BYTES * len(artifact)
+        return getattr(artifact, "nbytes", _FINGERPRINT_BYTES * len(artifact))
     return len(reference) + _POSITION_BYTES * len(artifact)
 
 
@@ -150,12 +146,28 @@ class ReferenceIndexCache:
             return (kind, digest, seed_length, table_size)
         return (kind, digest, seed_length)
 
-    def _get(self, key: tuple, reference: Buffer) -> object:
+    def _build(self, key: tuple, reference: Buffer) -> object:
+        """The artifact ``key`` names; its parameters follow the digest."""
+        kind, digest, params = key[0], key[1], key[2:]
+        if kind == KIND_FULL_INDEX:
+            return FullSeedIndex(reference, *params)
+        if kind == KIND_SPARSE_INDEX:
+            seed_length, max_candidates, stride = params
+            return SparseSeedIndex(reference, seed_length, max_candidates,
+                                   stride=stride)
+        if kind == KIND_SEED_TABLE:
+            seed_length, table_size = params
+            return SeedTable.from_fingerprints(
+                self.fingerprints(reference, seed_length=seed_length,
+                                  digest=digest), table_size)
+        return _seed_fingerprint_array(reference, *params)
+
+    def _get(self, key: tuple, reference: Buffer,
+             counter: str = "cache.reference") -> object:
         kind = key[0]
         return self._lru.get_or_build(
-            key, lambda: _build(kind, reference, key[2:]),
-            lambda artifact: _charge(kind, reference, artifact),
-            "cache.reference")
+            key, lambda: self._build(key, reference),
+            lambda artifact: _charge(kind, reference, artifact), counter)
 
     def greedy_stride(self, reference_len: int, *,
                       seed_length: int = DEFAULT_SEED_LENGTH) -> int:
@@ -195,14 +207,37 @@ class ReferenceIndexCache:
         whose full index would price over its share an every-k-th-seed
         :class:`~repro.delta.rolling.SparseSeedIndex` with ``k`` from
         :meth:`greedy_stride`, sparse enough to be retained), the
-        :class:`~repro.delta.rolling.SeedTable`, or the fingerprint list
-        depending on the algorithm — the object its differ takes through
-        the keyword :data:`ARTIFACT_KEYWORDS` names.  Callers only read
-        it.  Raises ``KeyError`` for algorithms with no cacheable state.
+        :class:`~repro.delta.rolling.SeedTable` (built from the
+        reference's cached :meth:`fingerprints`), or the fingerprint
+        array depending on the algorithm — the object its differ takes
+        through the keyword :data:`ARTIFACT_KEYWORDS` names.  Callers
+        only read it.  Counts ``cache.reference.hits``/``.misses``.
+        Raises ``KeyError`` for algorithms with no cacheable state.
         """
         return self._get(self._key(algorithm, reference, digest,
                                    seed_length, max_candidates,
                                    table_size), reference)
+
+    def fingerprints(self, image: Buffer, *,
+                     seed_length: int = DEFAULT_SEED_LENGTH,
+                     digest: Optional[str] = None):
+        """Get-or-build the seed fingerprints of ``image``.
+
+        One entry per image and seed length, keyed ``("fingerprints",
+        content digest, seed_length)``: a uint64 array under the fast
+        paths, a list otherwise, exactly what
+        :func:`~repro.delta.rolling.seed_fingerprints` computes.  The
+        correcting differ takes a version's array as
+        ``version_fingerprints=``, and a cold seed table is built from
+        its reference's array through this lookup, so an image diffed
+        first as a version and then as a reference is fingerprinted
+        once.  The one-pass artifact is this same entry.  Counts
+        ``cache.fingerprints.hits``/``.misses``; ``digest``, when given,
+        must equal ``content_digest(image)``.
+        """
+        key = (KIND_FINGERPRINTS, digest or content_digest(image),
+               seed_length)
+        return self._get(key, image, "cache.fingerprints")
 
     def has(self, algorithm: str, reference: Buffer, *,
             seed_length: int = DEFAULT_SEED_LENGTH,
@@ -237,7 +272,8 @@ class ReferenceIndexCache:
 
     @property
     def stats(self) -> CacheStats:
-        """A consistent snapshot of the cache counters."""
+        """A consistent snapshot of the cache counters (every lookup:
+        :meth:`artifact`, :meth:`warm` and :meth:`fingerprints`)."""
         return self._lru.stats
 
     def clear(self) -> None:

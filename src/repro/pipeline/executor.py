@@ -78,7 +78,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import perf
@@ -332,9 +332,9 @@ class PipelineConfig:
     * ``algorithm``/``policy``/``ordering``/``scratch_budget``/
       ``varint_pricing`` — what to compute: the differencing algorithm
       and the in-place conversion strategy.
-    * ``executor``/``workers``/``cache``/``cache_bytes`` — where to
-      compute it: pool shape and cache budget (``workers`` of ``None``
-      means one per CPU).
+    * ``executor``/``workers``/``cache_bytes`` — where to compute it:
+      pool shape and cache budget (``workers`` of ``None`` means one
+      per CPU).
     * ``retries``/``fallback``/``stage_timeout``/``backoff_base``/
       ``fault_plan`` — the resilience plane (see :class:`DeltaPipeline`).
     """
@@ -346,7 +346,6 @@ class PipelineConfig:
     varint_pricing: bool = True
     executor: str = "thread"
     workers: Optional[int] = None
-    cache: Optional[ReferenceIndexCache] = None
     cache_bytes: int = 128 << 20
     retries: int = 0
     fallback: Tuple[str, ...] = ()
@@ -412,7 +411,10 @@ def _diff(job: PipelineJob, algorithm: str, config: PipelineConfig,
     With a ``cache``, the differ takes the reference's artifact from it
     prebuilt (``index=``, ``table=`` or ``fingerprints=``), keyed by the
     reference's content digest: ``digest`` when given (a shared-memory
-    descriptor carries it), else hashed here, once per attempt.
+    descriptor carries it), else hashed here, once per attempt.  The
+    correcting differ also takes the version's cached fingerprint array
+    as ``version_fingerprints=``, so an image the cache has seen as
+    either side of an earlier diff is not fingerprinted again.
     """
     t0 = time.perf_counter()
     if algorithm == RAW_REWRITE:
@@ -442,6 +444,8 @@ def _diff(job: PipelineJob, algorithm: str, config: PipelineConfig,
         # cold artifact build.
         kwargs[ARTIFACT_KEYWORDS[algorithm]] = cache.artifact(
             algorithm, job.reference, digest=digest)
+        if algorithm == "correcting":
+            kwargs["version_fingerprints"] = cache.fingerprints(job.version)
     script = ALGORITHMS[algorithm](job.reference, job.version, **kwargs)
     diff_seconds = time.perf_counter() - t_diff
     perf.add("pipeline.diff.seconds", diff_seconds)
@@ -700,8 +704,7 @@ class DeltaPipeline:
         self.config = config
         self.executor = config.executor
         self.workers = config.workers or os.cpu_count() or 1
-        self.cache = (config.cache if config.cache is not None
-                      else ReferenceIndexCache(config.cache_bytes))
+        self.cache = ReferenceIndexCache(config.cache_bytes)
         self._pool: Optional[Executor] = None
         self._arena: Optional[SharedBufferArena] = None
 
@@ -780,9 +783,6 @@ class DeltaPipeline:
         if self.executor == "process-shm" and (
                 self._arena is None or self._arena.closed):
             self._arena = SharedBufferArena()
-        # Threads share self.cache; workers hold their own, and a cache
-        # does not pickle.
-        config = replace(self.config, cache=None)
         tasks: List[Tuple[PipelineJob, float, Future]] = []
         published: List[SharedBufferDescriptor] = []
         results: List[PipelineResult] = []
@@ -792,10 +792,11 @@ class DeltaPipeline:
                 submitted = time.perf_counter()
                 try:
                     if self.executor == "thread":
-                        fut = pool.submit(_run_job, job, config, self.cache,
-                                          submitted)
+                        fut = pool.submit(_run_job, job, self.config,
+                                          self.cache, submitted)
                     elif self.executor == "process":
-                        fut = pool.submit(_process_job, job, config, submitted)
+                        fut = pool.submit(_process_job, job, self.config,
+                                          submitted)
                     else:
                         # Publish once per distinct reference (the arena
                         # dedupes by content digest and refcounts), once
@@ -807,7 +808,7 @@ class DeltaPipeline:
                                                        dedupe=False)
                         published.append(ver_desc)
                         fut = pool.submit(_shm_job, job.name, ref_desc,
-                                          ver_desc, config, submitted)
+                                          ver_desc, self.config, submitted)
                 except Exception as exc:
                     fut = Future()
                     fut.set_exception(exc)

@@ -90,7 +90,8 @@ class TestEvictionRule:
         assert cache.get("a") == "A"
         assert cache.get("z") is None
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.hit_rate) == (1, 1, 0.5)
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert stats.hits / stats.lookups == 0.5
 
     def test_clear_drops_entries_keeps_counters(self):
         cache = _lru(100)

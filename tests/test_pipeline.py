@@ -1,5 +1,6 @@
 """Tests for repro.pipeline: the reference index cache and batch executor."""
 
+import hashlib
 import random
 import threading
 
@@ -14,7 +15,9 @@ from repro.delta import (
     correcting_delta,
     greedy_delta,
     onepass_delta,
+    use_fast_paths,
 )
+from repro.faults import FaultPlan, FaultSpec
 from repro.pipeline import (
     ARTIFACT_KEYWORDS,
     BatchReport,
@@ -23,8 +26,9 @@ from repro.pipeline import (
     PipelineJob,
     ReferenceIndexCache,
 )
+from repro.pipeline import executor as executor_mod
 from repro.store import content_digest
-from repro.workloads import make_source_file, mutate
+from repro.workloads import make_binary_blob, make_source_file, mutate
 
 
 @pytest.fixture
@@ -42,6 +46,14 @@ def batch_pair(rng):
     return reference, versions
 
 
+def _fingerprint_charge(image):
+    """What a cache charges for ``image``'s fingerprints: 8 bytes per
+    seed as a fast-path array, more as a scalar-path list."""
+    cache = ReferenceIndexCache()
+    cache.fingerprints(image)
+    return cache.stats.current_bytes
+
+
 class TestReferenceIndexCache:
     def test_second_fetch_is_a_hit(self, rng):
         reference = rng.randbytes(4_000)
@@ -51,7 +63,7 @@ class TestReferenceIndexCache:
         assert first is second
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == 0.5
+        assert stats.hits / stats.lookups == 0.5
         assert stats.lookups == 2
 
     def test_keyed_by_content_not_identity(self, rng):
@@ -71,7 +83,10 @@ class TestReferenceIndexCache:
         assert cache.stats.misses == 2
 
     def test_lru_eviction_respects_budget(self, rng):
-        cache = ReferenceIndexCache(max_bytes=200_000)
+        # Fits two of the eight fingerprint entries (15,880 bytes each
+        # under the fast paths: 8 bytes * 1,985 seeds).
+        charge = _fingerprint_charge(rng.randbytes(2_000))
+        cache = ReferenceIndexCache(max_bytes=int(2.8 * charge))
         for _ in range(8):
             cache.artifact("onepass", rng.randbytes(2_000))
         stats = cache.stats
@@ -81,8 +96,8 @@ class TestReferenceIndexCache:
 
     def test_lru_evicts_least_recently_used(self, rng):
         a, b, c = (rng.randbytes(2_000) for _ in range(3))
-        # Budget fits two fingerprint lists (~36 bytes * ~2000 each).
-        cache = ReferenceIndexCache(max_bytes=150_000)
+        # Budget fits two fingerprint entries, not three.
+        cache = ReferenceIndexCache(max_bytes=int(2.5 * _fingerprint_charge(a)))
         cache.artifact("onepass", a)
         cache.artifact("onepass", b)
         cache.artifact("onepass", a)  # refresh a; b is now the LRU entry
@@ -113,9 +128,11 @@ class TestReferenceIndexCache:
     def test_clear_drops_entries_keeps_counters(self, rng):
         cache = ReferenceIndexCache()
         cache.artifact("correcting", rng.randbytes(1_000))
+        # The table, and nested in its build the image's fingerprints.
+        assert len(cache) == 2
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.misses == 1
+        assert cache.stats.misses == 2
         assert cache.stats.current_bytes == 0
 
     def test_seed_table_build_is_timed_on_miss_only(self, rng):
@@ -130,10 +147,22 @@ class TestReferenceIndexCache:
         assert "table.seed.build.calls" not in hit.counters
 
     def test_seed_table_charged_what_it_holds(self, rng):
+        pytest.importorskip("numpy")
+        reference = rng.randbytes(3_000)
         cache = ReferenceIndexCache()
-        table = cache.artifact("correcting", rng.randbytes(3_000),
-                               table_size=1 << 10)
-        assert cache.stats.current_bytes == table.nbytes > 0
+        previous = use_fast_paths(True)
+        try:
+            table = cache.artifact("correcting", reference,
+                                   table_size=1 << 10)
+        finally:
+            use_fast_paths(previous)
+        fingerprints = cache.fingerprints(reference)
+        # 2^10 int64 slot offsets plus the 8-byte-per-seed array the
+        # table shares with the image's own fingerprint entry.
+        assert table.probe_arrays()[1] is fingerprints
+        seeds = len(reference) - DEFAULT_SEED_LENGTH + 1
+        assert table.nbytes == 8 * (1 << 10) + 8 * seeds == 32_072
+        assert cache.stats.current_bytes == table.nbytes + 8 * seeds
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -164,13 +193,13 @@ class TestReferenceIndexCache:
         # lock this times out and raises BrokenBarrierError.
         import repro.pipeline.cache as cache_mod
         barrier = threading.Barrier(2, timeout=10)
-        real = cache_mod.seed_fingerprints
+        real = cache_mod._seed_fingerprint_array
 
         def gated(data, seed_length):
             barrier.wait()
             return real(data, seed_length)
 
-        monkeypatch.setattr(cache_mod, "seed_fingerprints", gated)
+        monkeypatch.setattr(cache_mod, "_seed_fingerprint_array", gated)
         cache = ReferenceIndexCache()
         errors = []
 
@@ -230,8 +259,10 @@ class TestCachedDiffers:
         name = differ.__name__[:-len("_delta")]
         for version in versions:
             plain = differ(reference, version)
-            cached = differ(reference, version, **{
-                ARTIFACT_KEYWORDS[name]: cache.artifact(name, reference)})
+            kwargs = {ARTIFACT_KEYWORDS[name]: cache.artifact(name, reference)}
+            if name == "correcting":
+                kwargs["version_fingerprints"] = cache.fingerprints(version)
+            cached = differ(reference, version, **kwargs)
             assert cached.commands == plain.commands
             assert cached.version_length == plain.version_length
         assert cache.stats.hits == len(versions) - 1
@@ -248,6 +279,104 @@ class TestCachedDiffers:
         index = FullSeedIndex(reference, 8, 64)
         with pytest.raises(ValueError):
             greedy_delta(reference, version, seed_length=16, index=index)
+
+    @pytest.mark.parametrize("version_len", [0, DEFAULT_SEED_LENGTH - 1,
+                                             DEFAULT_SEED_LENGTH, 500])
+    def test_correcting_rejects_mismatched_version_fingerprints(
+            self, rng, version_len):
+        reference = rng.randbytes(400)
+        version = rng.randbytes(version_len)
+        seeds = max(0, version_len - DEFAULT_SEED_LENGTH + 1)
+        fingerprints = ReferenceIndexCache().fingerprints(version)
+        assert len(fingerprints) == seeds
+        correcting_delta(reference, version, version_fingerprints=fingerprints)
+        with pytest.raises(ValueError, match="version fingerprints"):
+            correcting_delta(reference, version,
+                             version_fingerprints=list(range(seeds + 1)))
+        if seeds:
+            with pytest.raises(ValueError, match="version fingerprints"):
+                correcting_delta(reference, version,
+                                 version_fingerprints=fingerprints[1:])
+            # The right image's fingerprints at another seed length.
+            with pytest.raises(ValueError, match="version fingerprints"):
+                correcting_delta(reference, version, seed_length=8,
+                                 version_fingerprints=fingerprints)
+
+
+class TestEveryImageFingerprintedOnce:
+    """A pipeline's cache fingerprints each image of a train once, however
+    many diffs read it as a version or as a reference."""
+
+    @staticmethod
+    def _jobs(rng):
+        """Every (have < want) pair of a five-release train."""
+        images = [make_binary_blob(rng, 8_192)]
+        for _ in range(4):
+            images.append(mutate(images[-1], rng))
+        jobs = [PipelineJob(images[have], images[want],
+                            "%d->%d" % (have, want))
+                for want in range(len(images)) for have in range(want)]
+        return images, jobs
+
+    @staticmethod
+    def _run(jobs, executor, monkeypatch, plan=None):
+        """The batch, its perf counters and the keywords of each diff."""
+        keywords = []
+        differ = executor_mod.ALGORITHMS["correcting"]
+
+        def spy(reference, version, **kwargs):
+            keywords.append(sorted(kwargs))
+            return differ(reference, version, **kwargs)
+
+        monkeypatch.setitem(executor_mod.ALGORITHMS, "correcting", spy)
+        previous = use_fast_paths(True)
+        try:
+            with repro.perf.recording() as recorder:
+                with DeltaPipeline(PipelineConfig(
+                        executor=executor, workers=2,
+                        fault_plan=plan)) as pipe:
+                    batch = pipe.run(jobs)
+        finally:
+            use_fast_paths(previous)
+            monkeypatch.setitem(executor_mod.ALGORITHMS, "correcting",
+                                differ)
+        assert batch.ok_jobs == batch.jobs
+        return batch, recorder.counters, keywords
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_each_image_fingerprinted_once(self, executor, rng, monkeypatch):
+        pytest.importorskip("numpy")
+        images, jobs = self._jobs(rng)
+        batch, counters, keywords = self._run(jobs, executor, monkeypatch)
+        assert counters["fingerprint.fast_calls"] == len(images) == 5
+        assert counters["cache.fingerprints.misses"] == len(images)
+        # Each job fetches its version's array and each of the four cold
+        # tables its reference's: 14 lookups, one miss per image.
+        assert counters["cache.fingerprints.hits"] == \
+            len(jobs) + (len(images) - 1) - len(images) == 9
+        assert (counters["cache.reference.hits"],
+                counters["cache.reference.misses"]) == (6, 4)
+        assert keywords == [["table", "version_fingerprints"]] * len(jobs)
+
+        # The cache.lookup fault bypasses the cache: every diff runs
+        # cold, fingerprinting both of its images, and ships the same
+        # payload bytes.
+        plan = FaultPlan([FaultSpec(site="cache.lookup", count=99)])
+        cold, cold_counters, cold_keywords = self._run(
+            jobs, executor, monkeypatch, plan)
+        assert cold_keywords == [[]] * len(jobs)
+        assert cold_counters["fingerprint.fast_calls"] == 2 * len(jobs)
+        assert not any(name.startswith("cache.")
+                       for name in cold_counters)
+
+        def digests(result_batch):
+            return [hashlib.sha1(r.payload).hexdigest()
+                    for r in result_batch.results]
+
+        assert digests(batch) == digests(cold)
+        for result, job in zip(batch.results, jobs):
+            assert bytes(repro.patch_in_place(bytearray(job.reference),
+                                              result.payload)) == job.version
 
 
 class TestSparseGreedyTier:
@@ -374,7 +503,8 @@ class TestDeltaPipeline:
         assert batch.cache_hits == len(jobs)
         assert batch.cache_hit_rate == 1.0
         assert batch.cache_stats is not None
-        assert batch.cache_stats.hit_rate > 0.5
+        stats = batch.cache_stats
+        assert stats.hits / stats.lookups > 0.5
 
     def test_cold_then_warm_batches(self, batch_pair):
         reference, versions = batch_pair
@@ -433,12 +563,14 @@ class TestDeltaPipeline:
         assert batch.cache_hit_rate == 0.0
 
     def test_shared_external_cache(self, batch_pair):
+        """Every thread worker reads the pipeline's one cache, so a
+        table warmed there before the batch serves every job."""
         reference, versions = batch_pair
-        cache = ReferenceIndexCache()
-        cache.warm("correcting", reference)
         jobs = [PipelineJob(reference, v, "v%d" % i)
                 for i, v in enumerate(versions)]
-        with DeltaPipeline(PipelineConfig(executor="thread", cache=cache)) as pipe:
+        with DeltaPipeline(PipelineConfig(executor="thread")) as pipe:
+            cache = pipe.cache
+            cache.warm("correcting", reference)
             batch = pipe.run(jobs)
         assert batch.cache_hits == len(jobs)
         assert pipe.cache is cache

@@ -27,6 +27,7 @@ import pytest
 
 import repro
 from repro import perf
+from repro.delta import DEFAULT_SEED_LENGTH
 from repro.exceptions import StoreError
 from repro.serve import DeltaServer, ServeConfig, pull_async, run_load_async
 from repro.store import (
@@ -359,10 +360,12 @@ class TestPublishTableReuse:
         finally:
             repro.delta.use_fast_paths(previous)
         assert set(self._tables(store)) == {"app"}
-        # Charged its probe arrays: 2^16 slots x two 8-byte entries.
+        # Charged its probe arrays: 2^16 int64 slot offsets plus the
+        # 8-byte-per-seed fingerprint array of the version it indexes.
+        seeds = len(images["app"][2]) - DEFAULT_SEED_LENGTH + 1
         charged = [size for key, (_v, size) in store._cache._entries.items()
                    if isinstance(key, tuple) and key[0] == "seed-table"]
-        assert charged == [1 << 20]
+        assert charged == [(1 << 19) + 8 * seeds] == [594_512]
         store.close()
         assert not self._tables(store) and store._cache.nbytes == 0
         with perf.recording() as recorder:

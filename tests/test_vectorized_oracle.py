@@ -11,7 +11,9 @@ corpus-style inputs:
 * ``match_length`` / ``match_length_backward`` vs their ``_reference``
   twins, across planted prefix/suffix lengths and limits;
 * ``SeedTable.from_fingerprints`` (vectorized FCFS reduction) vs the
-  scalar insertion loop, slot for slot;
+  scalar insertion loop, slot for slot, and ``probe_table`` (which reads
+  a slot's fingerprint from the reference's shared array) vs the scalar
+  probe;
 * ``FullSeedIndex`` / ``FingerprintGroups`` vs ``full_index_reference``,
   bucket for bucket in content and order, plus the one-sided
   ``membership`` prefilter;
@@ -233,19 +235,21 @@ def _fcfs_fingerprints(case, size):
 @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
 def test_fcfs_slots_kernel_matches_insert_loop(case, size, as_array):
     """The O(n) scatter-min equals the FCFS insertion loop slot for slot,
-    from list or array input, for power-of-two and other table sizes."""
+    from list or array input, for power-of-two and other table sizes,
+    and hands back the input's uint64 array instead of a per-slot copy
+    of the fingerprints."""
     import numpy as np
 
     fingerprints = _fcfs_fingerprints(case, size)
     source = np.array(fingerprints, dtype=np.uint64) if as_array \
         else fingerprints
-    slots, slot_fps, occupied = _kernels.fcfs_slots(source, size)
+    slots, fps, occupied = _kernels.fcfs_slots(source, size)
     oracle = _insert_loop_table(fingerprints, size)
-    assert slots.dtype == np.int64 and slot_fps.dtype == np.uint64
+    assert slots.dtype == np.int64 and fps.dtype == np.uint64
     assert slots.tolist() == oracle._slots
     assert occupied == oracle.occupied
-    assert slot_fps.tolist() == [fingerprints[o] if o >= 0 else 0
-                                 for o in oracle._slots]
+    assert fps.tolist() == fingerprints
+    assert (fps is source) == as_array
 
 
 @needs_numpy
@@ -284,21 +288,23 @@ def test_fast_built_table_matches_scalar_after_mutation():
     size = 1 << 10
     previous = use_fast_paths(True)
     try:
-        fast = SeedTable.from_fingerprints(
-            _kernels.seed_fingerprints(data, DEFAULT_SEED_LENGTH), size)
+        fps = _kernels.seed_fingerprints(data, DEFAULT_SEED_LENGTH)
+        fast = SeedTable.from_fingerprints(fps, size)
         use_fast_paths(False)
         scalar = SeedTable.from_fingerprints(fingerprints, size)
     finally:
         use_fast_paths(previous)
-    assert fast._list is None and fast.probe_arrays() is not None
+    assert fast._list is None and fast.probe_arrays()[1] is fps
     assert scalar.probe_arrays() is None
-    assert fast.nbytes == 16 * size
+    # int64 slot offsets plus the shared 8-byte-per-seed array.
+    arrays = 8 * size + 8 * len(fingerprints)
+    assert fast.nbytes == arrays == 56_072
     rng = random.Random(5)
     queries = fingerprints[::97] + [rng.randrange(1 << 61) for _ in range(50)]
     for fingerprint in queries:
         assert fast.lookup(fingerprint) == scalar.lookup(fingerprint)
     assert fast._slots == scalar._slots
-    assert fast.nbytes == 16 * size + scalar.nbytes
+    assert fast.nbytes == arrays + scalar.nbytes
     for offset in range(400):
         fingerprint = rng.randrange(1 << 61)
         assert fast.insert(fingerprint, offset) == \
@@ -449,15 +455,52 @@ def test_probe_table_matches_scalar_probe(label, data, size, fast_on):
     if not fingerprints:
         return
     assert arrays is not None
-    slots_array, slot_fps = arrays
+    slots_array, fps_r = arrays
     queries = fingerprints + [f + 1 for f in fingerprints[:32]]
-    hits, cands = _kernels.probe_table(slots_array, slot_fps, queries)
+    hits, cands = _kernels.probe_table(slots_array, fps_r, queries)
     expected = []
     for position, fingerprint in enumerate(queries):
         stored = table._slots[fingerprint % size]
         if stored >= 0 and fingerprints[stored] == fingerprint:
             expected.append((position, stored))
     assert list(zip(hits, cands)) == expected
+
+
+@needs_numpy
+@pytest.mark.parametrize("label,data", INPUTS, ids=[l for l, _ in INPUTS])
+@pytest.mark.parametrize("size", [7, 1 << 10, 1 << 16],
+                         ids=["7", "2^10", "larger_than_input"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
+def test_probe_through_shared_fingerprints_matches_scalar_probe(
+        label, data, size, as_array, fast):
+    """``fcfs_slots`` + ``probe_table`` read a slot's fingerprint from the
+    reference's own array, and return exactly the hits the scalar probe
+    of a table built by either path finds; an empty reference's table
+    (every slot empty) hits nothing."""
+    import numpy as np
+
+    fingerprints = seed_fingerprints_reference(data, DEFAULT_SEED_LENGTH)
+    source = np.array(fingerprints, dtype=np.uint64) if as_array \
+        else fingerprints
+    slots_array, fps_r, occupied = _kernels.fcfs_slots(source, size)
+    previous = use_fast_paths(fast)
+    try:
+        table = SeedTable.from_fingerprints(source, size)
+    finally:
+        use_fast_paths(previous)
+    assert (table.probe_arrays() is not None) == fast
+    assert (slots_array.tolist(), occupied) == (table._slots, table.occupied)
+    rng = random.Random(size)
+    queries = fingerprints[::-1] + [f + 1 for f in fingerprints[:32]] + \
+        [rng.randrange((1 << 61) - 1) for _ in range(16)]
+    hits, cands = _kernels.probe_table(slots_array, fps_r, queries)
+    expected = []
+    for position, fingerprint in enumerate(queries):
+        stored = table.lookup(fingerprint)
+        if stored is not None and fingerprints[stored] == fingerprint:
+            expected.append((position, stored))
+    assert list(zip(hits.tolist(), cands.tolist())) == expected
 
 
 @needs_numpy
@@ -527,6 +570,27 @@ def test_fast_table_under_scalar_scan_identical(label, reference, version):
     finally:
         use_fast_paths(previous)
     assert encode_delta(got) == encode_delta(expected)
+
+
+@needs_numpy
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
+@pytest.mark.parametrize("label,reference,version", _pairs(),
+                         ids=[p[0] for p in _pairs()])
+def test_prebuilt_version_fingerprints_identical(label, reference, version,
+                                                 fast):
+    """Version fingerprints handed in, as an array or a list, give the
+    script of the call that fingerprints the version itself, on the
+    vectorized and on the scalar scan."""
+    fps = _kernels.seed_fingerprints(version, DEFAULT_SEED_LENGTH)
+    previous = use_fast_paths(fast)
+    try:
+        expected = encode_delta(correcting_delta(reference, version))
+        for prebuilt in (fps, fps.tolist()):
+            got = correcting_delta(reference, version,
+                                   version_fingerprints=prebuilt)
+            assert encode_delta(got) == expected
+    finally:
+        use_fast_paths(previous)
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
