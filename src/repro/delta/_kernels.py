@@ -208,7 +208,13 @@ def seed_fingerprints(data, seed_length: int):
 
 def _slot_index(fps, table_size: int):
     """``fps % table_size`` as int64 slot indices (fingerprints are
-    < 2^61, so the uint64 remainders reinterpret exactly)."""
+    < 2^61, so the uint64 remainders reinterpret exactly).
+
+    A power-of-two size (the default 2^16) masks with ``table_size -
+    1``, the same remainder without a 64-bit division per seed.
+    """
+    if table_size & (table_size - 1) == 0:
+        return (fps & _np.uint64(table_size - 1)).view(_np.int64)
     return (fps % _np.uint64(table_size)).view(_np.int64)
 
 

@@ -181,13 +181,13 @@ def _check_sequential_shape(commands: List[Command], version_length: int) -> Non
     """Sequential format requires commands to tile [0, L_V) in write order."""
     cursor = 0
     for i, cmd in enumerate(commands):
-        if cmd.write_interval.start != cursor:
+        if cmd.dst != cursor:
             raise DeltaFormatError(
                 "sequential format needs contiguous write-ordered commands; "
                 "command %d writes at %d, expected %d"
-                % (i, cmd.write_interval.start, cursor)
+                % (i, cmd.dst, cursor)
             )
-        cursor = cmd.write_interval.stop + 1
+        cursor = cmd.dst + cmd.length
     if cursor != version_length:
         raise DeltaFormatError(
             "sequential commands cover %d bytes of a %d-byte version"
@@ -220,7 +220,9 @@ def _ordered_commands(script: DeltaScript, with_offsets: bool) -> List[Command]:
     """Commands in serialization order, shape-checked for sequential."""
     if with_offsets:
         return list(script.commands)
-    commands = sorted(script.commands, key=lambda c: c.write_interval.start)
+    # No spills here (encode_delta refuses scratch without offsets), so
+    # every command writes at ``dst``.
+    commands = sorted(script.commands, key=lambda c: c.dst)
     _check_sequential_shape(commands, script.version_length)
     return commands
 

@@ -49,11 +49,6 @@ class WearStats:
         return sum(self.erases_per_block)
 
     @property
-    def blocks_touched(self) -> int:
-        """Blocks erased at least once."""
-        return sum(1 for e in self.erases_per_block if e)
-
-    @property
     def max_erases(self) -> int:
         """Hottest block's erase count (the wear-leveling concern)."""
         return max(self.erases_per_block, default=0)

@@ -16,7 +16,9 @@ Storage policy, per publish (see :class:`StoreConfig`):
    anchor; each is scored by probe containment — evenly-spaced
    substrings of the new image searched in the candidate (shift
    tolerant, C-speed ``bytes.find``) — and the best score of at least
-   :data:`SIMILARITY_THRESHOLD` wins.
+   :data:`SIMILARITY_THRESHOLD` wins.  A probe is searched near where
+   the previous one matched before the whole candidate is, and a
+   candidate stops being scored once it can no longer win.
 2. **Chain-depth limit.**  A candidate whose chain is already
    ``max_chain_depth`` deep is skipped; when every candidate is, the
    object is stored full (a fresh anchor), bounding reconstruction
@@ -60,6 +62,11 @@ from ..delta.encode import (
     decode_delta,
     encode_delta,
     version_checksum,
+)
+from ..delta.rolling import (
+    DEFAULT_SEED_LENGTH,
+    SeedTable,
+    _seed_fingerprint_array,
 )
 from ..exceptions import ReproError, StoreError
 from ..lru import LRU
@@ -213,31 +220,52 @@ class GcReport:
         return {"schema": "repro.store.gc/1", **asdict(self)}
 
 
-def _probes(data: bytes, count: int, length: int) -> List[bytes]:
-    """Evenly-spaced substrings of ``data`` for containment scoring."""
+def _probes(data: bytes, count: int, length: int) -> Tuple[List[bytes], int]:
+    """Evenly-spaced substrings of ``data`` for containment scoring, and
+    the spacing between their starts (0 for a single probe)."""
     n = len(data)
     if n == 0:
-        return []
+        return [], 0
     if n <= length:
-        return [data]
+        return [data], 0
     count = max(1, min(count, n // length))
     if count == 1:
-        return [data[:length]]
+        return [data[:length]], 0
     step = (n - length) // (count - 1)
-    return [data[i * step:i * step + length] for i in range(count)]
+    return [data[i * step:i * step + length] for i in range(count)], step
 
 
-def _containment(probes: List[bytes], candidate: bytes) -> float:
-    """Fraction of ``probes`` appearing anywhere in ``candidate``.
+def _probe_hits(probes: List[bytes], spacing: int, candidate: bytes,
+                need: int) -> Optional[int]:
+    """How many ``probes`` occur anywhere in ``candidate``, or ``None``
+    as soon as the probes left cannot bring the count to ``need``.
 
     Shift tolerant (each probe is searched, not compared aligned), so
-    insert/delete edits between versions degrade the score gradually
-    instead of zeroing it the way aligned chunk hashing would.
+    insert/delete edits between versions degrade the count gradually
+    instead of zeroing it the way aligned chunk hashing would.  Probes
+    follow each other ``spacing`` bytes apart, so each is first searched
+    within one spacing of where it is expected: one spacing past the
+    previous probe's match.  Only a miss there scans the whole
+    candidate, so a probe counts exactly when ``candidate.find(probe)
+    >= 0``.
     """
-    if not probes:
-        return 0.0
-    hits = sum(1 for probe in probes if candidate.find(probe) >= 0)
-    return hits / len(probes)
+    reach = len(probes)
+    if reach < need:
+        return None
+    expect = 0
+    for probe in probes:
+        at = candidate.find(probe, max(0, expect - spacing),
+                            expect + spacing + len(probe))
+        if at < 0:
+            at = candidate.find(probe)
+        if at >= 0:
+            expect = at + spacing
+            continue
+        reach -= 1
+        if reach < need:
+            return None
+        expect += spacing
+    return reach
 
 
 class PackStore:
@@ -961,22 +989,28 @@ class PackStore:
             anchor = objects.get(anchor.base)
         if anchor is not None and anchor.digest not in seen:
             candidates.append(anchor)
-        probes = _probes(data, SIMILARITY_PROBES, SIMILARITY_PROBE_LEN)
+        probes, spacing = _probes(data, SIMILARITY_PROBES,
+                                  SIMILARITY_PROBE_LEN)
+        # A candidate wins with a score (hits / probes) of at least the
+        # threshold that beats every earlier one: at least ``need`` hits.
+        n = len(probes)
+        need = next((h for h in range(1, n + 1)
+                     if h / n >= SIMILARITY_THRESHOLD), n + 1)
         best: Optional[ObjectInfo] = None
-        best_score = 0.0
         best_bytes = b""
         for info in candidates:
             if info.depth + 1 > cfg.max_chain_depth:
                 perf.add("store.publish.depth_limited")
                 continue
             base_bytes = get_bytes(info.digest)
-            score = _containment(probes, base_bytes)
-            if score >= SIMILARITY_THRESHOLD and score > best_score:
-                best, best_score, best_bytes = info, score, base_bytes
+            hits = _probe_hits(probes, spacing, base_bytes, need)
+            if hits is not None:
+                best, best_bytes, need = info, base_bytes, hits + 1
         if best is None:
             perf.add("store.publish.full")
             return STORED_FULL, "", data
-        script = self._diff(package, digest, data, best.digest, best_bytes)
+        script = self._diff(package, digest, data, best.digest, best_bytes,
+                            best.depth + 1)
         payload = encode_delta(script, FORMAT_SEQUENTIAL,
                                version_crc32=version_checksum(data),
                                reference=best_bytes)
@@ -989,20 +1023,28 @@ class PackStore:
         return STORED_DELTA, best.digest, payload
 
     def _diff(self, package: str, digest: str, data: bytes,
-              base: str, base_bytes: bytes) -> DeltaScript:
-        """Diff version ``digest`` of ``package`` against ``base``.
+              base: str, base_bytes: bytes, depth: int) -> DeltaScript:
+        """Diff version ``digest`` of ``package``, to be stored at chain
+        ``depth``, against ``base``.
 
         Under the correcting differ a package's publishes form a train:
         each version is usually the next one's base.  The store keeps
-        the half-pass seed table of the package's newest diffed version
-        in its LRU (key ``("seed-table", package)``, at most one per
-        package, charged :attr:`~repro.delta.SeedTable.nbytes`), built
-        by the differ from the version fingerprints its full pass
-        computes anyway.  When the next diff's base is that version,
-        the table is passed in as ``table=`` and the base is not
-        fingerprinted again (``store.publish.table_reused``).  A table
-        is a pure function of its version's bytes, so scripts are
-        identical either way.
+        the half-pass seed table of the package's newest version that
+        can still be a base in its LRU (key ``("seed-table", package)``,
+        at most one per package, charged
+        :attr:`~repro.delta.SeedTable.nbytes`):
+
+        - the version's own table when ``depth`` is below
+          ``max_chain_depth``, built by the differ from the version
+          fingerprints its full pass computes anyway;
+        - otherwise the base's table this diff read, because the
+          depth-limited re-bases that follow pick that base again.
+
+        When the next diff's base is the kept version, the table is
+        passed in as ``table=`` and the base is not fingerprinted again
+        (``store.publish.table_reused``); any other base's table is
+        built here.  A table is a pure function of its version's bytes,
+        so scripts are identical either way.
         """
         differ = ALGORITHMS[self.config.algorithm]
         if self.config.algorithm != "correcting" or \
@@ -1010,15 +1052,20 @@ class PackStore:
             return differ(base_bytes, data)
         key = ("seed-table", package)
         kept = self._cache.pop(key)
-        table = None
-        if kept is not None:
-            kept_digest, kept_table = kept
-            if kept_digest == base:
-                table = kept_table
-                perf.add("store.publish.table_reused")
-        script, version_table = differ(base_bytes, data, table=table,
-                                       return_version_table=True)
-        self._cache.put(key, (digest, version_table), version_table.nbytes)
+        if kept is not None and kept[0] == base:
+            table = kept[1]
+            perf.add("store.publish.table_reused")
+        else:
+            table = SeedTable.from_fingerprints(
+                _seed_fingerprint_array(base_bytes, DEFAULT_SEED_LENGTH))
+        if depth < self.config.max_chain_depth:
+            script, version_table = differ(base_bytes, data, table=table,
+                                           return_version_table=True)
+            kept = digest, version_table
+        else:
+            script = differ(base_bytes, data, table=table)
+            kept = base, table
+        self._cache.put(key, kept, kept[1].nbytes)
         return script
 
     def _append(self, chunks: List[bytes]) -> List[int]:

@@ -38,8 +38,15 @@ from repro.store import (
     content_digest,
 )
 from repro.store.pack import STORED_DELTA, STORED_FULL
-from repro.store.packstore import LOCK_NAME
-from repro.workloads import make_binary_blob, mutate
+from repro.store.packstore import (
+    LOCK_NAME,
+    SIMILARITY_PROBE_LEN,
+    SIMILARITY_PROBES,
+    SIMILARITY_THRESHOLD,
+    _probe_hits,
+    _probes,
+)
+from repro.workloads import MutationProfile, make_binary_blob, mutate
 
 SEED = 19980601
 
@@ -250,9 +257,153 @@ class TestBaseSelection:
         assert store.get("alpha", d1) == store.get("beta", d2) == blob
 
 
+def _containment(probes, candidate):
+    """Full-scan oracle of base scoring: the fraction of ``probes``
+    found anywhere in ``candidate``."""
+    if not probes:
+        return 0.0
+    hits = sum(1 for probe in probes if candidate.find(probe) >= 0)
+    return hits / len(probes)
+
+
+def _probes_of(image):
+    return _probes(image, SIMILARITY_PROBES, SIMILARITY_PROBE_LEN)
+
+
+class TestBaseScoringOracle:
+    """The windowed, early-stopping scorer against the full scan: the
+    same hit count whenever a candidate can still win, and "out of
+    reach" only when it cannot."""
+
+    #: Insert, delete and move edits only, from light to heavy, so hit
+    #: counts spread over the whole range around the threshold.
+    EDITS = [MutationProfile(edits_per_kb=rate, max_edit=128, weights={
+        "insert": 1.0, "delete": 1.0, "move": 1.0})
+        for rate in (0.5, 2.0, 4.0, 8.0)]
+
+    def _pairs(self):
+        rng = random.Random(SEED)
+        pairs = []
+        for size in (8192, 3001, 600, 47, 30):
+            image = make_binary_blob(rng, size)
+            candidates = [image, make_binary_blob(rng, size), b"",
+                          image[:10], image[size // 3:size // 3 + 40],
+                          image[size // 2:]]
+            for profile in self.EDITS:
+                candidates.append(mutate(image, rng, profile))
+                candidates.append(mutate(candidates[-1], rng, profile))
+            pairs += [(image, c) for c in candidates]
+        # Shorter than one probe, and the empty image.
+        for image in (b"x", rng.randbytes(SIMILARITY_PROBE_LEN - 1),
+                      rng.randbytes(SIMILARITY_PROBE_LEN), b""):
+            pairs += [(image, image * 3), (image, b""),
+                      (image, rng.randbytes(100))]
+        return pairs
+
+    def test_hits_match_the_full_scan(self):
+        counts = set()
+        stopped = 0
+        for image, candidate in self._pairs():
+            probes, spacing = _probes_of(image)
+            expected = round(_containment(probes, candidate) * len(probes))
+            counts.add(expected)
+            for need in range(len(probes) + 2):
+                hits = _probe_hits(probes, spacing, candidate, need)
+                if expected >= need:
+                    assert hits == expected, (len(image), need)
+                else:
+                    assert hits is None, (len(image), need)
+                    stopped += 1
+        # Not vacuous: hit counts spread from none to all 32 probes.
+        assert {0, SIMILARITY_PROBES} <= counts and len(counts) > 10
+        assert stopped
+
+    def test_probe_layout(self):
+        assert _probes_of(b"") == ([], 0)
+        assert _probes_of(b"short") == ([b"short"], 0)
+        image = bytes(range(256)) * 4
+        probes, spacing = _probes_of(image)
+        assert len(probes) == SIMILARITY_PROBES and spacing > 0
+        assert probes == [image[i * spacing:i * spacing
+                                + SIMILARITY_PROBE_LEN]
+                          for i in range(SIMILARITY_PROBES)]
+
+    def test_threshold_score_qualifies(self, tmp_path):
+        # Five probes of a 120-byte image: three hits score exactly the
+        # threshold, which is enough.
+        store = PackStore.init(tmp_path / "s",
+                               StoreConfig(fsync=False, min_delta_size=0))
+        base = random.Random(SEED).randbytes(5 * SIMILARITY_PROBE_LEN)
+        version = bytearray(base)
+        version[3 * SIMILARITY_PROBE_LEN + 5] ^= 0xFF
+        version[4 * SIMILARITY_PROBE_LEN + 5] ^= 0xFF
+        probes, _spacing = _probes_of(bytes(version))
+        assert _containment(probes, base) == 3 / 5 == SIMILARITY_THRESHOLD
+        first = store.publish("pkg", base)
+        store.publish("pkg", bytes(version))
+        assert store.log("pkg")[-1]["base"] == first
+
+    def test_publish_picks_the_oracles_base(self, tmp_path):
+        """Every publish of a branching history takes the candidate the
+        full-scan score picks: the first best at or above the threshold
+        among the newest versions and the newest chain's anchor."""
+        cfg = StoreConfig(fsync=False, min_delta_size=0, delta_max_ratio=1.0,
+                          max_chain_depth=2, similarity_window=3)
+        store = PackStore.init(tmp_path / "s", cfg)
+        rng = random.Random(SEED)
+        images = {}
+        history = [make_binary_blob(rng, 4096)]
+        for _ in range(30):
+            history.append(mutate(rng.choice(history[-4:]), rng,
+                                  rng.choice(self.EDITS)))
+        history.insert(12, make_binary_blob(rng, 4096))
+        history.insert(20, b"")
+        chosen = set()
+        depth_limited = 0
+        for image in history:
+            log = store.log("pkg") if "pkg" in store else []
+            expected = self._oracle_base(cfg, log, images, image)
+            with perf.recording() as recorder:
+                digest = store.publish("pkg", image)
+            images[digest] = image
+            if recorder.counters.get("store.publish.fallback"):
+                # A chosen base whose delta lost to the full image.
+                assert expected and store.log("pkg")[-1]["base"] == ""
+            else:
+                assert store.log("pkg")[-1]["base"] == expected
+            chosen.add(expected)
+            depth_limited += recorder.counters.get(
+                "store.publish.depth_limited", 0)
+        assert depth_limited and "" in chosen and len(chosen) > 5
+
+    @staticmethod
+    def _oracle_base(cfg, log, images, image):
+        if len(image) < cfg.min_delta_size or not log:
+            return ""
+        by_digest = {e["digest"]: e for e in log}
+        candidates = []
+        for entry in reversed(log[-cfg.similarity_window:]):
+            candidates.append(entry)
+        anchor = log[-1]
+        while anchor["base"]:
+            anchor = by_digest[anchor["base"]]
+        if anchor not in candidates:
+            candidates.append(anchor)
+        probes, _spacing = _probes_of(image)
+        best, best_score = "", 0.0
+        for entry in candidates:
+            if entry["depth"] + 1 > cfg.max_chain_depth:
+                continue
+            score = _containment(probes, images[entry["digest"]])
+            if score >= SIMILARITY_THRESHOLD and score > best_score:
+                best, best_score = entry["digest"], score
+        return best
+
+
 class TestPublishTableReuse:
-    """Each publish keeps its package's newest seed table for the next
-    diff of that package; pack bytes never depend on it."""
+    """Each delta publish keeps one seed table for its package's next
+    diff: its own version's below the depth limit, its base's at the
+    limit.  Pack bytes never depend on it."""
 
     PACKAGES = ("app", "lib", "fw")
     RELEASES = 14
@@ -290,10 +441,11 @@ class TestPublishTableReuse:
                             package, images[package][r])
                         tables = self._tables(store)
                         assert set(tables) <= set(self.PACKAGES)
+                        entry = store.log(package)[-1]
+                        assert entry["digest"] == newest[package]
                         if package in tables and \
-                                store.log(package)[-1]["stored"] \
-                                == STORED_DELTA:
-                            assert tables[package][0] == newest[package]
+                                entry["stored"] == STORED_DELTA:
+                            assert tables[package][0] == self._kept(entry)
             counters = dict(recorder.counters)
             logs = {p: store.log(p) for p in self.PACKAGES}
             shared = store.publish("lib", images["app"][5])
@@ -314,17 +466,26 @@ class TestPublishTableReuse:
             repro.delta.use_fast_paths(previous)
         return counters, logs, pack, tail, gc, after
 
-    @staticmethod
-    def _expected_reuses(logs):
-        """Delta publishes whose base is the package's previous version,
-        itself stored as a delta (so its own publish ran the diff)."""
+    @classmethod
+    def _kept(cls, entry):
+        """The version whose table a delta publish leaves kept: its own
+        when it can still be a base, else its base's."""
+        if entry["depth"] < cls.CONFIG["max_chain_depth"]:
+            return entry["digest"]
+        return entry["base"]
+
+    @classmethod
+    def _expected_reuses(cls, logs):
+        """Delta publishes whose base is the version its package's
+        previous delta publish left kept (a full publish runs no diff
+        and leaves the kept table as it was)."""
         count = 0
         for log in logs.values():
-            for prev, entry in zip(log, log[1:]):
-                if entry["stored"] == STORED_DELTA \
-                        and entry["base"] == prev["digest"] \
-                        and prev["stored"] == STORED_DELTA:
-                    count += 1
+            kept = None
+            for entry in log:
+                if entry["stored"] == STORED_DELTA:
+                    count += entry["base"] == kept
+                    kept = cls._kept(entry)
         return count
 
     @pytest.mark.parametrize("fast", [True, False], ids=["fast", "scalar"])
@@ -339,9 +500,17 @@ class TestPublishTableReuse:
         assert (STORED_FULL, False) in kinds
         assert (STORED_DELTA, False) in kinds
         assert counters.get("store.publish.fallback", 0) == 0
-        assert counters["store.publish.table_reused"] \
-            == self._expected_reuses(logs) > 0
+        reuses = self._expected_reuses(logs)
+        assert counters["store.publish.table_reused"] == reuses > 0
         assert "store.publish.table_reused" not in off[0]
+        # Each diff fingerprints its version once, and a base only when
+        # its table was not kept (a cold base).
+        deltas = sum(e["stored"] == STORED_DELTA
+                     for log in logs.values() for e in log)
+        calls = "fingerprint.fast_calls" if fast \
+            else "fingerprint.reference_calls"
+        assert counters[calls] == deltas + (deltas - reuses)
+        assert off[0][calls] == 2 * deltas
 
     def test_bytes_identical_fast_vs_scalar(self, tmp_path):
         fast = self._run(tmp_path / "fast", True)
