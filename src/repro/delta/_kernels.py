@@ -274,11 +274,11 @@ def probe_table(slots_array, fps_r, fingerprints):
 def scan_arrays(fingerprints, table_size: int):
     """Per-position ``(slot, fingerprint)`` int64 arrays for a scan loop.
 
-    One vectorized modulo pass replaces the per-iteration ``fp % size``
-    of the scalar tandem scan.  Both arrays are ``int64``: fingerprints
-    are < 2**61 so the ``uint64`` kernel output reinterprets exactly,
-    and a signed dtype lets the scan use ``-1`` as an empty-slot
-    sentinel that can never equal a real fingerprint.
+    One vectorized :func:`_slot_index` pass replaces the per-iteration
+    ``fp % size`` of the scalar tandem scan.  Both arrays are ``int64``:
+    fingerprints are < 2**61 so the ``uint64`` kernel output
+    reinterprets exactly, and a signed dtype lets the scan use ``-1`` as
+    an empty-slot sentinel that can never equal a real fingerprint.
     """
     if isinstance(fingerprints, list):
         fps = _np.array(fingerprints, dtype=_np.int64)
@@ -286,7 +286,7 @@ def scan_arrays(fingerprints, table_size: int):
         fps = _np.asarray(fingerprints)
         fps = fps.view(_np.int64) if fps.dtype == _np.uint64 \
             else fps.astype(_np.int64)
-    return fps % _np.int64(table_size), fps
+    return _slot_index(fps.view(_np.uint64), table_size), fps
 
 
 class FingerprintGroups:
@@ -384,14 +384,12 @@ class FingerprintGroups:
             while size < 8 * len(self.unique) and size < (1 << 24):
                 size <<= 1
             present = _np.zeros(size, dtype=bool)
-            present[(self.unique % _np.uint64(size)).astype(_np.int64)] = True
+            present[_slot_index(self.unique, size)] = True
             self._present = present
             self._present_size = size
         queries = _np.asarray(fingerprints, dtype=_np.uint64)
-        hits = self._present[
-            (queries % _np.uint64(self._present_size)).astype(_np.int64)
-        ]
-        return hits.tolist()
+        return self._present[
+            _slot_index(queries, self._present_size)].tolist()
 
     def lookup(self, fingerprint: int) -> List[int]:
         """Capped candidate offsets for one fingerprint (ascending)."""

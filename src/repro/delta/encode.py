@@ -137,6 +137,8 @@ _V2_MIN_SIZE = _V2_FIXED + 1 + 1 + 4 + 1 + 4 + 1 + 4
 #: and every varint ten bytes (the largest IPD2 header).
 _MIN_HEADER_BYTES = _HEADER_FIXED + 1 + 1 + 4
 _MAX_HEADER_BYTES = _V2_FIXED + 3 * 10 + 2 * 4
+#: A checkpoint position no buffer reaches: the ``IPD1`` encoder's.
+_NEVER = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def _get_int(data: Buffer, pos: int, fixed: bool) -> Tuple[int, int]:
 def _ordered_commands(script: DeltaScript, with_offsets: bool) -> List[Command]:
     """Commands in serialization order, shape-checked for sequential."""
     if with_offsets:
-        return list(script.commands)
+        return script.commands
     # No spills here (encode_delta refuses scratch without offsets), so
     # every command writes at ``dst``.
     commands = sorted(script.commands, key=lambda c: c.dst)
@@ -227,40 +229,12 @@ def _ordered_commands(script: DeltaScript, with_offsets: bool) -> List[Command]:
     return commands
 
 
-def _iter_codewords(commands: List[Command], fixed: bool,
-                    with_offsets: bool) -> Iterator[bytes]:
-    """Serialize commands one codeword at a time (adds may span several)."""
-    for cmd in commands:
-        if isinstance(cmd, CopyCommand):
-            word = bytearray((OP_COPY,))
-            _put_int(word, cmd.src, fixed)
-            if with_offsets:
-                _put_int(word, cmd.dst, fixed)
-            _put_int(word, cmd.length, fixed)
-            yield bytes(word)
-        elif isinstance(cmd, SpillCommand):
-            word = bytearray((OP_SPILL,))
-            _put_int(word, cmd.src, fixed)
-            _put_int(word, cmd.scratch, fixed)
-            _put_int(word, cmd.length, fixed)
-            yield bytes(word)
-        elif isinstance(cmd, FillCommand):
-            word = bytearray((OP_FILL,))
-            _put_int(word, cmd.scratch, fixed)
-            _put_int(word, cmd.dst, fixed)
-            _put_int(word, cmd.length, fixed)
-            yield bytes(word)
-        else:
-            done = 0
-            while done < cmd.length:
-                step = min(MAX_ADD_CHUNK, cmd.length - done)
-                word = bytearray((OP_ADD,))
-                if with_offsets:
-                    _put_int(word, cmd.dst + done, fixed)
-                word.append(step)
-                word += cmd.data[done:done + step]
-                done += step
-                yield bytes(word)
+def _checkpoint(out: bytearray, start: int) -> None:
+    """Close the ``IPD2`` segment of ``out[start:]``: ``OP_CRC`` and the
+    CRC32 of its bytes."""
+    crc = zlib.crc32(memoryview(out)[start:]) & 0xFFFFFFFF
+    out.append(OP_CRC)
+    out += crc.to_bytes(4, "little")
 
 
 def encode_delta(
@@ -284,6 +258,12 @@ def encode_delta(
     refuse to destroy a mismatched image.  ``wire=WIRE_V2`` without a
     reference produces an ``IPD2`` file whose reference digest is
     flagged absent (a composed delta, say).
+
+    One pass writes the file into one buffer: the header, then every
+    codeword with its varint fields written inline, and for ``IPD2`` a
+    segment checkpoint as soon as the codewords since the last one
+    reach :data:`SEGMENT_TARGET_BYTES`.  :func:`encoded_size` is the
+    same layout's size model.
     """
     if format not in ALL_FORMATS:
         raise DeltaFormatError("unknown delta format %d" % format)
@@ -305,55 +285,95 @@ def encode_delta(
             "spill/fill commands require an in-place format"
         )
     commands = _ordered_commands(script, with_offsets)
+    v2 = wire == WIRE_V2
 
-    if wire == WIRE_V1:
-        out = bytearray()
-        out += MAGIC
-        out.append(format)
-        out += encode_varint(script.version_length)
-        out += encode_varint(scratch_length)
-        crc = version_crc32 if version_crc32 is not None else 0
-        out += (crc & 0xFFFFFFFF).to_bytes(4, "little")
-        for word in _iter_codewords(commands, fixed, with_offsets):
-            out += word
-        out.append(OP_END)
-        return bytes(out)
-
-    # -- IPD2: flags, reference digest, segment checkpoints, trailer ----
-    body = bytearray()
-    seg_start = 0
-    for word in _iter_codewords(commands, fixed, with_offsets):
-        body += word
-        if len(body) - seg_start >= SEGMENT_TARGET_BYTES:
-            crc = zlib.crc32(memoryview(body)[seg_start:]) & 0xFFFFFFFF
-            body.append(OP_CRC)
-            body += crc.to_bytes(4, "little")
-            seg_start = len(body)
-    if len(body) > seg_start:
-        crc = zlib.crc32(memoryview(body)[seg_start:]) & 0xFFFFFFFF
-        body.append(OP_CRC)
-        body += crc.to_bytes(4, "little")
-
-    flags = 0
-    if version_crc32 is not None:
-        flags |= FLAG_HAS_VERSION_CRC
-    if reference is not None:
-        flags |= FLAG_HAS_REFERENCE
-    if body:
-        flags |= FLAG_SEGMENT_CRCS
-
-    out = bytearray()
-    out += MAGIC_V2
+    out = bytearray(MAGIC_V2 if v2 else MAGIC)
     out.append(format)
-    out.append(flags)
+    if v2:
+        # Flags; FLAG_SEGMENT_CRCS is added once the body is known.
+        out.append((FLAG_HAS_VERSION_CRC if version_crc32 is not None else 0)
+                   | (FLAG_HAS_REFERENCE if reference is not None else 0))
     out += encode_varint(script.version_length)
     out += encode_varint(scratch_length)
     crc = version_crc32 if version_crc32 is not None else 0
     out += (crc & 0xFFFFFFFF).to_bytes(4, "little")
-    out += encode_varint(len(reference) if reference is not None else 0)
-    ref_crc = version_checksum(reference) if reference is not None else 0
-    out += ref_crc.to_bytes(4, "little")
-    out += body
+    if v2:
+        out += encode_varint(len(reference) if reference is not None else 0)
+        ref_crc = version_checksum(reference) if reference is not None else 0
+        out += ref_crc.to_bytes(4, "little")
+
+    body = seg_start = len(out)
+    # The next checkpoint is due once the buffer reaches ``due`` bytes;
+    # IPD1 has none.
+    due = seg_start + SEGMENT_TARGET_BYTES if v2 else _NEVER
+    append = out.append
+    # Varint fields below these bounds take one, two and three bytes
+    # and are written inline; fixed-width fields never are.
+    one, two, three = (0, 0, 0) if fixed else (0x80, 0x4000, 0x200000)
+    for cmd in commands:
+        kind = type(cmd)
+        if kind is CopyCommand:
+            append(OP_COPY)
+            fields = ((cmd.src, cmd.dst, cmd.length) if with_offsets
+                      else (cmd.src, cmd.length))
+        elif kind is SpillCommand:
+            append(OP_SPILL)
+            fields = (cmd.src, cmd.scratch, cmd.length)
+        elif kind is FillCommand:
+            append(OP_FILL)
+            fields = (cmd.scratch, cmd.dst, cmd.length)
+        else:
+            # An add: one codeword per MAX_ADD_CHUNK literal bytes.
+            data = cmd.data
+            dst = cmd.dst
+            size = len(data)
+            for done in range(0, size, MAX_ADD_CHUNK):
+                step = min(MAX_ADD_CHUNK, size - done)
+                append(OP_ADD)
+                if with_offsets:
+                    value = dst + done
+                    if value < one:
+                        append(value)
+                    elif value < two:
+                        append(value & 0x7F | 0x80)
+                        append(value >> 7)
+                    elif value < three:
+                        append(value & 0x7F | 0x80)
+                        append(value >> 7 & 0x7F | 0x80)
+                        append(value >> 14)
+                    else:
+                        _put_int(out, value, fixed)
+                append(step)
+                out += data if step == size else data[done:done + step]
+                if len(out) >= due:
+                    _checkpoint(out, seg_start)
+                    seg_start = len(out)
+                    due = seg_start + SEGMENT_TARGET_BYTES
+            continue
+        for value in fields:
+            if value < one:
+                append(value)
+            elif value < two:
+                append(value & 0x7F | 0x80)
+                append(value >> 7)
+            elif value < three:
+                append(value & 0x7F | 0x80)
+                append(value >> 7 & 0x7F | 0x80)
+                append(value >> 14)
+            else:
+                _put_int(out, value, fixed)
+        if len(out) >= due:
+            _checkpoint(out, seg_start)
+            seg_start = len(out)
+            due = seg_start + SEGMENT_TARGET_BYTES
+
+    if not v2:
+        out.append(OP_END)
+        return bytes(out)
+    if len(out) > seg_start:
+        _checkpoint(out, seg_start)
+    if len(out) > body:
+        out[5] |= FLAG_SEGMENT_CRCS
     out.append(OP_END)
     out += (zlib.crc32(out) & 0xFFFFFFFF).to_bytes(4, "little")
     return bytes(out)
@@ -653,9 +673,13 @@ def encoded_size(
     fixed = format in _FIXED_FORMATS
     with_offsets = format in _INPLACE_FORMATS
     field = (lambda value: 4) if fixed else varint_size
+    commands = script.commands
+    if wire == WIRE_V2 and not with_offsets:
+        # Checkpoints fall where the encoder's write order puts them.
+        commands = sorted(commands, key=lambda c: c.dst)
 
     def word_sizes() -> Iterator[int]:
-        for cmd in script.commands:
+        for cmd in commands:
             if isinstance(cmd, CopyCommand):
                 size = 1 + field(cmd.src) + field(cmd.length)
                 if with_offsets:

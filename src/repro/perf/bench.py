@@ -37,12 +37,21 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from ..core.apply import apply_delta, apply_in_place
+from ..core.commands import AddCommand
 from ..core.convert import make_in_place
 from ..core.crwi import build_crwi_digraph
 from ..core.policies import LocallyMinimumPolicy
 from ..core.toposort import cycle_breaking_toposort
 from ..delta import _kernels
 from ..delta import encode_delta, greedy_delta, onepass_delta, correcting_delta
+from ..delta.encode import (
+    FORMAT_INPLACE,
+    MAX_ADD_CHUNK,
+    WIRE_V2,
+    decode_delta,
+    encoded_size,
+    version_checksum,
+)
 from ..delta.rolling import (
     DEFAULT_SEED_LENGTH,
     FullSeedIndex,
@@ -202,6 +211,51 @@ def _convert_op(name_suffix: str, script, reference,
     )
 
 
+def _encode_op(script, reference, version, input_bytes) -> BenchOp:
+    """The in-place payload encode every chain pull ends with.
+
+    ``encode_delta`` of ``apply_in_place_256k``'s converted script as an
+    ``IPD2`` file with the reference digest and the version CRC, as
+    :meth:`~repro.store.PackStore.chain` writes it.  Throughput is
+    version bytes per second.  The oracle decodes the payload back to
+    the same commands (adds split at the add codeword's 255-byte
+    limit) and requires ``encoded_size`` to price it exactly.
+    """
+    version_crc = version_checksum(version)
+
+    def run():
+        return encode_delta(script, FORMAT_INPLACE,
+                            version_crc32=version_crc, reference=reference)
+
+    def oracle(payload) -> bool:
+        expected = []
+        for cmd in script.commands:
+            if isinstance(cmd, AddCommand):
+                expected += [AddCommand(cmd.dst + done,
+                                        cmd.data[done:done + MAX_ADD_CHUNK])
+                             for done in range(0, cmd.length, MAX_ADD_CHUNK)]
+            else:
+                expected.append(cmd)
+        decoded, header = decode_delta(payload)
+        return (decoded.commands == expected
+                and header.version_crc32 == version_crc
+                and header.reference_length == len(reference)
+                and encoded_size(script, FORMAT_INPLACE, wire=WIRE_V2,
+                                 reference_length=len(reference))
+                == len(payload))
+
+    return BenchOp(
+        name="encode_inplace_256k",
+        op="delta.encode",
+        run=run,
+        input_bytes=input_bytes,
+        processed_bytes=len(version),
+        quick=True,
+        oracle=oracle,
+        min_seconds=0.25,
+    )
+
+
 def _toposort_op() -> BenchOp:
     """Cycle-breaking toposort on a dense-edit 1.5 MiB digraph.
 
@@ -353,6 +407,8 @@ def build_suite(quick: bool) -> List[BenchOp]:
                        quick=True, min_seconds=0.25,
                        oracle=lambda out: out[1].complete
                        and out[0].snapshot() == bytes(small_ver)))
+    ops.append(_encode_op(converted.script, small_ref, small_ver,
+                          small_sizes))
 
     # Batch-pipeline transport comparison: one reference serving a batch
     # of small chunk updates, through the "process" executor (the
@@ -571,11 +627,11 @@ def _store_op() -> BenchOp:
     ``store.chain(first, latest)`` — fetch the 11 hop scripts, fold
     them with ``compose_chain``, convert for in-place application,
     encode one ``IPD2`` payload.  The untimed warm-up run fills the
-    store's hop-script cache, so the timed repeats measure a warm
-    store: no stored-hop decode and no re-diff, only cache hits,
-    compose, convert and encode.  Throughput is the chain's image
-    volume per second.  The oracle applies the payload in place over
-    the first release and demands the latest, byte-exact.
+    store's hop-script cache and its span memo, so the timed repeats
+    measure a warm store: no stored-hop decode, no re-diff and no
+    compose, only cache hits, convert and encode.  Throughput is the
+    chain's image volume per second.  The oracle applies the payload in
+    place over the first release and demands the latest, byte-exact.
     """
     import shutil
     import tempfile

@@ -99,6 +99,13 @@ LOCK_NAME = "writer.lock"
 #: of a command object with its fields and its list slot in CPython.
 _HOP_COMMAND_BYTES = 192
 
+
+def _script_bytes(script: DeltaScript) -> int:
+    """What a cached hop script or span is charged against
+    ``StoreConfig.cache_bytes``."""
+    return script.added_bytes + _HOP_COMMAND_BYTES * len(script)
+
+
 #: Base choice: a candidate qualifies when at least this share of
 #: :data:`SIMILARITY_PROBES` probes of :data:`SIMILARITY_PROBE_LEN`
 #: bytes, evenly spaced over the new image, occur in it.
@@ -136,8 +143,9 @@ class StoreConfig:
     #: How many recent versions of the package are considered as bases.
     similarity_window: int = 4
     #: Byte budget of the store's LRU, shared by reconstructed objects,
-    #: :meth:`PackStore.chain`'s hop scripts and the per-package seed
-    #: tables publish carries forward (0 disables all three).
+    #: :meth:`PackStore.chain`'s hop scripts and composed spans, and the
+    #: per-package seed tables publish carries forward (0 disables all
+    #: four).
     cache_bytes: int = 32 << 20
     #: fsync pack appends and index renames (tests may disable for
     #: speed; real deployments should not).
@@ -293,7 +301,8 @@ class PackStore:
         self._lock = threading.RLock()
         #: The store's one cache, under ``config.cache_bytes``: objects
         #: keyed by digest, hop scripts by ``(cur, nxt)`` digests
-        #: (:meth:`_hop_script`), each package's newest seed table by
+        #: (:meth:`_hop_script`), composed spans by ``("span", path)``
+        #: (:meth:`_span`), each package's newest seed table by
         #: ``("seed-table", package)`` (:meth:`_diff`).
         self._cache = LRU(self.config.cache_bytes,
                           evictions="store.cache.evictions")
@@ -325,8 +334,8 @@ class PackStore:
         return cls(root, cfg)
 
     def close(self) -> None:
-        """Drop the cached reconstructions, hop scripts and seed tables
-        (no file handles stay open)."""
+        """Drop the cached reconstructions, hop scripts, spans and seed
+        tables (no file handles stay open)."""
         self._cache.clear()
 
     def __enter__(self) -> "PackStore":
@@ -660,10 +669,12 @@ class PackStore:
         round-trips and not a full re-diff.
 
         Each hop's script is computed once per store lifetime (see
-        :meth:`_hop_script`).  The store lock covers only the log read,
-        pack reads and reconstructions; decode, diff, compose, convert
-        and encode run unlocked on in-memory bytes.  A version a
-        concurrent ``gc(keep_last=...)`` drops mid-chain raises
+        :meth:`_hop_script`), and so is each multi-hop fold, which
+        extends the fold of its path minus the last hop (see
+        :meth:`_span`).  The store lock covers only the log read, pack
+        reads and reconstructions; decode, diff, compose, convert and
+        encode run unlocked on in-memory bytes.  A version a concurrent
+        ``gc(keep_last=...)`` drops mid-chain raises
         :class:`~repro.exceptions.StoreError` (``kind="chain"``).
 
         Returns ``None`` when the store cannot do better than a fresh
@@ -673,7 +684,8 @@ class PackStore:
         (hops folded), ``store.chain.stored_hops`` vs
         ``store.chain.hop_diffs`` (storage-aligned vs other hops),
         ``store.chain.hop_cache.hits``/``.misses`` (hops served from
-        the cache vs computed).
+        the cache vs computed), ``store.chain.span_cache.hits``/
+        ``.misses`` (folds served from the cache vs composed).
         """
         with self._lock:
             log = self._index.logs.get(package)
@@ -685,7 +697,7 @@ class PackStore:
             path = log[start:stop + 1]
         hops = [self._hop_script(cur, nxt)
                 for cur, nxt in zip(path, path[1:])]
-        composed = compose_chain(hops) if len(hops) > 1 else hops[0]
+        composed = self._span(path, hops)
         with self._lock:
             reference = self._materialize(have)
             target = self._materialize(want)
@@ -731,11 +743,37 @@ class PackStore:
                 return decode_delta(payload)[0]
             return ALGORITHMS[self.config.algorithm](*inputs)
 
-        return self._cache.get_or_build(
-            (cur, nxt), build,
-            lambda script: script.added_bytes
-            + _HOP_COMMAND_BYTES * len(script),
-            "store.chain.hop_cache")
+        return self._cache.get_or_build((cur, nxt), build, _script_bytes,
+                                        "store.chain.hop_cache")
+
+    def _span(self, path: List[str], hops: List[DeltaScript]) -> DeltaScript:
+        """The fold of ``hops``, the scripts of the publish-log ``path``.
+
+        Cached under ``("span", tuple(path))``, the exact path and not
+        only its two ends: a re-publish or a ``gc`` that changes the
+        versions between two digests changes the key, so no stale fold
+        is ever served.  The fold of ``path[:i + 1]`` is the fold of
+        ``path[:i]`` composed with hop ``i - 1``, the same left fold
+        :func:`~repro.core.compose.compose_chain` runs, so the longest
+        cached prefix is extended one hop at a time, in a loop.  Each
+        extension is built once through the cache's build locks and
+        charged like a hop script.
+        """
+        if len(hops) == 1:
+            return hops[0]
+        span, done = hops[0], 1
+        for end in range(len(path), 2, -1):
+            cached = self._cache.get(("span", tuple(path[:end])))
+            if cached is not None:
+                perf.add("store.chain.span_cache.hits")
+                span, done = cached, end - 1
+                break
+        for i in range(done, len(hops)):
+            span = self._cache.get_or_build(
+                ("span", tuple(path[:i + 2])),
+                lambda prefix=span, hop=hops[i]: compose_chain([prefix, hop]),
+                _script_bytes, "store.chain.span_cache")
+        return span
 
     # -- introspection --------------------------------------------------
 

@@ -100,6 +100,12 @@ def test_quick_suite_is_a_subset():
     journaled = quick["apply_journaled_256k"]
     assert journaled.input_bytes == quick["apply_in_place_256k"].input_bytes
     assert journaled.oracle(journaled.run())
+    # The drift gate covers the in-place encoder through this op: the
+    # same converted script, encoded as IPD2, decodes back to it.
+    encode = quick["encode_inplace_256k"]
+    assert encode.input_bytes == quick["apply_in_place_256k"].input_bytes
+    payload = encode.run()
+    assert payload[:4] == b"IPD2" and encode.oracle(payload)
 
 
 def test_run_op_artifact_shape():

@@ -816,6 +816,188 @@ class TestHopCache:
         assert bytes(buf) == chain[-1][1]
 
 
+def _compose_calls(monkeypatch):
+    """Count ``compose_scripts`` calls (every fold of two scripts)."""
+    from repro.core import compose
+
+    calls = []
+    real = compose.compose_scripts
+
+    def counted(first, second):
+        calls.append(1)
+        return real(first, second)
+
+    monkeypatch.setattr(compose, "compose_scripts", counted)
+    return calls
+
+
+def _multi_hop_pairs(n):
+    """Pairs ``i < j`` of ``n`` versions at least two hops apart."""
+    return sum(1 for i in range(n) for j in range(i + 2, n))
+
+
+class TestSpanMemo:
+    """``chain()`` composes each multi-hop span once, by extending the
+    cached span of its path minus the last hop, and serves exactly the
+    bytes a store without the memo does."""
+
+    RELEASES = 13
+
+    @pytest.fixture
+    def train(self, tmp_path):
+        # 13 releases under the default max_chain_depth of 8: the tail
+        # re-anchors, so the spans fold stored and re-diffed hops.
+        store = PackStore.init(tmp_path / "s", FAST)
+        chain = _publish_chain(store, "pkg", random.Random(SEED),
+                               self.RELEASES)
+        store.close()
+        return store, chain
+
+    def _fresh(self, store, **config):
+        return PackStore(store.root, StoreConfig(fsync=False, **config))
+
+    def test_warm_fresh_and_uncached_payloads_agree(self, train,
+                                                    monkeypatch):
+        store, chain = train
+        digests = [d for d, _ in chain]
+        calls = _compose_calls(monkeypatch)
+        with perf.recording() as recorder:
+            cold = _all_payloads(store, digests)
+        spans = _multi_hop_pairs(self.RELEASES)
+        assert recorder.counters["store.chain.span_cache.misses"] == spans
+        assert len(calls) == spans
+        with perf.recording() as recorder:
+            warm = _all_payloads(store, digests)
+        assert recorder.counters["store.chain.span_cache.hits"] == spans
+        assert "store.chain.span_cache.misses" not in recorder.counters
+        assert len(calls) == spans
+        assert warm == cold == _all_payloads(self._fresh(store), digests)
+        del calls[:]
+        off = _all_payloads(self._fresh(store, cache_bytes=0), digests)
+        assert off == cold
+        # Nothing kept: every pull folds its whole path again.
+        assert len(calls) == sum(j - i - 1 for i, j in off)
+        for (i, j), payload in cold.items():
+            buf = bytearray(chain[i][1])
+            repro.patch_in_place(buf, payload)
+            assert bytes(buf) == chain[j][1]
+
+    def test_longest_cached_prefix_is_extended(self, train, monkeypatch):
+        store, chain = train
+        digests = [d for d, _ in chain]
+        store.chain("pkg", digests[0], digests[5])
+        calls = _compose_calls(monkeypatch)
+        with perf.recording() as recorder:
+            payload = store.chain("pkg", digests[0], digests[9])
+        # Spans 0..5 is found; 0..6 through 0..9 are composed.
+        assert len(calls) == 4
+        assert recorder.counters["store.chain.span_cache.hits"] == 1
+        assert recorder.counters["store.chain.span_cache.misses"] == 4
+        assert payload == self._fresh(store).chain("pkg", digests[0],
+                                                   digests[9])
+
+    def test_republish_and_gc_change_the_path_and_the_payload(self, train):
+        store, chain = train
+        digests = [d for d, _ in chain]
+        have, want = digests[0], digests[6]
+        store.chain("pkg", have, want)
+        # Re-publishing a version moves it to the log head, so the path
+        # from ``have`` to ``want`` no longer passes through it.
+        store.publish("pkg", chain[3][1])
+        assert store.versions("pkg")[-1] == digests[3]
+        with perf.recording() as recorder:
+            after = store.chain("pkg", have, want)
+        # The new path's spans are composed, extending the one prefix
+        # both paths share (0..2); none of the old path's is served.
+        assert recorder.counters["store.chain.span_cache.hits"] == 1
+        assert recorder.counters["store.chain.span_cache.misses"] == 3
+        assert after == self._fresh(store).chain("pkg", have, want)
+        buf = bytearray(chain[0][1])
+        repro.patch_in_place(buf, after)
+        assert bytes(buf) == chain[6][1]
+        # gc trims the log to its newest ten and re-deltifies; the paths
+        # between kept versions are unchanged, and so are their payloads,
+        # which match a fresh store's.
+        warm = _all_payloads(store, store.versions("pkg"))
+        store.gc(keep_last=10)
+        kept = store.versions("pkg")
+        assert len(kept) == 10
+        hot = _all_payloads(store, kept)
+        assert hot == {(i, j): warm[i + 3, j + 3] for i, j in hot}
+        assert hot == _all_payloads(self._fresh(store), kept)
+
+    def test_concurrent_pulls_compose_each_span_once(self, train,
+                                                     monkeypatch):
+        import sys
+        import threading
+
+        store, chain = train
+        digests = [d for d, _ in chain[3:]]
+        expected = _all_payloads(self._fresh(store), digests)
+        calls = _compose_calls(monkeypatch)
+        errors = []
+
+        def puller(seed):
+            order = list(expected)
+            random.Random(seed).shuffle(order)
+            try:
+                for i, j in order:
+                    if store.chain("pkg", digests[i], digests[j]) \
+                            != expected[i, j]:
+                        errors.append((i, j))
+            except Exception as exc:  # reported through ``errors``
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with perf.recording() as recorder:
+                threads = [threading.Thread(target=puller, args=(k,))
+                           for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        spans = _multi_hop_pairs(len(digests))
+        assert recorder.counters["store.chain.span_cache.misses"] == spans
+        assert len(calls) == spans
+
+    def test_hundreds_of_releases_behind_without_recursion(self, tmp_path):
+        import sys
+
+        store = PackStore.init(tmp_path / "s", FAST)
+        rng = random.Random(SEED)
+        image = bytearray(rng.randbytes(48))
+        images, digests = [], []
+        for _ in range(300):
+            images.append(bytes(image))
+            digests.append(store.publish("pkg", image))
+            image[rng.randrange(len(image))] ^= 1 + rng.randrange(255)
+        assert len(set(digests)) == len(digests)
+        # Far less stack than one frame per hop.
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            with perf.recording() as recorder:
+                payload = store.chain("pkg", digests[0], digests[-1])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert recorder.counters["store.chain.span_cache.misses"] == 298
+        buf = bytearray(images[0])
+        repro.patch_in_place(buf, payload)
+        assert bytes(buf) == images[-1]
+        assert payload == self._fresh(store, cache_bytes=0).chain(
+            "pkg", digests[0], digests[-1])
+
+
 class TestGc:
     def test_keep_last_trims_and_drops_unreachable(self, tmp_path):
         store = PackStore.init(tmp_path / "s", FAST)

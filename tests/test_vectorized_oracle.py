@@ -16,9 +16,12 @@ corpus-style inputs:
   probe;
 * ``FullSeedIndex`` / ``FingerprintGroups`` vs ``full_index_reference``,
   bucket for bucket in content and order, plus the one-sided
-  ``membership`` prefilter;
+  ``membership`` prefilter and its bitmap slots;
+* ``_slot_index`` (a mask at power-of-two sizes) vs ``%`` at every kind
+  of table size;
 * whole differs (greedy, onepass, correcting): encoded deltas with the
-  fast paths on must equal the encoded deltas with them pinned off.
+  fast paths on must equal the encoded deltas with them pinned off,
+  onepass and correcting at table sizes that are not powers of two too.
 
 The convert plane (``repro.core``) makes the same promise for its array
 kernels and this suite holds it to that too:
@@ -360,6 +363,35 @@ def test_membership_prefilter_is_one_sided(fast_on):
 
 
 @needs_numpy
+@pytest.mark.parametrize("stored", [100, 20000],
+                         ids=["base_bitmap", "grown_bitmap"])
+def test_membership_is_the_bitmap_remainder(stored, fast_on):
+    """The greedy prefilter flags a query exactly when some stored
+    fingerprint leaves the same remainder modulo the bitmap size."""
+    rng = random.Random(stored)
+    reference = rng.randbytes(stored + DEFAULT_SEED_LENGTH - 1)
+    index = FullSeedIndex(reference, DEFAULT_SEED_LENGTH, 64)
+    queries = _kernels.seed_fingerprints(
+        reference[:500] + rng.randbytes(3000), DEFAULT_SEED_LENGTH)
+    maybe = index.groups.membership(queries)
+    size = index.groups._present_size
+    slots = {f % size for f in index.groups.unique.tolist()}
+    assert maybe == [f % size in slots for f in queries.tolist()]
+
+
+@needs_numpy
+@pytest.mark.parametrize("size", [1, 2, 5, 7, 64, 1000, 12289, 1 << 16,
+                                  (1 << 16) + 1, 1 << 24])
+def test_slot_index_is_the_remainder(size):
+    """A mask for power-of-two sizes and ``%`` for the rest give the
+    remainder the scalar scans compute."""
+    fps = _kernels.seed_fingerprints(random.Random(size).randbytes(4000),
+                                     DEFAULT_SEED_LENGTH)
+    assert _kernels._slot_index(fps, size).tolist() == \
+        [f % size for f in fps.tolist()]
+
+
+@needs_numpy
 def test_groups_lookup_after_flatten_threshold(fast_on, monkeypatch):
     """The hybrid lookup is identical before and after list flattening."""
     monkeypatch.setattr(_kernels.FingerprintGroups, "_FLATTEN_AFTER", 4)
@@ -552,6 +584,27 @@ def test_differ_output_identical_fast_vs_reference(differ, label, reference,
     finally:
         use_fast_paths(previous)
     assert encode_delta(fast) == encode_delta(slow)
+
+
+@pytest.mark.parametrize("differ", [onepass_delta, correcting_delta],
+                         ids=["onepass", "correcting"])
+@pytest.mark.parametrize("table_size", [12289, (1 << 16) + 1],
+                         ids=["prime", "pow2_plus_1"])
+@pytest.mark.parametrize("label,reference,version", _pairs(),
+                         ids=[p[0] for p in _pairs()])
+def test_differ_identical_fast_vs_reference_odd_table_size(
+        differ, table_size, label, reference, version):
+    """Table sizes that are not powers of two take ``%`` instead of the
+    mask, with the same slots and so the same script."""
+    previous = use_fast_paths(True)
+    try:
+        fast = differ(reference, version, table_size=table_size)
+        use_fast_paths(False)
+        slow = differ(reference, version, table_size=table_size)
+    finally:
+        use_fast_paths(previous)
+    assert encode_delta(fast) == encode_delta(slow)
+    assert apply_delta(fast, reference) == version
 
 
 @needs_numpy
