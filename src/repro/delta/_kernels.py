@@ -2,31 +2,38 @@
 
 Every kernel here computes *exactly* what the scalar reference
 implementations in :mod:`repro.delta.rolling` compute — the same
-fingerprints modulo the same Mersenne prime ``2^61 - 1`` with the same
-base — just in whole-buffer numpy passes instead of a Python-level loop
-per byte.  Bit-identical fingerprints are load-bearing: seed-table slot
-assignment (FCFS collisions) and full-index bucket order both depend on
-the exact fingerprint values, and the delta scripts the differs emit
-must not change when the fast paths are enabled.
-
-The arithmetic never leaves ``uint64``.  A 61-bit modular product needs
-122 product bits, so operands are split at bit 31 and the partial
-products are reduced with the Mersenne identities ``2^61 ≡ 1`` and
-``x * 2^k ≡ rotl61(x, k) (mod 2^61 - 1)``:
-
-* ``a*b = a1*b1*2^62 + (a1*b0 + a0*b1)*2^31 + a0*b0`` with every
-  partial product below ``2^62`` (no uint64 overflow);
-* ``t*2^62 ≡ t*2`` and the 31-bit shift becomes a 61-bit rotate.
+fingerprints modulo the same Mersenne prime ``M = 2^61 - 1`` with the
+same base — just in whole-buffer numpy passes instead of a Python-level
+loop per byte.  Bit-identical fingerprints are load-bearing: seed-table
+slot assignment (FCFS collisions) and full-index bucket order both
+depend on the exact fingerprint values, and the delta scripts the
+differs emit must not change when the fast paths are enabled.
 
 All-seed fingerprinting uses the prefix trick: with
-``Q[i] = sum_{j<i} data[j] * B^-(j+1) (mod M)`` (a cumulative sum, the
-only sequential dependency, handled by ``np.cumsum`` on the split
-representation one cache-sized block at a time; a window needs only a
-difference of two prefix sums, so every block sums from zero), the seed
-hash at offset ``i`` is ``(Q[i+L] - Q[i]) * B^(i+L)``.  Power tables
-for ``B`` and ``B^-1`` are grown on demand and cached module-wide, so
-repeated fingerprinting of same-scale buffers (every batch pipeline)
-pays for them once.
+``Q[i] = sum_{j<i} data[j] * B^-(j+1)``, the seed hash at offset ``i``
+is ``(Q[i+L] - Q[i]) * B^(i+L) (mod M)``.  The arithmetic never leaves
+``uint64``, and it reduces modulo ``M`` once per seed:
+
+* The power tables hold ``B^i`` and ``B^-i`` as two 31-bit limbs
+  (``hi < 2^30``, ``lo < 2^31``).  A block of ``2^15`` output positions
+  takes one exact prefix sum per limb (``np.cumsum``; each term
+  ``byte * limb`` is below ``2^39``, so a block's sum stays far below
+  ``2^64``), and the window sums ``x`` (hi) and ``y`` (lo) are plain
+  differences of them: exact, non-negative, no reduction.
+* ``x * 2^31 + y`` folds into one value below ``2^62`` as
+  ``(x >> 30) + ((x & (2^30 - 1)) << 31) + y``, using ``2^61 ≡ 1``.
+  That needs ``L * 255 * (2^31 + 1) <= 2^61``, so seeds longer than
+  :data:`MAX_FAST_SEED_LENGTH` (about ``2^22``) are fingerprinted by the
+  scalar reference instead.
+* :func:`_mulmod` multiplies the folded value by ``B^(i+L)`` limb by
+  limb, ``v*p = v1*p1*2^62 + (v1*p0 + v0*p1)*2^31 + v0*p0`` with
+  ``2^62 ≡ 2`` and the cross term's 31-bit shift split at bit 30, so
+  every partial sum stays below ``2^64``; one fold and one conditional
+  subtract then give the canonical residue.
+
+The power tables are built by doubling with the same :func:`_mulmod`
+and cached module-wide as one tuple, so repeated fingerprinting of
+same-scale buffers (every batch pipeline) pays for them once.
 
 When numpy is unavailable ``HAVE_NUMPY`` is False and
 :mod:`repro.delta.rolling` keeps every caller on the scalar reference
@@ -49,8 +56,14 @@ HAVE_NUMPY = _np is not None
 _BASE = 257
 _MODULUS = (1 << 61) - 1
 
+#: Longest seed :func:`seed_fingerprints` computes in numpy: a window's
+#: two limb sums fold below ``2^62`` while ``L * 255 * (2^31 + 1) <=
+#: 2^61``.  Longer seeds take the scalar reference.
+MAX_FAST_SEED_LENGTH = (1 << 61) // (255 * ((1 << 31) + 1))
+
 if HAVE_NUMPY:
     _MASK = _np.uint64(_MODULUS)
+    _LO30 = _np.uint64((1 << 30) - 1)
     _LO31 = _np.uint64((1 << 31) - 1)
     _U1 = _np.uint64(1)
     _U30 = _np.uint64(30)
@@ -58,88 +71,89 @@ if HAVE_NUMPY:
     _U61 = _np.uint64(61)
 
     #: Output positions per block of :func:`seed_fingerprints`.  Small
-    #: enough that a block's buffers stay in cache, and far below the
-    #: 2^24 terms (each < 2^39) whose running sum could wrap uint64.
+    #: enough that a block's buffers stay in cache.
     _CUMSUM_BLOCK = 1 << 15
 
 
-def _reduce(x, scratch):
-    """Map ``x`` to its canonical residue in ``[0, 2^61 - 1)``, in place.
+def _mulmod(v, p_hi, p_lo, out, work):
+    """Elementwise ``out = v * p (mod 2^61 - 1)``, canonical.
 
-    Any uint64 ``x`` works.  One fold suffices: the folded value is at
-    most ``(2^61 - 1) + 7``, which a single conditional subtract maps
-    into ``[0, 2^61 - 1)``.  ``scratch`` is a same-shape uint64 buffer
-    the call may clobber.
+    ``v`` is uint64 below ``2^62``; ``p = p_hi * 2^31 + p_lo`` is a
+    residue given as its limbs (arrays or scalars, ``p_hi < 2^30``,
+    ``p_lo < 2^31``).  ``out`` may alias ``v``: both limbs of ``v`` are
+    split off before ``out`` is written.  ``work`` is three same-shape
+    uint64 buffers the call clobbers.
     """
-    _np.right_shift(x, _U61, out=scratch)
-    x &= _MASK
-    x += scratch
-    _np.subtract(x, _MASK, out=x, where=x >= _MASK)
-    return x
-
-
-def _rotl31(x, scratch):
-    """``x * 2^31 (mod 2^61 - 1)`` for ``x <= 2^61 - 1`` via 61-bit rotate,
-    in place; ``scratch`` as for :func:`_reduce`."""
-    _np.right_shift(x, _U30, out=scratch)
-    x <<= _U31
-    x &= _MASK
-    x |= scratch
-    return x
-
-
-def _mulmod(a, b, out, work):
-    """Elementwise ``out = a * b (mod 2^61 - 1)`` for residues ``a, b < 2^61``.
-
-    ``b`` may be a scalar and ``out`` may alias ``a`` (both limbs of
-    ``a`` are split off before ``out`` is written).  ``work`` is four
-    same-shape uint64 buffers the call clobbers.
-    """
-    b1, b0, a1, cross = work
-    _np.right_shift(b, _U31, out=b1)
-    _np.bitwise_and(b, _LO31, out=b0)
-    _np.right_shift(a, _U31, out=a1)
-    a0 = _np.bitwise_and(a, _LO31, out=out)
-    _np.multiply(a1, b0, out=cross)
-    low = _np.multiply(b0, a0, out=b0)
-    a0 *= b1
-    cross += a0
-    high = _np.multiply(b1, a1, out=b1)
-    high <<= _U1  # t * 2^62 ≡ t * 2
-    _rotl31(_reduce(cross, a1), a1)
-    _reduce(low, a1)
-    total = _np.add(low, high, out=out)
-    total += cross
-    return _reduce(total, a1)
+    v1, v0, t = work
+    _np.right_shift(v, _U31, out=v1)
+    _np.bitwise_and(v, _LO31, out=v0)
+    _np.multiply(v1, p_hi, out=out)
+    out <<= _U1  # v1*p1 * 2^62 ≡ v1*p1 * 2, below 2^62
+    _np.multiply(v0, p_hi, out=t)
+    v1 *= p_lo
+    v1 += t  # cross term, below 2^63
+    v0 *= p_lo
+    out += v0
+    _np.right_shift(v1, _U30, out=t)  # cross * 2^31 ≡ (cross >> 30)
+    out += t
+    v1 &= _LO30  # ... + ((cross & (2^30 - 1)) << 31)
+    v1 <<= _U31
+    out += v1  # below 2^63 + 2^62: reduce once
+    _np.right_shift(out, _U61, out=t)
+    out &= _MASK
+    out += t
+    _np.subtract(out, _MASK, out=t)  # wraps when out < M
+    return _np.minimum(out, t, out=out)
 
 
 # -- power tables ------------------------------------------------------
 #
-# pows(base)[i] == base^i mod M.  Grown by doubling with the vectorized
-# mulmod (log n vector passes) and cached module-wide: every caller
-# slices a read-only view, so a pipeline fingerprinting many same-sized
-# buffers builds each table once.
+# (pow_hi, pow_lo, inv_hi, inv_lo): B^i and B^-i mod M for i < size, as
+# 31-bit limbs in uint32.  The size is a power of two; a larger request
+# builds a new tuple in local variables and publishes it whole, so a
+# thread fingerprinting concurrently keeps reading the tuple it took.
 
 _BASE_INV = pow(_BASE, _MODULUS - 2, _MODULUS)
-_pow_tables: dict = {}
+_power_limbs: tuple = ()
 
 
-def _powers(base: int, count: int):
-    table = _pow_tables.get(base)
-    if table is None or len(table) < count:
-        if table is None:
-            table = _np.ones(1, dtype=_np.uint64)
-        while len(table) < count:
-            factor = _np.uint64(pow(base, len(table), _MODULUS))
-            work = [_np.empty(len(table), dtype=_np.uint64)
-                    for _ in range(4)]
-            grown = _np.empty(2 * len(table), dtype=_np.uint64)
-            grown[:len(table)] = table
-            _mulmod(table, factor, grown[len(table):], work)
-            table = grown
-        table.setflags(write=False)
-        _pow_tables[base] = table
-    return table[:count]
+def _build_power_limbs(size: int) -> tuple:
+    """Both power tables for ``size`` (a power of two) entries, as limbs.
+
+    Each table is built as uint64 by doubling (``B^(i+h) = B^i * B^h``)
+    and then split into its limbs.  The doubling multiplies ``2^15``
+    entries at a time, so its scratch stays 768 KiB at any size.
+    """
+    limbs = []
+    table = _np.empty(size, dtype=_np.uint64)
+    step = min(size, 1 << 15)
+    work = [_np.empty(step, dtype=_np.uint64) for _ in range(3)]
+    for base in (_BASE, _BASE_INV):
+        table[0] = have = 1
+        while have < size:
+            factor = pow(base, have, _MODULUS)
+            f_hi, f_lo = _np.uint64(factor >> 31), _np.uint64(factor) & _LO31
+            for lo in range(0, have, step):
+                hi = min(lo + step, have)
+                _mulmod(table[lo:hi], f_hi, f_lo, table[have + lo:have + hi],
+                        [w[:hi - lo] for w in work])
+            have *= 2
+        for split, operand in ((_np.right_shift, _U31),
+                               (_np.bitwise_and, _LO31)):
+            limb = split(table, operand, out=_np.empty(size, _np.uint32))
+            limb.setflags(write=False)
+            limbs.append(limb)
+    return tuple(limbs)
+
+
+def _powers(count: int) -> tuple:
+    """The cached power limbs, at least ``count`` entries each."""
+    global _power_limbs
+    limbs = _power_limbs
+    if not limbs or len(limbs[0]) < count:
+        limbs = _build_power_limbs(1 << (count - 1).bit_length())
+        _power_limbs = limbs
+    return limbs
 
 
 # -- kernels -----------------------------------------------------------
@@ -150,7 +164,8 @@ def seed_fingerprints(data, seed_length: int):
 
     ``result[i]`` equals ``hash_seed(data, i, seed_length)`` from the
     scalar reference implementation, for every ``i`` in
-    ``[0, len(data) - seed_length]``.
+    ``[0, len(data) - seed_length]``.  ``data`` is any bytes-like
+    object; it is read in place, not copied.
 
     Output positions are produced in blocks of at most
     ``_CUMSUM_BLOCK``.  Each block runs every pass in place (ufuncs with
@@ -163,46 +178,44 @@ def seed_fingerprints(data, seed_length: int):
     count = n - seed_length + 1
     if count <= 0:
         return _np.empty(0, dtype=_np.uint64)
-    d = _np.frombuffer(bytes(data), dtype=_np.uint8)
-    inv = _powers(_BASE_INV, n + 1)
-    pows = _powers(_BASE, n + 1)
+    if seed_length > MAX_FAST_SEED_LENGTH:
+        from repro.delta.rolling import seed_fingerprints_reference
+        return _np.array(seed_fingerprints_reference(data, seed_length),
+                         dtype=_np.uint64)
+    d = _np.frombuffer(data, dtype=_np.uint8)
+    pow_hi, pow_lo, inv_hi, inv_lo = _powers(n + 1)
     result = _np.empty(count, dtype=_np.uint64)
     block = min(count, _CUMSUM_BLOCK)
-    q_hi, q_lo, scratch = (_np.empty(block + seed_length, dtype=_np.uint64)
-                           for _ in range(3))
-    work = [_np.empty(block, dtype=_np.uint64) for _ in range(2)]
+    q_hi, q_lo = (_np.empty(block + seed_length, dtype=_np.uint64)
+                  for _ in range(2))
+    work = [_np.empty(block, dtype=_np.uint64) for _ in range(3)]
     for start in range(0, count, block):
         c = min(block, count - start)
         m = c + seed_length
-        # Block prefix sums P[k] = sum_{start<=j<start+k} data[j] *
-        # B^-(j+1) for k in [0, m), one buffer per limb of the weight
-        # split at bit 31 (byte*weight terms stay below 2^39, so a
-        # block's cumsum cannot wrap uint64).
-        hi, lo, free = q_hi[:m], q_lo[:m], scratch[:m]
-        weights = inv[start + 1:start + m]
+        # Exact block prefix sums P[k] = sum_{start<=j<start+k} data[j]
+        # * limb(B^-(j+1)) for k in [0, m), one buffer per limb.
+        hi, lo = q_hi[:m], q_lo[:m]
         block_bytes = d[start:start + m - 1]
         hi[0] = lo[0] = 0
-        _np.right_shift(weights, _U31, out=hi[1:])
-        hi[1:] *= block_bytes
-        _np.bitwise_and(weights, _LO31, out=lo[1:])
-        lo[1:] *= block_bytes
-        _reduce(_np.cumsum(hi, out=hi), free)
-        _reduce(_np.cumsum(lo, out=lo), free)
-        # Windowed sums P[k+L] - P[k] (+ M so the wrapped difference
-        # comes back non-negative), each into a buffer the step before
-        # freed: scratch, then hi once its window is taken.
-        win_hi = _np.subtract(hi[seed_length:], hi[:c], out=free[:c])
-        win_hi += _MASK
-        _reduce(win_hi, hi[:c])
-        win_lo = _np.subtract(lo[seed_length:], lo[:c], out=hi[:c])
-        win_lo += _MASK
-        _reduce(win_lo, lo[:c])
-        window = _rotl31(win_hi, lo[:c])
-        window += win_lo
-        _reduce(window, lo[:c])
-        _mulmod(window, pows[start + seed_length:start + m],
-                result[start:start + c],
-                (hi[:c], lo[:c], work[0][:c], work[1][:c]))
+        _np.multiply(inv_hi[start + 1:start + m], block_bytes, out=hi[1:],
+                     dtype=_np.uint64)
+        _np.multiply(inv_lo[start + 1:start + m], block_bytes, out=lo[1:],
+                     dtype=_np.uint64)
+        _np.cumsum(hi, out=hi)
+        _np.cumsum(lo, out=lo)
+        # Window sums x = P_hi[k+L] - P_hi[k] and y (lo), then
+        # v = x * 2^31 + y folded below 2^62.
+        x, y, free = (w[:c] for w in work)
+        _np.subtract(hi[seed_length:], hi[:c], out=x)
+        _np.subtract(lo[seed_length:], lo[:c], out=y)
+        _np.right_shift(x, _U30, out=free)
+        x &= _LO30
+        x <<= _U31
+        x += free
+        x += y
+        _mulmod(x, pow_hi[start + seed_length:start + m],
+                pow_lo[start + seed_length:start + m],
+                result[start:start + c], (y, free, hi[:c]))
     return result
 
 

@@ -7,7 +7,10 @@ implementations.  This suite holds it to that on random, adversarial
 (long zero runs, periodic buffers, near-duplicate pairs), and
 corpus-style inputs:
 
-* ``seed_fingerprints`` vs ``seed_fingerprints_reference``;
+* ``seed_fingerprints`` vs ``seed_fingerprints_reference``, also on
+  constant buffers in tiny blocks, at the longest fast seed and past it,
+  on buffer views (read in place), and from threads that grow the power
+  tables; ``_mulmod`` vs Python's integers at its operand bounds;
 * ``match_length`` / ``match_length_backward`` vs their ``_reference``
   twins, across planted prefix/suffix lengths and limits;
 * ``SeedTable.from_fingerprints`` (vectorized FCFS reduction) vs the
@@ -42,6 +45,9 @@ kernels and this suite holds it to that too:
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -123,11 +129,156 @@ def test_dispatching_fingerprints_match_reference(label, data, fast_on):
 
 
 @needs_numpy
-def test_kernel_fingerprints_accept_buffer_views():
-    data = random.Random(7).randbytes(2048)
-    for view in (bytearray(data), memoryview(data)):
-        assert _kernels.seed_fingerprints(view, 16).tolist() == \
+def test_kernel_fingerprints_accept_buffer_views(monkeypatch):
+    """bytes, bytearray and memoryview inputs are read in place.  With
+    tiny blocks the kernel's own buffers are a few KiB, so a copy of the
+    64 KiB input would dominate what a call allocates besides its
+    result."""
+    monkeypatch.setattr(_kernels, "_CUMSUM_BLOCK", 64)
+    data = random.Random(7).randbytes(1 << 16)
+    expected = seed_fingerprints_reference(data, 16)
+    _kernels.seed_fingerprints(data, 16)  # grow the power tables first
+    for view in (data, bytearray(data), memoryview(data)):
+        tracemalloc.start()
+        try:
+            got = _kernels.seed_fingerprints(view, 16)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current < len(data) // 2, type(view)
+        assert got.tolist() == expected
+
+
+def _constant_fingerprint(byte, seed_length):
+    """The fingerprint of ``seed_length`` copies of ``byte``, in closed
+    form: ``byte * (B^L - 1) / (B - 1) (mod M)``."""
+    modulus, base = (1 << 61) - 1, 257
+    geometric = (pow(base, seed_length, modulus) - 1) * pow(
+        base - 1, modulus - 2, modulus)
+    return byte * geometric % modulus
+
+
+@pytest.mark.parametrize("seed_length", [1, 16, 1000])
+def test_constant_fingerprint_is_the_reference(seed_length):
+    data = b"\xff" * (seed_length + 2)
+    assert seed_fingerprints_reference(data, seed_length) == \
+        [_constant_fingerprint(0xFF, seed_length)] * 3
+
+
+@needs_numpy
+@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "past_bound"])
+def test_kernel_fingerprints_at_the_seed_length_bound(past, monkeypatch):
+    """All-0xff windows of the longest seed whose limb sums still fold
+    below 2^62, and of one byte more, which takes the scalar path.  The
+    closed form stands in for the reference, whose rolling loop takes
+    seconds over a 4 MiB seed."""
+    monkeypatch.setattr(_kernels, "_power_limbs", ())  # dropped after
+    seed_length = _kernels.MAX_FAST_SEED_LENGTH + past
+    got = _kernels.seed_fingerprints(b"\xff" * (seed_length + 3),
+                                     seed_length)
+    assert got.dtype == _kernels._np.uint64
+    assert got.tolist() == [_constant_fingerprint(0xFF, seed_length)] * 4
+
+
+@needs_numpy
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("seed_length", [1, 2, 16, 31, 64, 255])
+@pytest.mark.parametrize("fill", [0x00, 0xFF], ids=["x00", "xff"])
+def test_kernel_fingerprints_of_constant_buffers(fill, seed_length, block,
+                                                 monkeypatch):
+    """All-0x00 and all-0xff buffers (every limb sum at its smallest
+    and largest) in blocks that do not divide the output count."""
+    monkeypatch.setattr(_kernels, "_CUMSUM_BLOCK", block)
+    data = bytes([fill]) * (2 * seed_length + 40)
+    got = _kernels.seed_fingerprints(data, seed_length).tolist()
+    assert got == seed_fingerprints_reference(data, seed_length)
+
+
+@needs_numpy
+def test_mulmod_at_its_operand_bounds():
+    """The limb-wise product for every folded value below 2^62 and every
+    residue, extremes included, against Python's integers; ``out`` may
+    alias ``v``."""
+    np = _kernels._np
+    modulus = (1 << 61) - 1
+    rng = random.Random(61)
+    values = [0, 1, (1 << 31) - 1, 1 << 31, modulus - 1, modulus,
+              1 << 61, (1 << 62) - 1] + [rng.randrange(1 << 62)
+                                         for _ in range(40)]
+    residues = [0, 1, 2, (1 << 31) - 1, 1 << 31, modulus - 1] + [
+        rng.randrange(modulus) for _ in range(40)]
+    pairs = [(v, p) for v in values for p in residues]
+    v = np.array([a for a, _ in pairs], dtype=np.uint64)
+    p_hi = np.array([b >> 31 for _, b in pairs], dtype=np.uint32)
+    p_lo = np.array([b & ((1 << 31) - 1) for _, b in pairs], dtype=np.uint32)
+    expected = [a * b % modulus for a, b in pairs]
+    work = [np.empty_like(v) for _ in range(3)]
+    out = _kernels._mulmod(v, p_hi, p_lo, np.empty_like(v), work)
+    assert out.tolist() == expected
+    assert _kernels._mulmod(v, p_hi, p_lo, v, work).tolist() == expected
+
+
+@needs_numpy
+def test_power_tables_grow_to_a_power_of_two(monkeypatch):
+    """Small, large, small: the cached tables grow once, to the power of
+    two covering the largest request, and a slightly larger request
+    than the last one reuses them instead of rebuilding."""
+    monkeypatch.setattr(_kernels, "_power_limbs", ())
+    rng = random.Random(31)
+    for size in (100, 5000, 100):
+        data = rng.randbytes(size)
+        assert _kernels.seed_fingerprints(data, 16).tolist() == \
             seed_fingerprints_reference(data, 16)
+    tables = _kernels._power_limbs
+    assert [(len(t), t.dtype.itemsize) for t in tables] == [(8192, 4)] * 4
+    _kernels.seed_fingerprints(rng.randbytes(5100), 16)
+    assert _kernels._power_limbs is tables
+    modulus = (1 << 61) - 1
+    inverse = pow(257, modulus - 2, modulus)
+    pow_hi, pow_lo, inv_hi, inv_lo = (t.tolist() for t in tables)
+    for i in range(len(pow_hi)):
+        assert (pow_hi[i] << 31) + pow_lo[i] == pow(257, i, modulus)
+        assert (inv_hi[i] << 31) + inv_lo[i] == pow(inverse, i, modulus)
+
+
+@needs_numpy
+def test_kernel_fingerprints_from_threads_while_tables_grow(monkeypatch):
+    """More threads than cores fingerprint buffers of interleaved sizes
+    from empty tables, switching often, so some calls grow the tables
+    while others read them."""
+    monkeypatch.setattr(_kernels, "_power_limbs", ())
+    rng = random.Random(43)
+    buffers = [rng.randbytes(size)
+               for size in (300, 5000, 1100, 40000, 9000, 70000)]
+    expected = [seed_fingerprints_reference(b, DEFAULT_SEED_LENGTH)
+                for b in buffers]
+    threads, rounds = 4, 3
+    start = threading.Barrier(threads, timeout=60)
+    results = []
+
+    def fingerprint_all(shift):
+        start.wait()
+        for _ in range(rounds):
+            for i in range(len(buffers)):
+                j = (i + shift) % len(buffers)
+                got = _kernels.seed_fingerprints(buffers[j],
+                                                 DEFAULT_SEED_LENGTH)
+                results.append(got.tolist() == expected[j])
+
+    workers = [threading.Thread(target=fingerprint_all, args=(shift,))
+               for shift in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [True] * (threads * rounds * len(buffers))
+    assert len(_kernels._power_limbs[0]) == 1 << 17
 
 
 # ---------------------------------------------------------------------------
