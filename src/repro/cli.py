@@ -635,7 +635,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .serve import DeltaServer, ServeConfig
+    from .serve.daemon import DeltaServer, ServeConfig
     from .store import MemoryStore, PackStore
 
     if args.store_dir:

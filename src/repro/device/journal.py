@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from ..core.apply import _directional_copy
 from ..core.commands import (
@@ -43,6 +43,7 @@ from ..core.commands import (
 )
 from ..delta.varint import decode_varint, encode_varint
 from ..exceptions import DeltaFormatError, DeviceError, IntegrityError, ReproError
+from ..faults import FaultPlan, describe_failure
 from ..records import encode_record, scan_records
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -395,6 +396,55 @@ def _fold_written(storage: CrashingStorage, dst: int, length: int,
     lives in the journal's scratch mirror, which has its own record CRC.
     """
     return zlib.crc32(storage[dst:dst + length], crc)
+
+
+def run_boots(
+    script: DeltaScript,
+    storage: CrashingStorage,
+    journal: Journal,
+    outcome,
+    *,
+    fault_plan: Optional[FaultPlan] = None,
+    scope: str = "",
+    max_boots: int = 16,
+    chunk_size: int = 4096,
+    on_reboot: Optional[Callable[[int], None]] = None,
+    on_cut: Optional[Callable[[Journal], None]] = None,
+) -> Journal:
+    """The journaled boot loop of a simulated device: run ``script``
+    until it completes, one boot after another; returns the journal.
+
+    Boot ``b`` runs the :class:`JournaledApplier` on the write budget
+    ``fault_plan.power_fuel(scope, b)``.  After a power cut the next
+    boot rereads the journal from its serialized form (record CRCs and
+    torn-tail recovery run on every resume) and resumes.  ``outcome``
+    (any object with ``boots``, ``power_cuts`` and a ``faults`` list)
+    counts the boots and each cut with its fault text; ``on_reboot(b)``
+    runs before boot ``b > 1`` rereads the journal, ``on_cut(journal)``
+    after each cut.  An :class:`~repro.exceptions.IntegrityError` halts
+    the device and propagates; if every boot is cut, the loop raises
+    :class:`PowerFailureError`.
+    """
+    for boot in range(1, max_boots + 1):
+        outcome.boots = boot
+        if boot > 1:
+            if on_reboot is not None:
+                on_reboot(boot)
+            journal = Journal.from_bytes(journal.to_bytes())
+        storage.fuel = (fault_plan.power_fuel(scope, boot)
+                        if fault_plan is not None else None)
+        try:
+            JournaledApplier(script, journal).run(storage,
+                                                  chunk_size=chunk_size)
+        except PowerFailureError as exc:
+            outcome.power_cuts += 1
+            outcome.faults.append(describe_failure(exc))
+            if on_cut is not None:
+                on_cut(journal)
+            continue
+        return journal
+    raise PowerFailureError("power failed on every one of %d boots"
+                            % max_boots)
 
 
 def apply_with_power_failures(

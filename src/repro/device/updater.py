@@ -58,7 +58,7 @@ from ..exceptions import (
 )
 from ..faults import FaultPlan, describe_failure
 from .channel import Channel, Delivery
-from .journal import CrashingStorage, Journal, JournaledApplier, PowerFailureError
+from .journal import CrashingStorage, Journal, PowerFailureError, run_boots
 from .memory import ConstrainedDevice
 
 STRATEGIES = ("full", "delta", "in-place", "in-place-stream")
@@ -367,68 +367,48 @@ def run_journaled_session(
 
     # -- apply phase: journaled, resumable across power cuts ------------
     storage = CrashingStorage(reference)
-    journal = Journal()
-    for boot in range(1, max_boots + 1):
-        outcome.boots = boot
-        if fault_plan is not None:
-            # Simulated flash rot: flips happen silently while the
-            # device is down; detection is the integrity plane's job.
-            offset = fault_plan.flip_offset("storage.bitflip", scope,
-                                            boot, len(storage))
-            if offset is not None:
-                storage.flip(offset)
-                outcome.faults.append(
-                    "BitFlip: storage bit flipped at offset %d (boot %d)"
-                    % (offset, boot)
-                )
-        if boot > 1:
-            # Reboot: the journal is reread from its durable sector.
-            # Round-tripping through the serialized form exercises the
-            # record CRCs and torn-tail recovery on every resume.
-            try:
-                journal = Journal.from_bytes(journal.to_bytes())
-            except IntegrityError as exc:
-                outcome.corruption = True
-                outcome.failure = describe_failure(exc)
-                return outcome
-        try:
-            if boot == 1:
-                # Verify-then-mutate: bounds and the reference digest
-                # are checked against pristine storage before the first
-                # destructive write.  (Later boots resume mid-mutation;
-                # JournaledApplier re-verifies applied regions instead.)
-                preflight_in_place(script, header, storage)
-        except (IntegrityError, DeltaRangeError) as exc:
-            outcome.corruption = True
-            outcome.failure = describe_failure(exc)
-            return outcome
-        fuel = (fault_plan.power_fuel(scope, boot)
-                if fault_plan is not None else None)
-        storage.fuel = fuel
-        try:
-            JournaledApplier(script, journal).run(storage,
-                                                  chunk_size=chunk_size)
-        except PowerFailureError as exc:
-            outcome.power_cuts += 1
-            outcome.faults.append(describe_failure(exc))
-            outcome.journal_peak_bytes = max(outcome.journal_peak_bytes,
-                                             journal.size_bytes)
-            continue  # reboot: the journal resumes the interrupted command
-        except IntegrityError as exc:
-            # Resume verification found rot in an already-applied
-            # region: halt with the report rather than install garbage.
-            outcome.corruption = True
-            outcome.failure = describe_failure(exc)
-            outcome.journal_peak_bytes = max(outcome.journal_peak_bytes,
-                                             journal.size_bytes)
-            return outcome
-        break
-    outcome.journal_peak_bytes = max(outcome.journal_peak_bytes,
-                                     journal.size_bytes)
-    if not journal.complete:
-        outcome.failure = ("power failed on every one of %d boots"
-                           % outcome.boots)
+
+    def rot(boot: int) -> None:
+        # Simulated flash rot: flips happen silently while the device is
+        # down; detection is the integrity plane's job.
+        if fault_plan is None:
+            return
+        offset = fault_plan.flip_offset("storage.bitflip", scope, boot,
+                                        len(storage))
+        if offset is not None:
+            storage.flip(offset)
+            outcome.faults.append(
+                "BitFlip: storage bit flipped at offset %d (boot %d)"
+                % (offset, boot)
+            )
+
+    def peak(journal: Journal) -> None:
+        outcome.journal_peak_bytes = max(outcome.journal_peak_bytes,
+                                         journal.size_bytes)
+
+    outcome.boots = 1  # boot 1 rots, runs the preflight, then the loop
+    rot(1)
+    try:
+        # Verify-then-mutate: bounds and the reference digest are
+        # checked against pristine storage before the first destructive
+        # write.  (Later boots resume mid-mutation; JournaledApplier
+        # re-verifies applied regions instead.)
+        preflight_in_place(script, header, storage)
+        journal = run_boots(script, storage, Journal(), outcome,
+                            fault_plan=fault_plan, scope=scope,
+                            max_boots=max_boots, chunk_size=chunk_size,
+                            on_reboot=rot, on_cut=peak)
+    except (IntegrityError, DeltaRangeError) as exc:
+        # A rotted reference, a failed journal reread or rot found
+        # under already-applied regions: halt with the report rather
+        # than install garbage.
+        outcome.corruption = True
+        outcome.failure = describe_failure(exc)
         return outcome
+    except PowerFailureError as exc:
+        outcome.failure = str(exc)
+        return outcome
+    peak(journal)
     try:
         # The device-real final gate: the version checksum carried in
         # the delta.  (Bit flips in not-yet-applied regions propagate

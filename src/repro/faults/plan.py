@@ -34,16 +34,18 @@ Sites wired into the library:
     simulated transfer (error kind ``transmission`` is retransmitted at
     once: nothing real is waited on).
 ``device.power``
-    In :func:`~repro.device.updater.run_journaled_session` and the
-    :func:`repro.serve.pull` client, once per boot, where a firing
-    spec's ``fuel`` bounds the bytes written before the simulated power
-    cut.
+    In :func:`~repro.device.journal.run_boots`, the boot loop that
+    :func:`~repro.device.updater.run_journaled_session` and the
+    :func:`repro.serve.pull` client both run, once per boot, where a
+    firing spec's ``fuel`` bounds the bytes written before the
+    simulated power cut.
 ``storage.bitflip``
     In :func:`~repro.device.updater.run_journaled_session`, once per
-    boot: a firing spec flips one storage bit at a deterministically
-    drawn (or spec-pinned) offset before the boot's apply resumes —
-    simulated flash rot the integrity plane must catch, not an
-    exception.
+    boot (boot 1 before the preflight, later boots before the journal
+    is reread): a firing spec flips one storage bit at a
+    deterministically drawn (or spec-pinned) offset before the boot's
+    apply resumes — simulated flash rot the integrity plane must
+    catch, not an exception.
 ``delta.truncate``
     In :func:`~repro.device.updater.run_journaled_session`, once per
     transmission attempt: a firing spec truncates the delivered delta

@@ -573,7 +573,7 @@ def _serve_op() -> BenchOp:
     encode each, and the injected faults actually fired.
     """
     from ..faults import FaultPlan
-    from ..serve import run_load
+    from ..serve.loadgen import run_load
 
     clients = 200
     size = 8_192

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from ..lru import LRU, CacheStats
-from ..store.digest import content_digest
+from ..records import content_digest
 from ..delta.rolling import (
     DEFAULT_SEED_LENGTH,
     FullSeedIndex,

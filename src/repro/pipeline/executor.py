@@ -95,7 +95,7 @@ from ..delta import (
 from ..delta.varint import varint_size
 from ..exceptions import ReproError, StageTimeoutError
 from ..faults import FaultPlan, backoff_delay, describe_failure
-from ..store.digest import content_digest
+from ..records import content_digest
 from .cache import ARTIFACT_KEYWORDS, CacheStats, ReferenceIndexCache
 from .shm import SegmentMapping, SharedBufferArena, SharedBufferDescriptor
 

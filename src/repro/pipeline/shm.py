@@ -47,7 +47,7 @@ from typing import Dict, Tuple, Union
 
 from multiprocessing import shared_memory
 
-from ..store.digest import content_digest as _content_digest
+from ..records import content_digest as _content_digest
 
 Buffer = Union[bytes, bytearray, memoryview]
 

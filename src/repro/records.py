@@ -1,4 +1,4 @@
-"""Framed records: the one codec the pack store and the device journal share.
+"""What the pack store, the device journal and the pull client share.
 
 A pack file (:mod:`repro.store.pack`) and a device journal
 (:mod:`repro.device.journal`) are both log-structured streams of
@@ -12,10 +12,14 @@ stream up to the first record it cannot read and says whether a torn
 final write explains that record; what damage *means* stays with the
 caller — the pack reports it as ``StoreError(kind="torn")``, the
 journal drops a torn tail and refuses anything else.
+:func:`content_digest` and :func:`write_atomic` live here too, so the
+pull client and the pipeline need not load the store for them.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -114,4 +118,45 @@ def scan_records(data: Buffer, *, start: int = 0
     return records, None
 
 
-__all__ = ["BadRecord", "Record", "crc32", "encode_record", "scan_records"]
+def content_digest(data: Buffer) -> str:
+    """Content digest (sha1 hex) identifying a buffer's exact bytes.
+
+    The one digest of every content-addressed surface (pack store keys,
+    reference cache keys, shared-memory descriptors, the pull client's
+    ``have``), so a digest computed once keys every layer.  Hashed
+    zero-copy through a ``memoryview``; a non-contiguous view is copied
+    once (sha1 needs a contiguous buffer).
+    """
+    view = memoryview(data)
+    if not view.c_contiguous:
+        view = memoryview(bytes(view))
+    return hashlib.sha1(view).hexdigest()
+
+
+def write_atomic(path: str, data: bytes, *, fsync: bool = True) -> None:
+    """Write ``data`` to ``path`` via tmp + fsync + rename.
+
+    The rename is the commit point: a crash at any earlier byte leaves
+    the previous file untouched.  The store's index and the pull
+    client's :class:`~repro.serve.PullState` files are written here.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    if fsync:
+        try:
+            dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        except OSError:  # pragma: no cover - exotic filesystems
+            return
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+
+
+__all__ = ["BadRecord", "Record", "content_digest", "crc32", "encode_record",
+           "scan_records", "write_atomic"]

@@ -23,7 +23,8 @@ Resume works at both planes.  *Download* resume: an interrupted
 transfer retries with ``offset=<verified bytes>``, so a connection
 dropped by ``client.recv``/``serve.accept`` faults (or a bit-flipped
 frame caught by the frame CRC) costs backoff plus the missing tail, not
-the whole payload.  *Apply* resume: the journaled applier rides out
+the whole payload.  *Apply* resume: the pull runs the updater's boot
+loop, :func:`repro.device.journal.run_boots`, so it rides out
 ``device.power`` cuts exactly as the updater does — each reboot
 round-trips the journal through its serialized form and re-verifies
 already-applied regions via ``applied_crc`` before a single new byte is
@@ -55,18 +56,18 @@ from ..delta.encode import decode_delta
 from ..device.journal import (
     CrashingStorage,
     Journal,
-    JournaledApplier,
     PowerFailureError,
+    run_boots,
 )
 from ..exceptions import (
+    DeltaFormatError,
     DeltaRangeError,
     IntegrityError,
     ReproError,
     TransmissionError,
 )
 from ..faults import FaultPlan, backoff_delay, describe_failure
-from ..store import content_digest
-from ..store.pack import write_atomic
+from ..records import content_digest, encode_record, scan_records, write_atomic
 from .protocol import (
     ERR_UP_TO_DATE,
     T_DATA,
@@ -198,17 +199,24 @@ class PullOutcome:
         }
 
 
+#: Record kinds of the saved apply state (``apply.bin``).
+_REC_STORAGE = 0x01
+_REC_JOURNAL = 0x02
+
+
 class PullState:
     """Durable pull progress in a directory: crash-safe across processes.
 
-    Three artifacts, each written through
-    :func:`repro.store.pack.write_atomic` (tmp + fsync + rename, then a
-    directory fsync, so a power cut leaves the old or the new file,
-    never a torn one): the downloaded payload plus its META record, the
-    journal sector, and the partially-mutated storage image.  A pull
-    handed a state directory saves after every completed download and
-    every power-cut boot; a later pull (same process or a fresh one)
-    resumes from whatever survived and :meth:`clear`\\ s on success.
+    Three files, each written through :func:`repro.records.write_atomic`
+    (tmp + fsync + rename, then a directory fsync, so a power cut
+    leaves the old or the new file, never a torn one): the downloaded
+    payload, its META record, and the apply state.  The apply state
+    holds the partially-mutated storage image and the journal sector as
+    two :mod:`repro.records` records of one file, so the image and the
+    journal that describes it are replaced together.  A pull handed a
+    state directory saves after every completed download and every
+    power-cut boot; a later pull (same process or a fresh one) resumes
+    from whatever survived and :meth:`clear`\\ s on success.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -216,8 +224,7 @@ class PullState:
         self.root.mkdir(parents=True, exist_ok=True)
         self._payload = self.root / "payload.bin"
         self._meta = self.root / "meta.json"
-        self._journal = self.root / "journal.bin"
-        self._storage = self.root / "storage.bin"
+        self._apply = self.root / "apply.bin"
 
     def load_payload(self) -> Tuple[bytearray, Optional[Dict[str, object]]]:
         if not (self._payload.exists() and self._meta.exists()):
@@ -234,18 +241,26 @@ class PullState:
                      json.dumps(meta, sort_keys=True).encode())
 
     def load_apply(self) -> Tuple[Optional[bytes], Optional[bytes]]:
-        """(storage bytes, journal bytes) of an interrupted apply."""
-        if not (self._journal.exists() and self._storage.exists()):
+        """(storage bytes, journal bytes) of an interrupted apply.
+
+        A file that is not those two intact records has rotted (a save
+        never tears it): :class:`~repro.exceptions.IntegrityError`.
+        """
+        if not self._apply.exists():
             return None, None
-        return self._storage.read_bytes(), self._journal.read_bytes()
+        records, bad = scan_records(self._apply.read_bytes())
+        if bad is not None or [r.kind for r in records] != [
+                _REC_STORAGE, _REC_JOURNAL]:
+            raise IntegrityError("saved apply state is damaged",
+                                 kind="journal")
+        return records[0].payload, records[1].payload
 
     def save_apply(self, storage: bytes, journal: bytes) -> None:
-        write_atomic(str(self._storage), storage)
-        write_atomic(str(self._journal), journal)
+        write_atomic(str(self._apply), encode_record(_REC_STORAGE, storage)
+                     + encode_record(_REC_JOURNAL, journal))
 
     def clear(self) -> None:
-        for path in (self._payload, self._meta, self._journal,
-                     self._storage):
+        for path in (self._payload, self._meta, self._apply):
             try:
                 path.unlink()
             except FileNotFoundError:
@@ -288,11 +303,8 @@ async def pull_async(
     # -- resume artifacts from a previous (crashed) pull ----------------
     buf = bytearray()
     meta: Optional[Dict[str, object]] = None
-    saved_storage: Optional[bytes] = None
-    saved_journal: Optional[bytes] = None
     if state is not None:
         buf, meta = state.load_payload()
-        saved_storage, saved_journal = state.load_apply()
         if meta is not None:
             try:
                 outcome.want = _control("META", meta)["want"]
@@ -396,11 +408,10 @@ async def pull_async(
                 pass
 
     # -- download phase -------------------------------------------------
-    if not payload_complete():
-        # A saved mid-apply image is only valid together with its saved
-        # payload; no complete payload means any apply artifacts are
-        # stale.
-        saved_storage = saved_journal = None
+    # A saved mid-apply image is only valid together with its saved
+    # payload; no complete payload means any apply state is stale.
+    resuming = payload_complete()
+    if not resuming:
         done = False
         refused_last = False
         for attempt in range(1, max_attempts + 1):
@@ -484,64 +495,45 @@ async def pull_async(
         return outcome
 
     journal = Journal()
-    storage_seed: bytes = reference
-    pristine = True
-    if saved_journal is not None and saved_storage is not None:
-        try:
+    try:
+        saved_storage, saved_journal = (state.load_apply() if resuming
+                                        else (None, None))
+        if saved_journal is not None:
             journal = Journal.from_bytes(saved_journal)
-            storage_seed = saved_storage
-            pristine = False
-        except IntegrityError as exc:
-            outcome.reason = ("saved journal corrupt: %s"
+    except (IntegrityError, DeltaFormatError) as exc:
+        outcome.reason = "saved journal corrupt: %s" % describe_failure(exc)
+        return outcome
+    storage = CrashingStorage(reference if saved_journal is None
+                              else saved_storage)
+
+    outcome.boots = 1  # boot 1 runs the preflight, then the loop
+    if saved_journal is None:
+        # Verify-then-mutate: nothing applied yet, so the reference
+        # digest and every command's bounds are checked against
+        # pristine storage before the first destructive write.  (A
+        # resume re-enters mid-mutation, where the journaled applier
+        # re-verifies applied regions via applied_crc instead.)
+        try:
+            preflight_in_place(script, header, storage)
+        except (IntegrityError, DeltaRangeError) as exc:
+            outcome.reason = ("preflight rejected payload: %s"
                               % describe_failure(exc))
             return outcome
-    storage = CrashingStorage(storage_seed)
 
-    for boot in range(1, max_boots + 1):
-        outcome.boots = boot
-        if boot > 1:
-            # Reboot: reread the journal from its durable form, which
-            # exercises the record CRCs and torn-tail recovery.
-            try:
-                journal = Journal.from_bytes(journal.to_bytes())
-            except IntegrityError as exc:
-                outcome.reason = describe_failure(exc)
-                return outcome
-        if boot == 1 and pristine and not journal.complete:
-            # Verify-then-mutate: nothing applied yet, so the reference
-            # digest and every command's bounds are checked against
-            # pristine storage before the first destructive write.
-            # (Later boots — and resumes from saved state — re-enter
-            # mid-mutation; JournaledApplier re-verifies applied regions
-            # via applied_crc instead, as preflight would now reject the
-            # half-transformed image.)
-            try:
-                preflight_in_place(script, header, storage)
-            except (IntegrityError, DeltaRangeError) as exc:
-                outcome.reason = ("preflight rejected payload: %s"
-                                  % describe_failure(exc))
-                return outcome
-        fuel = (fault_plan.power_fuel(scope, boot)
-                if fault_plan is not None else None)
-        storage.fuel = fuel
-        try:
-            JournaledApplier(script, journal).run(storage,
-                                                  chunk_size=chunk_size)
-        except PowerFailureError as exc:
-            outcome.power_cuts += 1
-            outcome.faults.append(describe_failure(exc))
-            if state is not None:
-                state.save_apply(storage.snapshot(), journal.to_bytes())
-            continue
-        except IntegrityError as exc:
-            # applied_crc re-verification found rot in an applied
-            # region: halt with the report rather than install garbage.
-            outcome.reason = describe_failure(exc)
-            return outcome
-        break
-    if not journal.complete:
-        outcome.reason = ("power failed on every one of %d boots"
-                          % outcome.boots)
+    def save(journal: Journal) -> None:
+        state.save_apply(storage.snapshot(), journal.to_bytes())
+
+    try:
+        run_boots(script, storage, journal, outcome, fault_plan=fault_plan,
+                  scope=scope, max_boots=max_boots, chunk_size=chunk_size,
+                  on_cut=save if state is not None else None)
+    except IntegrityError as exc:
+        # A journal that fails its CRCs, or rot in an applied region:
+        # halt with the report rather than install garbage.
+        outcome.reason = describe_failure(exc)
+        return outcome
+    except PowerFailureError as exc:
+        outcome.reason = str(exc)
         return outcome
     if header.has_checksum:
         actual = storage_crc32(storage)

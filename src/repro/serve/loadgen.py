@@ -1,7 +1,7 @@
 """Load generator: hundreds of concurrent pulls through a fault storm.
 
 The serving analogue of :func:`repro.fleet.run_campaign`: build a small
-release corpus, start a :class:`~repro.serve.DeltaServer`, and point
+release corpus, start a :class:`~repro.serve.daemon.DeltaServer`, and point
 ``clients`` concurrent :func:`~repro.serve.pull_async` calls at it —
 mixed *distinct* and *duplicate* (reference, target) pairs, so
 coalescing and the payload cache are exercised, under a server-side

@@ -17,8 +17,8 @@ surface the serving plane consumes them through.
 """
 
 from ..exceptions import StoreError
+from ..records import content_digest
 from .api import MemoryStore, VersionStore
-from .digest import content_digest
 from .packstore import (
     FsckProblem,
     FsckReport,

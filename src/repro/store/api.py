@@ -1,6 +1,6 @@
 """The ``VersionStore`` protocol: what a delta-serving plane needs.
 
-:class:`~repro.serve.DeltaServer`, the fleet campaign driver and the
+:class:`~repro.serve.daemon.DeltaServer`, the fleet campaign driver and the
 CLI all consume version history through this small surface instead of
 a concrete class, so an in-memory ledger (:class:`MemoryStore`), the
 persistent pack store (:class:`~repro.store.PackStore`), or anything a
@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
-from .digest import Buffer, content_digest
+from ..records import Buffer, content_digest
 
 
 @runtime_checkable

@@ -40,7 +40,6 @@ the pack; any disagreement degrades the store to a scan (see
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -219,31 +218,6 @@ class StoreIndex:
         return index
 
 
-def write_atomic(path: str, data: bytes, *, fsync: bool = True) -> None:
-    """Write ``data`` to ``path`` via tmp + fsync + rename.
-
-    The rename is the commit point: a crash at any earlier byte leaves
-    the previous file untouched.  The store's index and the pull
-    client's :class:`~repro.serve.PullState` files are written here.
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    if fsync:
-        try:
-            dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-
-
 __all__ = [
     "INDEX_NAME",
     "INDEX_SCHEMA",
@@ -261,5 +235,4 @@ __all__ = [
     "encode_object_payload",
     "encode_record",
     "scan_records",
-    "write_atomic",
 ]

@@ -70,7 +70,7 @@ from ..delta.rolling import (
 )
 from ..exceptions import ReproError, StoreError
 from ..lru import LRU
-from .digest import Buffer, content_digest
+from ..records import Buffer, content_digest, write_atomic
 from .pack import (
     INDEX_NAME,
     PACK_MAGIC,
@@ -86,7 +86,6 @@ from .pack import (
     encode_object_payload,
     encode_record,
     scan_records,
-    write_atomic,
 )
 
 _PACK_RE = re.compile(r"^pack-(\d{6})\.pack$")
@@ -280,7 +279,7 @@ class PackStore:
     """Persistent content-addressed pack store (see module docs).
 
     Satisfies the :class:`~repro.store.VersionStore` protocol, so a
-    :class:`~repro.serve.DeltaServer` (or the campaign driver) serves
+    :class:`~repro.serve.daemon.DeltaServer` (or the campaign driver) serves
     from it directly.  All public methods are thread-safe under one
     re-entrant lock — the serve daemon calls :meth:`get` and
     :meth:`chain` from its encode thread pool.  :meth:`chain` holds the

@@ -127,32 +127,86 @@ assert bytes(buf) == new
 #: Each layer imports only the layers beneath it: ``import repro`` is
 #: the paper's library (differs, conversion, apply), ``import
 #: repro.store`` adds storage but not the pipeline or anything that
-#: serves, and no differ calls back into the pipeline's cache.
+#: serves, ``import repro.pipeline`` adds no storage, the pull client
+#: (the device side) loads no storage, pipeline, daemon or load
+#: generator, and no differ calls back into the pipeline's cache.  The
+#: script checks one ``(module, banned...)`` rule of ``LAYERS``, each in
+#: a fresh interpreter, since an import cannot be undone.
 LAYERING = '''
-import inspect, sys
-def loaded(*packages):
-    return sorted(m for m in sys.modules for p in packages
-                  if m == "repro." + p or m.startswith("repro." + p + "."))
+import importlib, inspect, sys
+module, banned = sys.argv[1], sys.argv[2:]
+importlib.import_module(module)
+leaks = sorted(m for m in sys.modules for p in banned
+               if m == "repro." + p or m.startswith("repro." + p + "."))
+assert not leaks, "import %s loads %s" % (module, leaks)
 import repro
-leaks = loaded("pipeline", "store", "serve", "fleet", "device", "bundle",
-               "analysis", "workloads")
-assert not leaks, "import repro loads %s" % leaks
-import repro.store
-leaks = loaded("pipeline", "serve", "fleet")
-assert not leaks, "import repro.store loads %s" % leaks
 for name, differ in repro.ALGORITHMS.items():
     assert "cache" not in inspect.signature(differ).parameters, name
 '''
 
+LAYERS = [
+    ("repro", ("pipeline", "store", "serve", "fleet", "device", "bundle",
+               "analysis", "workloads")),
+    ("repro.store", ("pipeline", "serve", "fleet")),
+    ("repro.pipeline", ("store",)),
+    ("repro.serve.client", ("store", "pipeline", "fleet", "workloads",
+                            "analysis", "serve.daemon", "serve.loadgen")),
+]
 
-def _python(code):
-    """Run ``python -c code`` on this checkout; returns the process."""
+
+#: Loads perfbench's patching tracer, installs both of its halves and
+#: makes one pull with a power cut against an in-process daemon: the
+#: client-side spans the per-layer breakdown reads must all be recorded,
+#: each as often as the pull calls the name the tracer wraps.
+TRACED_PULL = '''
+import asyncio, importlib.util, random, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracing.install_program()
+tracing.install_client()
+from repro.faults import FaultPlan
+from repro.serve.client import pull_async
+from repro.serve.daemon import DeltaServer, ServeConfig
+from repro.store import MemoryStore
+from repro.workloads import make_binary_blob, mutate
+rng = random.Random(19980601)
+old = make_binary_blob(rng, 16384)
+new = mutate(old, rng)
+store = MemoryStore()
+store.publish("pkg", old)
+store.publish("pkg", new)
+async def pull():
+    async with DeltaServer(store, ServeConfig(port=0)) as server:
+        return await pull_async(
+            server.host, server.port, "pkg", old,
+            fault_plan=FaultPlan.parse("device.power:nth=1:fuel=700", seed=7))
+outcome = asyncio.run(pull())
+assert outcome.status == "applied" and outcome.image == new, outcome.reason
+assert outcome.power_cuts == 1, outcome.faults
+names = [span[1] for span in tracing.TRACER.spans]
+counts = {name: names.count(name) for name in (
+    "client.download", "device.decode", "device.verify", "device.apply")}
+# decode once; verify by preflight and the final checksum; apply per boot
+assert counts["client.download"] >= 3, counts
+assert (counts["device.decode"], counts["device.verify"],
+        counts["device.apply"]) == (1, 2, 2), counts
+'''
+
+PERFBENCH_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / \
+    "tracing.py"
+
+
+def _python(code, *args):
+    """Run ``python -c code args...`` on this checkout; returns the
+    process."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 class TestDependencies:
@@ -163,7 +217,14 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
 
     def test_each_layer_imports_only_the_layers_beneath_it(self):
-        proc = _python(LAYERING)
+        for module, banned in LAYERS:
+            proc = _python(LAYERING, module, *banned)
+            assert proc.returncode == 0, proc.stderr
+
+    def test_perfbench_tracer_sees_every_device_layer(self):
+        # perfbench's tracer wraps names where the pull client looks
+        # them up; moving a call elsewhere must fail here, not read 0 ms.
+        proc = _python(TRACED_PULL, str(PERFBENCH_TRACING))
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_no_scipy(self):

@@ -221,9 +221,9 @@ class TestReferenceIndexCache:
     def test_digest_hashes_through_memoryview(self, rng, monkeypatch):
         # The digest must hash the buffer zero-copy: sha1 receives a
         # memoryview of the original buffer, never a materialized copy.
-        # (The implementation lives in repro.store.digest, the shared
-        # home of every content-addressed layer's digest.)
-        import repro.store.digest as digest_mod
+        # (The implementation lives in repro.records, the shared home
+        # of every content-addressed layer's digest.)
+        import repro.records as digest_mod
         data = rng.randbytes(4_096)
         seen = []
         real = digest_mod.hashlib.sha1

@@ -24,13 +24,11 @@ import zlib
 import pytest
 
 from repro import perf
+from repro.device import get_channel, run_journaled_session
 from repro.faults import BACKOFF_FACTOR, BACKOFF_JITTER, FaultPlan, jitter_draw
-from repro.serve import (
-    DeltaServer,
-    PullState,
-    ServeConfig,
-    pull_async,
-)
+from repro.records import encode_record
+from repro.serve import PullState, pull_async
+from repro.serve.daemon import DeltaServer, ServeConfig
 from repro.serve.protocol import (
     T_DATA,
     T_END,
@@ -61,6 +59,21 @@ def _corpus(size=16384, releases=2, seed=SEED):
 
 def _server(store, **overrides):
     return DeltaServer(store, ServeConfig(port=0, **overrides))
+
+
+def _shuffled_blocks(size=65536, block=4096, seed=SEED):
+    """A release whose new version is the old one's blocks shuffled:
+    most copies read what other copies overwrite, so a command re-run
+    on the wrong image produces garbage."""
+    rng = random.Random(seed)
+    old = rng.randbytes(size)
+    blocks = [old[i:i + block] for i in range(0, size, block)]
+    rng.shuffle(blocks)
+    new = b"".join(blocks)
+    store = MemoryStore()
+    store.publish("pkg", old)
+    store.publish("pkg", new)
+    return store, [old, new]
 
 
 class TestReleaseStore:
@@ -364,6 +377,44 @@ class TestFaultSites:
         assert outcome.boots == 2
 
 
+class TestOneBootLoop:
+    def test_pull_and_session_run_the_same_boots(self, monkeypatch):
+        # One fault plan through the pull client and through the
+        # simulated session, over the payload the daemon served: the
+        # two callers of the boot loop must agree cut for cut.
+        store, chain = _corpus(size=32768)
+        spec = "device.power:count=2:fuel=9000"
+        payloads = []
+        decode_delta = client_module.decode_delta
+
+        def kept(payload):
+            payloads.append(payload)
+            return decode_delta(payload)
+
+        monkeypatch.setattr(client_module, "decode_delta", kept)
+
+        async def go(server):
+            async with server:
+                return await pull_async(
+                    server.host, server.port, "pkg", chain[0], scope="dev",
+                    fault_plan=FaultPlan.parse(spec, seed=7))
+
+        pulled = asyncio.run(go(_server(store)))
+        session = run_journaled_session(
+            payloads[0], chain[0], chain[-1],
+            channel=get_channel("isdn-128k"), scope="dev",
+            fault_plan=FaultPlan.parse(spec, seed=7))
+        assert pulled.status == "applied" and session.succeeded
+        assert (pulled.boots, pulled.power_cuts) == (3, 2)
+        assert (session.boots, session.power_cuts) == (3, 2)
+        assert len(pulled.faults) == 2
+        assert all(f.startswith("PowerFailureError: ")
+                   for f in pulled.faults)
+        assert session.faults == pulled.faults
+        # The session compared its image against chain[-1] to succeed.
+        assert pulled.image == chain[-1]
+
+
 class TestJitterBackoff:
     """Satellite: pull retry backoff reuses ``jitter_draw`` exactly."""
 
@@ -593,14 +644,15 @@ class TestPullState:
         state.save_payload(b"payload", {"want": "w", "length": 7})
         # Two files, each fsynced before its rename, then the directory.
         assert len(synced) == 4
+        # The image and its journal: one file, replaced together.
         state.save_apply(b"storage", b"journal")
-        assert len(synced) == 8
+        assert len(synced) == 6
         monkeypatch.undo()
         assert state.load_payload() == (bytearray(b"payload"),
                                         {"want": "w", "length": 7})
         assert state.load_apply() == (b"storage", b"journal")
         assert sorted(p.name for p in state.root.iterdir()) == [
-            "journal.bin", "meta.json", "payload.bin", "storage.bin"]
+            "apply.bin", "meta.json", "payload.bin"]
 
     def test_power_exhausted_pull_resumes_from_state_dir(self, tmp_path):
         store, chain = _corpus()
@@ -636,6 +688,88 @@ class TestPullState:
         # Success cleared the state directory.
         buf, meta = state.load_payload()
         assert meta is None and not buf
+
+    @pytest.mark.parametrize("sector, error", [
+        (encode_record(0x7F, b""),
+         "unknown journal record type 0x7f at byte 0"),
+        (encode_record(0x01, b"\x00"),
+         "journal state record payload is short"),
+    ], ids=["unknown-kind", "short-state"])
+    def test_malformed_saved_journal_fails_the_pull(self, tmp_path,
+                                                    sector, error):
+        # Records whose CRCs pass but that no journal holds: the resumed
+        # pull ends "failed", like a sector whose CRCs fail.
+        store, chain = _corpus()
+        state = PullState(tmp_path / "pull-state")
+        plan = FaultPlan.parse("device.power:count=1:fuel=700", seed=7)
+
+        async def cut(server):
+            async with server:
+                return await pull_async(server.host, server.port, "pkg",
+                                        chain[0], fault_plan=plan,
+                                        max_boots=1, state=state)
+
+        assert asyncio.run(cut(_server(store))).power_cuts == 1
+        storage, _journal = state.load_apply()
+        state.save_apply(storage, sector)
+        outcome = asyncio.run(pull_async("127.0.0.1", 1, "pkg", chain[0],
+                                         state=state))
+        assert outcome.status == "failed"
+        assert outcome.reason == ("saved journal corrupt: DeltaFormatError: "
+                                  + error)
+        assert outcome.attempts == 0
+
+    def test_death_after_any_state_write_resumes_byte_exact(
+            self, tmp_path, monkeypatch):
+        # The process dies right after the n-th durable write of a pull
+        # that loses power three times, for every n; a fresh pull then
+        # finishes from what the state directory holds.  (A death
+        # between two writes of one save must not pair a newer image
+        # with an older journal: the resume would re-run commands whose
+        # sources later commands already overwrote.)
+        store, chain = _shuffled_blocks()
+        write_atomic = client_module.write_atomic
+
+        class Died(Exception):
+            pass
+
+        async def go(server):
+            async with server:
+                for death in range(1, 100):
+                    state = PullState(tmp_path / ("state-%d" % death))
+                    written = []
+
+                    def dying(path, data, **kwargs):
+                        write_atomic(path, data, **kwargs)
+                        written.append(path)
+                        if len(written) == death:
+                            raise Died(path)
+
+                    monkeypatch.setattr(client_module, "write_atomic",
+                                        dying)
+                    plan = FaultPlan.parse("device.power:count=3:fuel=9000",
+                                           seed=7)
+                    try:
+                        whole = await pull_async(
+                            server.host, server.port, "pkg", chain[0],
+                            fault_plan=plan, state=state)
+                    except Died:
+                        monkeypatch.setattr(client_module, "write_atomic",
+                                            write_atomic)
+                        resumed = await pull_async(
+                            server.host, server.port, "pkg", chain[0],
+                            state=state)
+                        assert resumed.status == "applied", (
+                            death, resumed.reason)
+                        assert resumed.image == chain[-1]
+                        continue
+                    return death, whole
+
+        deaths, whole = asyncio.run(go(_server(store)))
+        # The pull that outlived every death point saved each cut.
+        assert whole.status == "applied" and whole.image == chain[-1]
+        assert whole.power_cuts == 3
+        assert deaths > 3
 
     def test_partial_download_survives_process_death(self, tmp_path):
         store, chain = _corpus(size=32768)

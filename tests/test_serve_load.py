@@ -7,7 +7,7 @@ mid-pull power cut.  Every client must reach a terminal state
 (byte-exact applied, structured failure, or backpressure-refused);
 duplicate pairs must coalesce to a single encode; the daemon must never
 crash; and a SIGTERM-style drain mid-storm must let in-flight pulls
-finish.  :class:`~repro.serve.LoadReport` enforces the
+finish.  :class:`~repro.serve.loadgen.LoadReport` enforces the
 zero-silent-failure invariant at accounting time, so these tests mostly
 assert that its ``silent`` list stays empty.
 """
@@ -17,7 +17,7 @@ import asyncio
 import pytest
 
 from repro.faults import FaultPlan
-from repro.serve import build_clients, build_corpus, run_load
+from repro.serve.loadgen import build_clients, build_corpus, run_load
 from repro.store import content_digest
 
 SEED = 19980601

@@ -29,7 +29,9 @@ import repro
 from repro import perf
 from repro.delta import DEFAULT_SEED_LENGTH
 from repro.exceptions import StoreError
-from repro.serve import DeltaServer, ServeConfig, pull_async, run_load_async
+from repro.serve import pull_async
+from repro.serve.daemon import DeltaServer, ServeConfig
+from repro.serve.loadgen import run_load_async
 from repro.store import (
     MemoryStore,
     PackStore,
